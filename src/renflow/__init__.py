@@ -72,7 +72,6 @@ from .transfer import (
     WordDistribution,
     count_words,
     renyi_transfer_entropy,
-    renyi_transfer_entropy_escort,
     shannon_transfer_entropy,
 )
 
@@ -128,7 +127,6 @@ __all__ = [
     "q_sweep",
     "render",
     "renyi_transfer_entropy",
-    "renyi_transfer_entropy_escort",
     "shannon_transfer_entropy",
     "stationary_joint",
     "symbolize",

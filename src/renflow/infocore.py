@@ -125,10 +125,15 @@ class JointDistribution:
 
 
 def _power_sum(probs: np.ndarray, q: float) -> float:
-    """Compensated sum of p^q over the positive entries (0^q := 0)."""
+    """Compensated sum of p^q over the positive entries (0^q := 0).  A sum
+    that underflows to 0 or overflows has no logarithm and is rejected."""
     flat = probs.ravel()
-    positive = flat[flat > 0.0]
-    return math.fsum(np.power(positive, q).tolist())
+    total = math.fsum(np.power(flat[flat > 0.0], q).tolist())
+    if not 0.0 < total < math.inf:
+        raise ValidationError(
+            f"sum of p^q is {total!r} at Renyi order q={q!r}, beyond floating point"
+        )
+    return total
 
 
 def _shannon_bits(probs: np.ndarray) -> float:

@@ -13,6 +13,9 @@ Given a fixed surrogate seed every emitted byte is reproducible.
 
 from __future__ import annotations
 
+import csv
+import html
+import io
 import json
 import math
 import time
@@ -174,14 +177,48 @@ def pairwise_matrix(
 
 def net_flow(matrix: FlowMatrix) -> NetFlowMatrix:
     """Net flow F[i][j] = T(j -> i) - T(i -> j); antisymmetric, zero diagonal."""
-    v = matrix.values
-    out = np.zeros_like(v)
-    n = v.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out[i, j] = v[i, j] - v[j, i]
+    out = matrix.values - matrix.values.T
+    np.fill_diagonal(out, 0.0)
     return NetFlowMatrix(labels=matrix.labels, values=out, params=dict(matrix.params))
+
+
+def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
+           spec: SurrogateSpec, params: dict, min_windows: int = 0) -> SweepTable:
+    """Rows in both directions for every (value, history, order) setting.
+
+    A FiniteSampleWarning is raised whenever a setting leaves fewer than
+    `min_windows` windows.
+    """
+    label_x = _series_label(x, "X")
+    label_y = _series_label(y, "Y")
+    rows = []
+    for value, h, order in settings:
+        for target, source, t_label, s_label in (
+            (x, y, label_x, label_y),
+            (y, x, label_y, label_x),
+        ):
+            r = effective_transfer_entropy(target, source, h, order, spec)
+            rows.append(
+                SweepRow(
+                    param=float(value),
+                    source=s_label,
+                    target=t_label,
+                    raw=r.raw.value,
+                    surrogate_mean=r.surrogate_mean,
+                    surrogate_std=r.surrogate_std,
+                    effective=r.effective,
+                    n_windows=r.raw.n_windows,
+                )
+            )
+        n_windows = rows[-1].n_windows
+        if n_windows < min_windows:
+            warnings.warn(
+                f"{param_name}={value} leaves only {n_windows} windows "
+                f"(< {min_windows}); estimates are in the finite-sample regime",
+                FiniteSampleWarning,
+                stacklevel=3,
+            )
+    return SweepTable(param_name=param_name, rows=tuple(rows), params=params)
 
 
 def q_sweep(
@@ -196,31 +233,10 @@ def q_sweep(
     No monotonicity in q is assumed or implied; the table is the
     deliverable and any structure in it is for the reader to judge.
     """
-    label_x = _series_label(x, "X")
-    label_y = _series_label(y, "Y")
-    rows = []
-    for q in q_grid:
-        order = RenyiOrder.coerce(q)
-        for target, source, t_label, s_label in (
-            (x, y, label_x, label_y),
-            (y, x, label_y, label_x),
-        ):
-            r = effective_transfer_entropy(target, source, h, order, spec)
-            rows.append(
-                SweepRow(
-                    param=order.q,
-                    source=s_label,
-                    target=t_label,
-                    raw=r.raw.value,
-                    surrogate_mean=r.surrogate_mean,
-                    surrogate_std=r.surrogate_std,
-                    effective=r.effective,
-                    n_windows=r.raw.n_windows,
-                )
-            )
     params = {"m": h.m, "l": h.l, "surrogate_method": spec.method,
               "surrogate_ensemble": spec.ensemble_size, "surrogate_seed": spec.rng_seed}
-    return SweepTable(param_name="q", rows=tuple(rows), params=params)
+    settings = ((order.q, h, order) for order in map(RenyiOrder.coerce, q_grid))
+    return _sweep(x, y, "q", settings, spec, params)
 
 
 def m_sweep(
@@ -238,42 +254,10 @@ def m_sweep(
     falls below `min_windows`.
     """
     order = RenyiOrder.coerce(q)
-    label_x = _series_label(x, "X")
-    label_y = _series_label(y, "Y")
-    rows = []
-    for m in m_grid:
-        m = int(m)
-        h = HistorySpec(m, m)
-        n_windows = len(x) - m - 1
-        if n_windows < 1:
-            raise ValidationError(f"m={m} leaves no window on series of length {len(x)}")
-        if n_windows < min_windows:
-            warnings.warn(
-                f"m={m} leaves only {n_windows} windows (< {min_windows}); "
-                "estimates are in the finite-sample regime",
-                FiniteSampleWarning,
-                stacklevel=2,
-            )
-        for target, source, t_label, s_label in (
-            (x, y, label_x, label_y),
-            (y, x, label_y, label_x),
-        ):
-            r = effective_transfer_entropy(target, source, h, order, spec)
-            rows.append(
-                SweepRow(
-                    param=float(m),
-                    source=s_label,
-                    target=t_label,
-                    raw=r.raw.value,
-                    surrogate_mean=r.surrogate_mean,
-                    surrogate_std=r.surrogate_std,
-                    effective=r.effective,
-                    n_windows=r.raw.n_windows,
-                )
-            )
     params = {"q": order.q, "surrogate_method": spec.method,
               "surrogate_ensemble": spec.ensemble_size, "surrogate_seed": spec.rng_seed}
-    return SweepTable(param_name="m", rows=tuple(rows), params=params)
+    settings = ((m, HistorySpec(m, m), order) for m in map(int, m_grid))
+    return _sweep(x, y, "m", settings, spec, params, min_windows)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -283,14 +267,12 @@ def _fmt(value: float) -> str:
 
 
 def _matrix_csv(matrix) -> str:
-    lines = ["target\\source," + ",".join(matrix.labels)]
-    for i, label in enumerate(matrix.labels):
-        cells = [label]
-        for j in range(len(matrix.labels)):
-            v = matrix.values[i, j]
-            cells.append("" if math.isnan(v) else _fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["target\\source", *matrix.labels])
+    for label, row in zip(matrix.labels, matrix.values.tolist()):
+        writer.writerow([label, *("" if math.isnan(v) else _fmt(v) for v in row)])
+    return text.getvalue()
 
 
 def _matrix_json(matrix, kind: str) -> str:
@@ -376,7 +358,7 @@ def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
 
 
 def _matrix_svg(matrix, diverging: bool) -> str:
-    labels = matrix.labels
+    labels = [html.escape(label, quote=False) for label in matrix.labels]
     n = len(labels)
     cell = 42
     margin = 110
@@ -465,15 +447,13 @@ def emit(obj, path, fmt: str = "csv") -> Path:
 
 def parse_matrix_csv(path) -> FlowMatrix:
     """Read back a matrix CSV produced by `emit` (blank diagonal = NaN)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    header = lines[0].split(",")
-    labels = tuple(header[1:])
+    labels = tuple(rows[0][1:])
     values = np.full((len(labels), len(labels)), np.nan)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
+    for i, cells in enumerate(rows[1:]):
         if cells[0] != labels[i]:
             raise ValidationError(f"{path}: row label {cells[0]!r} does not match header")
         for j, cell in enumerate(cells[1:]):

@@ -26,7 +26,6 @@ from .transfer import (
     TransferResult,
     count_words,
     renyi_transfer_entropy,
-    shannon_transfer_entropy,
 )
 
 SURROGATE_METHODS = ("permutation", "block-permutation")
@@ -109,10 +108,7 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
 
 
 def _transfer_value(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, order: RenyiOrder):
-    words = count_words(x, y, h)
-    if order.is_shannon:
-        return shannon_transfer_entropy(words)
-    return renyi_transfer_entropy(words, order)
+    return renyi_transfer_entropy(count_words(x, y, h), order)
 
 
 def effective_transfer_entropy(

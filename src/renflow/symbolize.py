@@ -156,10 +156,13 @@ def symbolize(values, spec: BinningSpec, label: str = "", block_size: int = 1) -
 
     A value exactly on an edge goes to the lower bin; values outside the
     fitted range clamp to the end bins.  Deterministic and monotone.
+    NaN and infinity have no bin and are rejected.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError("cannot symbolize an empty series")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("cannot symbolize non-finite values")
     symbols = np.searchsorted(np.asarray(spec.edges), arr, side="left")
     return SymbolSeries(
         symbols=symbols,

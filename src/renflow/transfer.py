@@ -19,7 +19,8 @@ of the predictive distribution that order q emphasizes.
 
 Words are packed into int64 codes so counting is a vectorized
 unique-and-count; only observed words are stored, so memory scales with
-the data, not with the alphabet power.
+the data, not with the alphabet power.  Both values come from the counts
+of four word groupings: (x', xw, yw), (xw, yw), (x', xw) and (xw).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .infocore import JointDistribution, RenyiOrder, conditional_entropy
+from .infocore import RenyiOrder, _power_sum
 from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
@@ -199,53 +200,25 @@ class WordDistribution:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    # -- cached marginal groupings ------------------------------------------
+    # -- cached grouping ---------------------------------------------------
 
     @cached_property
-    def _future(self) -> np.ndarray:
-        return self.codes // (self._x_words * self._y_words)
-
-    @cached_property
-    def _xh_group(self):
-        xh = (self.codes // self._y_words) % self._x_words
-        return _aggregate(xh, self.counts)
-
-    @cached_property
-    def _xhyh_group(self):
-        rest = self.codes % (self._x_words * self._y_words)
-        return _aggregate(rest, self.counts)
-
-    @cached_property
-    def _fxh_group(self):
-        fx = self.codes // self._y_words
-        return _aggregate(fx, self.counts)
-
-    def joint_future_given_target_history(self) -> JointDistribution:
-        """Joint of (next symbol, target-history word), source summed out."""
-        unique, _, pair_counts = self._fxh_group
-        future_of_pair = unique // self._x_words
-        xcode_of_pair = unique % self._x_words
-        xh_unique, _, _ = self._xh_group
-        cols = np.searchsorted(xh_unique, xcode_of_pair)
-        grid = np.zeros((self.target_alphabet, xh_unique.size), dtype=float)
-        grid[future_of_pair, cols] = pair_counts / self.n_windows
-        return JointDistribution(grid)
-
-    def joint_future_given_both_histories(self) -> JointDistribution:
-        """Joint of (next symbol, combined target+source history word)."""
-        unique, inverse, _ = self._xhyh_group
-        grid = np.zeros((self.target_alphabet, unique.size), dtype=float)
-        np.add.at(grid, (self._future, inverse), self.counts)
-        grid /= self.n_windows
-        return JointDistribution(grid)
+    def _groups(self):
+        """((index per word, integer totals) of the (xw), (xw, yw) and (x', xw)
+        groups, numbered in ascending code order; the (xw) group of each (x', xw) group)."""
+        fx_codes = self.codes // self._y_words
+        xh = _group(fx_codes % self._x_words, self.counts)
+        both = _group(self.codes % (self._x_words * self._y_words), self.counts)
+        fx = _group(fx_codes, self.counts)
+        fx_xh = np.empty(fx[1].size, dtype=np.int64)
+        fx_xh[fx[0]] = xh[0]
+        return xh, both, fx, fx_xh
 
 
-def _aggregate(group_codes: np.ndarray, counts: np.ndarray):
-    """Unique group codes, per-word group index, and per-group totals."""
-    unique, inverse = np.unique(group_codes, return_inverse=True)
-    totals = np.zeros(unique.size, dtype=np.int64)
-    np.add.at(totals, inverse, counts)
-    return unique, inverse, totals
+def _group(group_codes: np.ndarray, counts: np.ndarray):
+    """Per-word group index and per-group integer totals."""
+    inverse = np.unique(group_codes, return_inverse=True)[1]
+    return inverse, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
 def count_words(
@@ -316,27 +289,34 @@ def count_words(
     )
 
 
-def shannon_transfer_entropy(w: WordDistribution) -> TransferResult:
-    """Shannon transfer entropy of a word distribution, in bits.
+def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
+    """Order-q transfer entropy S_q(X'|XW) - S_q(X'|XW,YW), in bits.
 
-    Evaluates the plug-in log-ratio sum directly from the counts; words
-    never observed carry zero probability and are skipped.  The value is
-    non-negative up to floating-point rounding.
+    Both conditional entropies come from the grouped word counts.  At
+    q = 1 (within the Shannon window) the value is the plug-in log-ratio
+    sum over observed words, c/N * log2[c b / (d a)] with c the word
+    count, a its (x', xw) total, b its (xw) total and d its (xw, yw)
+    total; it is non-negative up to rounding.  Away from q = 1 each term
+    is the escort-averaged log2(sum p(x', w)^q / sum p(w)^q) / (1 - q),
+    and the difference may be negative.
     """
+    order = RenyiOrder.coerce(q)
     total = w.n_windows
-    _, xh_inv, xh_counts = w._xh_group
-    _, both_inv, both_counts = w._xhyh_group
-    _, fx_inv, fx_counts = w._fxh_group
-    log_ratio = (
-        np.log2(w.counts)
-        + np.log2(xh_counts[xh_inv])
-        - np.log2(both_counts[both_inv])
-        - np.log2(fx_counts[fx_inv])
-    )
-    value = math.fsum(((w.counts / total) * log_ratio).tolist())
+    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts), fx_xh = w._groups
+    if order.is_shannon:
+        log_ratio = (
+            np.log2(w.counts)
+            + np.log2(xh_counts[xh_inv])
+            - np.log2(both_counts[both_inv])
+            - np.log2(fx_counts[fx_inv])
+        )
+        value = math.fsum(((w.counts / total) * log_ratio).tolist())
+    else:
+        target_only = _conditional_renyi(fx_counts / total, fx_xh, order.q)
+        value = target_only - _conditional_renyi(w.counts / total, both_inv, order.q)
     return TransferResult(
         value=value,
-        q=1.0,
+        q=1.0 if order.is_shannon else order.q,
         m=w.m,
         l=w.l,
         target_alphabet=w.target_alphabet,
@@ -346,78 +326,13 @@ def shannon_transfer_entropy(w: WordDistribution) -> TransferResult:
     )
 
 
-def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
-    """Order-q transfer entropy S_q(X'|XW) - S_q(X'|XW,YW), in bits.
-
-    Both conditional entropies are escort-averaged marginalizations of
-    the word distribution.  At q = 1 this agrees with
-    `shannon_transfer_entropy`; away from 1 the value may be negative.
-    """
-    order = RenyiOrder.coerce(q)
-    value = conditional_entropy(
-        w.joint_future_given_target_history(), order
-    ) - conditional_entropy(w.joint_future_given_both_histories(), order)
-    return TransferResult(
-        value=value,
-        q=order.q,
-        m=w.m,
-        l=w.l,
-        target_alphabet=w.target_alphabet,
-        source_alphabet=w.source_alphabet,
-        n_windows=w.n_windows,
-        direction=w.direction,
-    )
+def _conditional_renyi(probs: np.ndarray, condition: np.ndarray, q: float) -> float:
+    """S_q(X' | W) from the (x', w) probabilities in code order and the w group
+    of each; the marginal of w sums its groups in ascending x'."""
+    marginal = np.bincount(condition, weights=probs)
+    return (math.log2(_power_sum(probs, q)) - math.log2(_power_sum(marginal, q))) / (1.0 - q)
 
 
-def renyi_transfer_entropy_escort(w: WordDistribution, q, dual: bool = False) -> float:
-    """Order-q transfer entropy via the escort-weighted ratio form.
-
-    An independent evaluation path used to cross-check
-    `renyi_transfer_entropy`: escort weights over the conditioning words
-    multiply powered conditional probabilities and the two sums are
-    compared inside one logarithm.  With `dual=True` the roles are
-    exchanged (source words conditioned on target words), which is
-    algebraically the same number.  Delegates to the Shannon estimator
-    inside the q = 1 window, where the prefactor is singular.
-    """
-    order = RenyiOrder.coerce(q)
-    if order.is_shannon:
-        return shannon_transfer_entropy(w).value
-    qv = order.q
-    _, xh_inv, xh_counts = w._xh_group
-    _, both_inv, both_counts = w._xhyh_group
-    fx_unique, fx_inv, fx_counts = w._fxh_group
-
-    xh_weights = np.power(xh_counts, qv)
-    xh_weights /= math.fsum(xh_weights.tolist())
-
-    if not dual:
-        # sum over (x', xw) of escort(xw) * p(x'|xw)^q
-        # over (x', xw, yw) of escort(xw, yw) * p(x'|xw,yw)^q
-        xcode_of_pair = fx_unique % w._x_words
-        xh_unique = w._xh_group[0]
-        pair_xh = np.searchsorted(xh_unique, xcode_of_pair)
-        num = math.fsum(
-            (xh_weights[pair_xh] * np.power(fx_counts / xh_counts[pair_xh], qv)).tolist()
-        )
-        both_weights = np.power(both_counts, qv)
-        both_weights /= math.fsum(both_weights.tolist())
-        den = math.fsum(
-            (both_weights[both_inv] * np.power(w.counts / both_counts[both_inv], qv)).tolist()
-        )
-    else:
-        # sum over (xw, yw) of escort(xw) * p(yw|xw)^q
-        # over (x', xw, yw) of escort(x', xw) * p(yw|x', xw)^q
-        both_unique = w._xhyh_group[0]
-        xh_of_group = both_unique // w._y_words
-        xh_unique = w._xh_group[0]
-        group_xh = np.searchsorted(xh_unique, xh_of_group)
-        num = math.fsum(
-            (xh_weights[group_xh] * np.power(both_counts / xh_counts[group_xh], qv)).tolist()
-        )
-        fx_weights = np.power(fx_counts, qv)
-        fx_weights /= math.fsum(fx_weights.tolist())
-        den = math.fsum(
-            (fx_weights[fx_inv] * np.power(w.counts / fx_counts[fx_inv], qv)).tolist()
-        )
-    return (math.log2(num) - math.log2(den)) / (1.0 - qv)
+def shannon_transfer_entropy(w: WordDistribution) -> TransferResult:
+    """Shannon transfer entropy of a word distribution, in bits."""
+    return renyi_transfer_entropy(w, 1.0)

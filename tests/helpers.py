@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -139,3 +140,53 @@ def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     if abs(q - 1.0) < 1e-9:
         return shannon_transfer_entropy(words).value
     return renyi_transfer_entropy(words, q).value
+
+
+def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = False) -> float:
+    """Order-q transfer entropy via the escort-weighted ratio form.
+
+    Built from `WordDistribution.items()` alone, so it is an evaluation
+    path independent of the library's grouped-count core: escort weights
+    over the conditioning words multiply powered conditional
+    probabilities and the two sums are compared inside one logarithm.
+    With `dual=True` the roles are exchanged (source words conditioned on
+    target words), which is algebraically the same number.  Within 1e-9
+    of q = 1 it evaluates the Shannon log-ratio sum instead.
+    """
+    words = dict(w.items())
+    total = sum(words.values())
+    xh, both, fx = Counter(), Counter(), Counter()
+    for (x_next, xw, yw), c in words.items():
+        xh[xw] += c
+        both[xw, yw] += c
+        fx[x_next, xw] += c
+    if abs(q - 1.0) < 1e-9:
+        return math.fsum(
+            c / total * math.log2(c * xh[xw] / (both[xw, yw] * fx[x_next, xw]))
+            for (x_next, xw, yw), c in words.items()
+        )
+
+    def escort(groups: Counter) -> dict:
+        norm = math.fsum(c**q for c in groups.values())
+        return {key: c**q / norm for key, c in groups.items()}
+
+    xh_weights = escort(xh)
+    if not dual:
+        # sum over (x', xw) of escort(xw) * p(x'|xw)^q
+        # over (x', xw, yw) of escort(xw, yw) * p(x'|xw,yw)^q
+        both_weights = escort(both)
+        num = math.fsum(xh_weights[xw] * (c / xh[xw]) ** q for (_, xw), c in fx.items())
+        den = math.fsum(
+            both_weights[xw, yw] * (c / both[xw, yw]) ** q
+            for (_, xw, yw), c in words.items()
+        )
+    else:
+        # sum over (xw, yw) of escort(xw) * p(yw|xw)^q
+        # over (x', xw, yw) of escort(x', xw) * p(yw|x', xw)^q
+        fx_weights = escort(fx)
+        num = math.fsum(xh_weights[xw] * (c / xh[xw]) ** q for (xw, _), c in both.items())
+        den = math.fsum(
+            fx_weights[x_next, xw] * (c / fx[x_next, xw]) ** q
+            for (x_next, xw, _), c in words.items()
+        )
+    return (math.log2(num) - math.log2(den)) / (1.0 - q)

@@ -59,6 +59,12 @@ class TestGenSynthAndOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transfer_entropy_bits"] == pytest.approx(0.188722, abs=1e-6)
 
+    def test_oracle_extreme_order_is_reported(self, capsys):
+        code = main(["oracle", "--preset", "noisy-copy", "--preset-alphabet", "3",
+                     "--q", "2000"])
+        assert code == 2
+        assert "q=2000" in capsys.readouterr().err
+
     def test_oracle_requires_spec_or_preset(self, capsys):
         assert main(["oracle", "--q", "1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -87,6 +93,18 @@ class TestTe:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["effective_bits"]) <= 0.01
+
+    def test_extreme_order_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "noisy.csv"
+        assert main(["gen-synth", "--preset", "noisy-copy", "--preset-alphabet", "3",
+                     "--length", "20000", "--seed", "3", "--out", str(path)]) == 0
+        code = main([
+            "te", "--data", str(path), "--timestamp-column", "t",
+            "--source", "y", "--target", "x", "--pre-symbolized",
+            "--alphabet", "3", "--q", "300", "--surrogates", "2",
+        ])
+        assert code == 2
+        assert "q=300" in capsys.readouterr().err
 
     def test_missing_file_is_reported(self, capsys, tmp_path):
         code = main([

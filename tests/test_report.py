@@ -176,7 +176,7 @@ class TestMSweep:
 
     def test_enumeration_oracle_matches_closed_form(self):
         words = lag2_xor_word_distribution(1, 4)
-        for q in (0.8, 1.5, 3.0):
+        for q in (0.5, 0.8, 1.0, 1.5, 3.0):
             assert renyi_transfer_entropy(words, q).value == pytest.approx(
                 lag2_xor_exact_te(q, 0.25, m=2), abs=1e-12
             )
@@ -232,6 +232,22 @@ class TestEmission:
         text = render(example_matrix(), "svg")
         assert text.startswith("<svg")
         assert "min=" in text and "max=" in text
+
+    def test_svg_escapes_unsafe_labels(self):
+        from xml.dom import minidom
+
+        values = np.array([[np.nan, 0.5], [0.2, np.nan]])
+        matrix = FlowMatrix(labels=("S&P500", "<DAX>"), values=values)
+        document = minidom.parseString(render(matrix, "svg"))
+        texts = {t.firstChild.data for t in document.getElementsByTagName("text")}
+        assert {"S&P500", "<DAX>"} <= texts
+
+    def test_csv_round_trip_of_label_with_comma(self, tmp_path):
+        values = np.array([[np.nan, 0.5], [0.25, np.nan]])
+        matrix = FlowMatrix(labels=("DAX, close", 'S&P "500"'), values=values)
+        again = parse_matrix_csv(emit(matrix, tmp_path / "m.csv", "csv"))
+        assert again.labels == matrix.labels
+        np.testing.assert_array_equal(again.values, matrix.values)
 
     def test_net_flow_svg_diverging(self):
         flows = net_flow(example_matrix())

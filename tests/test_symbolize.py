@@ -100,6 +100,12 @@ class TestSymbolize:
         out = symbolize([1.0, 2.0, 3.0], spec)
         np.testing.assert_array_equal(out.symbols, [0, 0, 0])
 
+    @pytest.mark.parametrize("bad", (np.nan, -np.inf, np.inf))
+    def test_non_finite_values_rejected(self, bad):
+        spec = BinningSpec("width", 3, (1.0, 2.0))
+        with pytest.raises(ValidationError, match="non-finite"):
+            symbolize([0.5, bad, 1.0], spec)
+
     def test_symbols_stay_in_alphabet(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
