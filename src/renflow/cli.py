@@ -12,7 +12,6 @@ processes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -80,6 +79,15 @@ def _add_surrogate_options(parser):
     )
     parser.add_argument("--surrogate-block", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_process_options(parser):
+    parser.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
+    parser.add_argument(
+        "--preset", choices=["copy", "noisy-copy", "independent"], default=None
+    )
+    parser.add_argument("--preset-alphabet", type=int, default=3)
+    parser.add_argument("--preset-fidelity", type=float, default=0.75)
 
 
 def _add_output_options(parser, required: bool):
@@ -150,17 +158,6 @@ def _surrogate_spec(args) -> SurrogateSpec:
     )
 
 
-def _write_text(path: str | Path, text: str):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _manifest(args, command: str, parameters: dict, timings: dict | None = None) -> dict:
     payload = {
         "command": command,
@@ -211,32 +208,25 @@ def _cmd_symbolize(args) -> int:
                 for s in symbols
             ]
         }
-        text = _dump_json(payload)
     else:
-        lines = ["label,position,symbol"]
+        payload = [("label", "position", "symbol")]
         for s in symbols:
-            lines.extend(
-                f"{s.label},{i},{v}" for i, v in enumerate(s.symbols.tolist())
-            )
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+            payload.extend((s.label, i, v) for i, v in enumerate(s.symbols.tolist()))
+    emit(payload, args.out, args.format)
     return 0
 
 
-def _cmd_te(args) -> int:
+def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
     symbols, _ = _load_aligned_symbols(args, [args.source, args.target])
     by_label = {s.label: s for s in symbols}
-    source, target = by_label[args.source], by_label[args.target]
+    return by_label[args.target], by_label[args.source]
+
+
+def _cmd_te(args) -> int:
+    target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
     result = effective_transfer_entropy(target, source, h, args.q, _surrogate_spec(args))
-    text = _dump_json(_effective_payload(result, args.m, args.l))
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    emit(_effective_payload(result, args.m, args.l), args.out, "json")
     return 0
 
 
@@ -268,7 +258,7 @@ def _cmd_matrix(args) -> int:
     if args.timings:
         timings = {"total_seconds": time.perf_counter() - started, "pairs": timing_sink}
     manifest = _manifest(args, "matrix", params, timings)
-    _write_text(Path(args.out).with_suffix(".manifest.json"), _dump_json(manifest))
+    emit(manifest, Path(args.out).with_suffix(".manifest.json"), "json")
     return 0
 
 
@@ -279,24 +269,18 @@ def _cmd_netflow(args) -> int:
 
 
 def _cmd_sweep_q(args) -> int:
-    symbols, _ = _load_aligned_symbols(args, [args.source, args.target])
-    by_label = {s.label: s for s in symbols}
+    target, source = _target_source(args)
     grid = [float(v) for v in args.q_grid.split(",")]
-    table = q_sweep(
-        by_label[args.target], by_label[args.source],
-        HistorySpec(args.m, args.l), grid, _surrogate_spec(args),
-    )
+    table = q_sweep(target, source, HistorySpec(args.m, args.l), grid, _surrogate_spec(args))
     emit(table, args.out, args.format)
     return 0
 
 
 def _cmd_sweep_m(args) -> int:
-    symbols, _ = _load_aligned_symbols(args, [args.source, args.target])
-    by_label = {s.label: s for s in symbols}
+    target, source = _target_source(args)
     grid = [int(v) for v in args.m_grid.split(",")]
     table = m_sweep(
-        by_label[args.target], by_label[args.source],
-        grid, args.q, _surrogate_spec(args), min_windows=args.min_windows,
+        target, source, grid, args.q, _surrogate_spec(args), min_windows=args.min_windows
     )
     emit(table, args.out, args.format)
     return 0
@@ -317,31 +301,17 @@ def _load_process_spec(args) -> CoupledMarkovSpec:
 def _cmd_gen_synth(args) -> int:
     spec = _load_process_spec(args)
     x, y = generate(spec, args.length, args.seed)
-    lines = ["t,x,y"]
-    lines.extend(
-        f"{t},{a},{b}"
-        for t, (a, b) in enumerate(zip(x.symbols.tolist(), y.symbols.tolist()))
-    )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [("t", "x", "y"), *zip(range(len(x)), x.symbols.tolist(), y.symbols.tolist())]
+    emit(rows, args.out, "csv")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     spec = _load_process_spec(args)
     value = exact_transfer_entropy(spec, args.q)
-    text = _dump_json(
-        {
-            "direction": "source->target",
-            "q": args.q,
-            "m": 1,
-            "l": 1,
-            "transfer_entropy_bits": value,
-        }
-    )
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    payload = {"direction": "source->target", "q": args.q, "m": 1, "l": 1,
+               "transfer_entropy_bits": value}
+    emit(payload, args.out, "json")
     return 0
 
 
@@ -409,20 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_m)
 
     p = sub.add_parser("gen-synth", help="sample a coupled synthetic process to CSV")
-    p.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
-    p.add_argument("--preset", choices=["copy", "noisy-copy", "independent"], default=None)
-    p.add_argument("--preset-alphabet", type=int, default=3)
-    p.add_argument("--preset-fidelity", type=float, default=0.75)
+    _add_process_options(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("oracle", help="exact transfer entropy of a synthetic process")
-    p.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
-    p.add_argument("--preset", choices=["copy", "noisy-copy", "independent"], default=None)
-    p.add_argument("--preset-alphabet", type=int, default=3)
-    p.add_argument("--preset-fidelity", type=float, default=0.75)
+    _add_process_options(p)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)

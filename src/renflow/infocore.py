@@ -174,10 +174,7 @@ def escort(dist, q) -> DiscreteDistribution:
     if order.is_shannon:
         return d
     powered = np.where(d.probs > 0.0, np.power(d.probs, order.q), 0.0)
-    total = math.fsum(powered.tolist())
-    if total <= 0.0:
-        raise ValidationError("escort distribution undefined for an all-zero vector")
-    return DiscreteDistribution(powered / total)
+    return DiscreteDistribution(powered / _power_sum(d.probs, order.q))
 
 
 def conditional_entropy(joint, q) -> float:

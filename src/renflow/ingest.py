@@ -107,38 +107,30 @@ def load_csv(
                 raise MalformedHeaderError(f"{path}: no {label!r} column in header")
         col_idx = {label: header.index(label) for label in labels}
 
-        collected: dict[str, list[tuple[int, float]]] = {label: [] for label in labels}
+        stamps: dict[str, list[int]] = {label: [] for label in labels}
+        values: dict[str, list[float]] = {label: [] for label in labels}
+        columns = [(stamps[label], values[label], col_idx[label]) for label in labels]
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
             try:
-                ts = int(row[ts_idx].strip())
+                ts = int(row[ts_idx])
             except (ValueError, IndexError):
                 continue
-            for label in labels:
-                idx = col_idx[label]
-                if idx >= len(row):
-                    continue
-                cell = row[idx].strip()
-                if not cell:
-                    continue
+            for label_stamps, label_values, idx in columns:
                 try:
-                    value = float(cell)
-                except ValueError:
+                    value = float(row[idx])
+                except (ValueError, IndexError):
                     continue
-                if not math.isfinite(value):
-                    continue
-                collected[label].append((ts, value))
+                if math.isfinite(value):
+                    label_stamps.append(ts)
+                    label_values.append(value)
 
     series = []
     for label in labels:
-        rows = collected[label]
-        if not rows:
+        if not stamps[label]:
             raise ValidationError(f"{path}: column {label!r} has no parseable rows")
         offset_seconds = 60 * int(offsets.get(label, 0))
-        timestamps = np.asarray([t - offset_seconds for t, _ in rows], dtype=np.int64)
-        values = np.asarray([v for _, v in rows], dtype=float)
-        series.append(RawSeries(label=label, timestamps=timestamps, values=values))
+        timestamps = np.asarray(stamps[label], dtype=np.int64) - offset_seconds
+        series.append(RawSeries(label=label, timestamps=timestamps, values=values[label]))
     return series
 
 

@@ -7,7 +7,8 @@ rendered blank, never zero.  The net flow matrix is the difference
 F[i][j] = T(j -> i) - T(i -> j); a positive entry means series j is the
 net information exporter to series i.
 
-CSV output carries 12 significant digits; JSON carries full precision.
+Every byte the CLI emits is encoded and written here by `emit`.  CSV
+output carries 12 significant digits; JSON carries full precision.
 Given a fixed surrogate seed every emitted byte is reproducible.
 """
 
@@ -18,6 +19,7 @@ import html
 import io
 import json
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -266,70 +268,46 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _matrix_csv(matrix) -> str:
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["target\\source", *matrix.labels])
+def _matrix_rows(matrix) -> list:
+    rows = [["target\\source", *matrix.labels]]
     for label, row in zip(matrix.labels, matrix.values.tolist()):
-        writer.writerow([label, *("" if math.isnan(v) else _fmt(v) for v in row)])
-    return text.getvalue()
+        rows.append([label, *("" if math.isnan(v) else _fmt(v) for v in row)])
+    return rows
 
 
-def _matrix_json(matrix, kind: str) -> str:
-    values = [
-        [None if math.isnan(v) else v for v in row]
-        for row in matrix.values.tolist()
-    ]
-    payload = {
-        "kind": kind,
+def _matrix_payload(matrix) -> dict:
+    return {
+        "kind": "net_flow_matrix" if isinstance(matrix, NetFlowMatrix) else "flow_matrix",
         "labels": list(matrix.labels),
-        "values": values,
+        "values": [
+            [None if math.isnan(v) else v for v in row] for row in matrix.values.tolist()
+        ],
         "params": matrix.params,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _sweep_csv(table: SweepTable) -> str:
-    header = f"{table.param_name},source,target,raw,surrogate_mean,surrogate_std,effective,n_windows"
-    lines = [header]
+_SWEEP_FIELDS = ("source", "target", "raw", "surrogate_mean", "surrogate_std",
+                 "effective", "n_windows")
+
+
+def _sweep_rows(table: SweepTable) -> list:
+    rows = [[table.param_name, *_SWEEP_FIELDS]]
     for r in table.rows:
-        param = _fmt(r.param) if table.param_name == "q" else str(int(r.param))
-        lines.append(
-            ",".join(
-                [
-                    param,
-                    r.source,
-                    r.target,
-                    _fmt(r.raw),
-                    _fmt(r.surrogate_mean),
-                    _fmt(r.surrogate_std),
-                    _fmt(r.effective),
-                    str(r.n_windows),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        param = _fmt(r.param) if table.param_name == "q" else int(r.param)
+        rows.append([param, r.source, r.target, _fmt(r.raw), _fmt(r.surrogate_mean),
+                     _fmt(r.surrogate_std), _fmt(r.effective), r.n_windows])
+    return rows
 
 
-def _sweep_json(table: SweepTable) -> str:
-    payload = {
+def _sweep_payload(table: SweepTable) -> dict:
+    return {
         "kind": f"{table.param_name}_sweep",
         "params": table.params,
         "rows": [
-            {
-                table.param_name: r.param,
-                "source": r.source,
-                "target": r.target,
-                "raw": r.raw,
-                "surrogate_mean": r.surrogate_mean,
-                "surrogate_std": r.surrogate_std,
-                "effective": r.effective,
-                "n_windows": r.n_windows,
-            }
+            {table.param_name: r.param, **{f: getattr(r, f) for f in _SWEEP_FIELDS}}
             for r in table.rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _lerp_color(a: tuple, b: tuple, t: float) -> str:
@@ -410,39 +388,45 @@ def _matrix_svg(matrix, diverging: bool) -> str:
 
 
 def render(obj, fmt: str) -> str:
-    """Render a matrix or sweep table to a CSV, JSON, or SVG string."""
-    if isinstance(obj, FlowMatrix):
-        if fmt == "csv":
-            return _matrix_csv(obj)
-        if fmt == "json":
-            return _matrix_json(obj, "flow_matrix")
+    """Render a result to CSV, JSON, or SVG text.
+
+    Matrices render to all three formats and sweep tables to CSV and
+    JSON.  A dict (a run manifest or a single result) renders to JSON
+    and a list of rows to CSV.  Every CSV goes through one
+    `csv.writer`, so labels holding commas or quotes are quoted; every
+    JSON document is sorted, indented by two and ends in a newline.
+    """
+    kind = type(obj).__name__
+    if isinstance(obj, (FlowMatrix, NetFlowMatrix)):
         if fmt == "svg":
-            return _matrix_svg(obj, diverging=False)
-    elif isinstance(obj, NetFlowMatrix):
-        if fmt == "csv":
-            return _matrix_csv(obj)
-        if fmt == "json":
-            return _matrix_json(obj, "net_flow_matrix")
-        if fmt == "svg":
-            return _matrix_svg(obj, diverging=True)
+            return _matrix_svg(obj, diverging=isinstance(obj, NetFlowMatrix))
+        obj = _matrix_rows(obj) if fmt == "csv" else _matrix_payload(obj)
     elif isinstance(obj, SweepTable):
-        if fmt == "csv":
-            return _sweep_csv(obj)
-        if fmt == "json":
-            return _sweep_json(obj)
-        if fmt == "svg":
-            raise ValidationError("SVG output is only defined for matrices")
-    raise ValidationError(f"cannot render {type(obj).__name__} as {fmt!r}")
+        obj = _sweep_rows(obj) if fmt == "csv" else _sweep_payload(obj)
+    if fmt == "json" and isinstance(obj, dict):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv" and isinstance(obj, list):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(obj)
+        return text.getvalue()
+    raise ValidationError(f"cannot render {kind} as {fmt!r}")
 
 
-def emit(obj, path, fmt: str = "csv") -> Path:
-    """Write a result object to `path` in the requested format."""
+def _write(text: str, path) -> Path | None:
+    """Write `text` to `path`, creating its directory, or to stdout if path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return None
     path = Path(path)
-    text = render(obj, fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
+
+
+def emit(obj, path, fmt: str = "csv") -> Path | None:
+    """Write `render(obj, fmt)` to `path`, or to stdout if path is None."""
+    return _write(render(obj, fmt), path)
 
 
 def parse_matrix_csv(path) -> FlowMatrix:

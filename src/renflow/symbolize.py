@@ -102,6 +102,8 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError("cannot block-average an empty series")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("cannot block-average non-finite values")
     if block_size < 1:
         raise ValidationError("block size must be a positive integer")
     if block_size == 1:

@@ -69,9 +69,10 @@ class TransferResult:
 class WordDistribution:
     """Empirical counts of (next target symbol, target word, source word).
 
-    Stored sparsely as packed int64 codes of the observed triples plus
-    their counts; marginal groupings needed by the entropy formulas are
-    derived lazily and cached.
+    Stored sparsely as packed int64 codes of the observed triples, in
+    strictly ascending order below target_alphabet^(m+1) * source_alphabet^l,
+    plus their counts; marginal groupings needed by the entropy formulas
+    are derived lazily and cached.
     """
 
     codes: np.ndarray
@@ -84,18 +85,19 @@ class WordDistribution:
     source_label: str = "Y"
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        codes = np.array(self.codes, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if codes.size == 0:
             raise ValidationError("word distribution has no observed words")
         if codes.size != counts.size:
             raise ValidationError("codes and counts lengths differ")
         if np.any(counts <= 0):
             raise ValidationError("word counts must be positive")
-        if np.unique(codes).size != codes.size:
-            raise ValidationError("word codes must be unique")
-        order = np.argsort(codes)
-        codes, counts = codes[order], counts[order]
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValidationError("word codes must be unique and in ascending order")
+        n_codes = self.target_alphabet * self._x_words * self._y_words
+        if int(codes[0]) < 0 or int(codes[-1]) >= n_codes:
+            raise ValidationError(f"word codes must lie in [0, {n_codes})")
         codes.flags.writeable = False
         counts.flags.writeable = False
         self.codes, self.counts = codes, counts
@@ -161,9 +163,11 @@ class WordDistribution:
                 ycode = ycode * source_alphabet + int(s)
             codes.append((x_next * x_words + xcode) * y_words + ycode)
             counts.append(count)
+        codes = np.asarray(codes, dtype=np.int64)
+        order = np.argsort(codes)
         return cls(
-            codes=np.asarray(codes, dtype=np.int64),
-            counts=np.asarray(counts, dtype=np.int64),
+            codes=codes[order],
+            counts=np.asarray(counts, dtype=np.int64)[order],
             target_alphabet=target_alphabet,
             source_alphabet=source_alphabet,
             m=m,

@@ -1,5 +1,6 @@
 """End-to-end command line coverage."""
 
+import csv
 import json
 import math
 
@@ -37,6 +38,23 @@ def price_csv(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def comma_label_csv(tmp_path):
+    """Random-walk prices under the labels `S&P,500` (quoted) and DAX."""
+    rng = np.random.default_rng(8)
+    prices = 100 + np.cumsum(rng.normal(0, 1.0, size=(800, 2)), axis=0)
+    lines = ['timestamp,"S&P,500",DAX']
+    lines += [f"{t},{a:.6f},{b:.6f}" for t, (a, b) in enumerate(prices.tolist())]
+    path = tmp_path / "indices.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def read_csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestGenSynthAndOracle:
@@ -154,6 +172,13 @@ class TestSymbolizeCommand:
         assert lines[0] == "label,position,symbol"
         assert lines[1].startswith("A,0,")
 
+    def test_csv_comma_label_reads_back_as_one_field(self, comma_label_csv, tmp_path):
+        out = tmp_path / "symbols.csv"
+        assert main(["symbolize", "--data", str(comma_label_csv), "--out", str(out)]) == 0
+        rows = read_csv_rows(out)
+        assert {len(row) for row in rows} == {3}
+        assert {row[0] for row in rows[1:]} == {"S&P,500", "DAX"}
+
 
 class TestMatrixAndNetflow:
     def test_matrix_manifest_and_netflow(self, price_csv, tmp_path):
@@ -268,3 +293,14 @@ class TestSweeps:
         assert payload["kind"] == "m_sweep"
         forward = [r for r in payload["rows"] if r["source"] == "y"]
         assert all(abs(r["raw"] - math.log2(3)) < 0.05 for r in forward)
+
+    def test_sweep_q_csv_comma_label_reads_back_as_one_field(self, comma_label_csv, tmp_path):
+        out = tmp_path / "qsweep.csv"
+        code = main([
+            "sweep-q", "--data", str(comma_label_csv), "--source", "S&P,500",
+            "--target", "DAX", "--q-grid", "1,2", "--surrogates", "2", "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert {len(row) for row in rows} == {8}
+        assert {(row[1], row[2]) for row in rows[1:]} == {("S&P,500", "DAX"), ("DAX", "S&P,500")}

@@ -129,6 +129,10 @@ class TestEscort:
         out = escort([0.5, 0.25, 0.25], 2.0)
         np.testing.assert_allclose(out.probs, [2 / 3, 1 / 6, 1 / 6], atol=1e-15)
 
+    def test_underflowing_order_is_named(self):
+        with pytest.raises(ValidationError, match="q=2000"):
+            escort([0.5, 0.5], 2000)
+
     @given(probability_vectors, st.sampled_from((0.5, 0.8, 1.5, 2.0, 3.0)))
     @settings(max_examples=80, deadline=None)
     def test_normalized_and_argmax_preserved(self, probs, q):

@@ -27,12 +27,17 @@ class TestLoadCsv:
             "timestamp,DAX,SP500\n"
             "100,13000.5,4100.25\n"
             "200,,4101.0\n"
-            "300,13010.0,4099.5\n",
+            "300,13010.0,4099.5\n"
+            "400,13020.0\n"
+            "\n"
+            " , , \n"
+            " 500 , 13030.0 ,\t4098.0 \n",
         )
         series = {s.label: s for s in load_csv(path)}
-        assert len(series["DAX"]) == 2
-        assert len(series["SP500"]) == 3
-        np.testing.assert_array_equal(series["DAX"].timestamps, [100, 300])
+        np.testing.assert_array_equal(series["DAX"].timestamps, [100, 300, 400, 500])
+        np.testing.assert_array_equal(series["DAX"].values, [13000.5, 13010.0, 13020.0, 13030.0])
+        np.testing.assert_array_equal(series["SP500"].timestamps, [100, 200, 300, 500])
+        np.testing.assert_array_equal(series["SP500"].values, [4100.25, 4101.0, 4099.5, 4098.0])
 
     def test_unparseable_cells_omitted(self, tmp_path):
         path = write(

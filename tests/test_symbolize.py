@@ -35,6 +35,11 @@ class TestBlockCoarseGrain:
         with pytest.raises(ValidationError):
             block_coarse_grain([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("bad", (np.nan, -np.inf, np.inf))
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            block_coarse_grain([1.0, bad, 2.0, 3.0], 2)
+
     def test_block_longer_than_series_rejected(self):
         with pytest.raises(ValidationError):
             block_coarse_grain([1.0, 2.0], 5)

@@ -130,6 +130,18 @@ class TestWordDistribution:
         with pytest.raises(ValidationError):
             WordDistribution.from_counts({}, 3, 3, 1, 1)
 
+    @pytest.mark.parametrize("codes", [[100], [-3], [4, 2], [2, 2]])
+    def test_out_of_range_or_unsorted_codes_rejected(self, codes):
+        # alphabet 2 with m = l = 1 has codes 0 .. 7
+        with pytest.raises(ValidationError):
+            WordDistribution(codes=codes, counts=[1] * len(codes),
+                             target_alphabet=2, source_alphabet=2, m=1, l=1)
+
+    def test_from_counts_sorts_codes(self):
+        words = WordDistribution.from_counts({(1, (1,), (1,)): 2, (0, (0,), (0,)): 5}, 2, 2, 1, 1)
+        assert words.codes.tolist() == [0, 7]
+        assert words.counts.tolist() == [5, 2]
+
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(1)
         words = random_word_distribution(rng)
