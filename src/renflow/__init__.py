@@ -27,7 +27,7 @@ from .infocore import (
     escort,
     mutual_information,
 )
-from .ingest import AlignedPair, RawSeries, align, align_many, load_csv
+from .ingest import RawSeries, align_many, load_csv
 from .report import (
     FiniteSampleWarning,
     FlowMatrix,
@@ -76,7 +76,6 @@ from .transfer import (
 )
 
 __all__ = [
-    "AlignedPair",
     "BinningSpec",
     "ConvergenceError",
     "CoupledMarkovSpec",
@@ -98,7 +97,6 @@ __all__ = [
     "TransferResult",
     "ValidationError",
     "WordDistribution",
-    "align",
     "align_many",
     "block_coarse_grain",
     "conditional_entropy",

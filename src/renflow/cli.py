@@ -12,6 +12,7 @@ processes.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from pathlib import Path
@@ -40,13 +41,18 @@ from .synth import (
 from .transfer import HistorySpec
 
 
+def _parse_labels(value: str) -> list[str] | None:
+    """One CSV record, so a quoted label may hold a comma."""
+    return next(csv.reader([value])) if value else None
+
+
 def _add_data_options(parser, multi_label: bool):
     parser.add_argument("--data", required=True, help="input CSV file")
     parser.add_argument("--timestamp-column", default="timestamp")
     if multi_label:
         parser.add_argument(
-            "--labels", default=None,
-            help="comma-separated column subset (default: all value columns)",
+            "--labels", default=None, type=_parse_labels,
+            help="comma-separated column subset, CSV-quoted (default: all value columns)",
         )
     else:
         parser.add_argument("--source", required=True, help="source column label")
@@ -190,8 +196,7 @@ def _effective_payload(result, m: int, l: int) -> dict:
 # -- subcommand implementations -----------------------------------------------
 
 def _cmd_symbolize(args) -> int:
-    labels = args.labels.split(",") if args.labels else None
-    symbols, _ = _load_aligned_symbols(args, labels)
+    symbols, _ = _load_aligned_symbols(args, args.labels)
     if args.format == "svg":
         raise ValidationError("symbolize output supports csv and json only")
     if args.format == "json":
@@ -231,9 +236,8 @@ def _cmd_te(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    labels = args.labels.split(",") if args.labels else None
     started = time.perf_counter()
-    symbols, info = _load_aligned_symbols(args, labels)
+    symbols, info = _load_aligned_symbols(args, args.labels)
     h = HistorySpec(args.m, args.l)
     timing_sink = {} if args.timings else None
     matrix = pairwise_matrix(symbols, h, args.q, _surrogate_spec(args), timing_sink)

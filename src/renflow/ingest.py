@@ -4,7 +4,7 @@ Input files are comma-separated with a header row: one integer
 timestamp column (epoch seconds on the file's local clock) and one
 numeric column per asset.  Per-label clock offsets normalize all
 series to a single reference clock at load time; alignment is a strict
-inner join on timestamps, so only instants present in both series
+inner join on timestamps, so only instants present in every series
 survive and no interpolation is ever performed.
 """
 
@@ -53,23 +53,6 @@ class RawSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-
-@dataclass(frozen=True)
-class AlignedPair:
-    """Two series restricted to their common timestamps."""
-
-    labels: tuple[str, str]
-    timestamps: np.ndarray
-    values_a: np.ndarray
-    values_b: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.timestamps) == len(self.values_a) == len(self.values_b)):
-            raise ValidationError("aligned pair columns must have equal lengths")
-
-    def __len__(self) -> int:
-        return int(len(self.timestamps))
 
 
 def load_csv(
@@ -134,30 +117,13 @@ def load_csv(
     return series
 
 
-def align(a: RawSeries, b: RawSeries) -> AlignedPair:
-    """Inner join of two series on their timestamps.
+def align_many(series: list[RawSeries]) -> list[RawSeries]:
+    """Inner join: restrict every series to the timestamps common to all of them.
 
-    Instants missing on either side are dropped; the output is then
+    Instants missing from any series are dropped; the output is then
     treated as contiguous downstream, which is the usual approximation
     when gaps (closed hours, holidays) are cut out.
     """
-    common, idx_a, idx_b = np.intersect1d(
-        a.timestamps, b.timestamps, assume_unique=True, return_indices=True
-    )
-    if common.size == 0:
-        raise ValidationError(
-            f"series {a.label!r} and {b.label!r} share no timestamps"
-        )
-    return AlignedPair(
-        labels=(a.label, b.label),
-        timestamps=common,
-        values_a=a.values[idx_a],
-        values_b=b.values[idx_b],
-    )
-
-
-def align_many(series: list[RawSeries]) -> list[RawSeries]:
-    """Restrict every series to the timestamps common to all of them."""
     if len(series) < 2:
         raise ValidationError("need at least two series to align")
     common = series[0].timestamps

@@ -107,10 +107,6 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     )
 
 
-def _transfer_value(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, order: RenyiOrder):
-    return renyi_transfer_entropy(count_words(x, y, h), order)
-
-
 def effective_transfer_entropy(
     x: SymbolSeries,
     y: SymbolSeries,
@@ -125,17 +121,12 @@ def effective_transfer_entropy(
     judge whether an effective value clears the noise floor.
     """
     order = RenyiOrder.coerce(q)
-    raw = _transfer_value(x, y, h, order)
-    if spec.ensemble_size == 0:
-        return EffectiveResult(
-            raw=raw, surrogate_mean=0.0, surrogate_std=0.0,
-            effective=raw.value, spec=spec,
-        )
-    values = []
-    for replica in range(spec.ensemble_size):
-        shuffled = make_surrogate(y, spec, replica)
-        values.append(_transfer_value(x, shuffled, h, order).value)
-    mean = math.fsum(values) / len(values)
+    raw = renyi_transfer_entropy(count_words(x, y, h), order)
+    values = [
+        renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), order).value
+        for replica in range(spec.ensemble_size)
+    ]
+    mean = math.fsum(values) / len(values) if values else 0.0
     if len(values) > 1:
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
     else:

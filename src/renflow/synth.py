@@ -108,17 +108,14 @@ class CoupledMarkovSpec:
 
 def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
     """Deterministic coupling x_{t+1} = y_t with an i.i.d. uniform source."""
-    n = alphabet_size
-    a = np.full((n, n), 1.0 / n)
-    b = np.zeros((n, n, n))
-    for y in range(n):
-        b[:, y, y] = 1.0
-    return CoupledMarkovSpec(n, a, b)
+    return noisy_copy_spec(alphabet_size, 1.0)
 
 
 def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMarkovSpec:
     """x_{t+1} copies y_t with probability `fidelity`, else errs uniformly."""
     n = alphabet_size
+    if n < 2:
+        raise ValidationError("alphabet size must be at least 2")
     if not 0.0 < fidelity <= 1.0:
         raise ValidationError("fidelity must lie in (0, 1]")
     a = np.full((n, n), 1.0 / n)

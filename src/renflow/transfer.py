@@ -17,10 +17,11 @@ which recovers the Shannon value as q -> 1 and, unlike it, may be
 negative for q != 1: learning the source history can widen the sector
 of the predictive distribution that order q emphasizes.
 
-Words are packed into int64 codes so counting is a vectorized
-unique-and-count; only observed words are stored, so memory scales with
-the data, not with the alphabet power.  Both values come from the counts
-of four word groupings: (x', xw, yw), (xw, yw), (x', xw) and (xw).
+Each word is one int64 mixed-radix code with digits (x', x_1..x_m,
+y_1..y_l), so counting is a vectorized unique-and-count; only observed
+words are stored, so memory scales with the data, not with the alphabet
+power.  Both values come from the counts of four word groupings:
+(x', xw, yw), (xw, yw), (x', xw) and (xw).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
 _CODE_LIMIT = 2**62
+# Pseudo counts materialize every possible word (16 bytes each as code and count).
+_PSEUDO_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class WordDistribution:
             raise ValidationError("word counts must be positive")
         if np.any(codes[1:] <= codes[:-1]):
             raise ValidationError("word codes must be unique and in ascending order")
-        n_codes = self.target_alphabet * self._x_words * self._y_words
+        n_codes = math.prod(self._radices)
         if int(codes[0]) < 0 or int(codes[-1]) >= n_codes:
             raise ValidationError(f"word codes must lie in [0, {n_codes})")
         codes.flags.writeable = False
@@ -103,6 +106,10 @@ class WordDistribution:
         self.codes, self.counts = codes, counts
 
     # -- code packing ------------------------------------------------------
+
+    @property
+    def _radices(self) -> tuple[int, ...]:
+        return _radices(self.target_alphabet, self.source_alphabet, self.m, self.l)
 
     @property
     def _x_words(self) -> int:
@@ -136,38 +143,24 @@ class WordDistribution:
         Useful for analytic joints where the exact stationary word
         probabilities are known as integer ratios.
         """
-        x_words = target_alphabet**m
-        y_words = source_alphabet**l
-        if x_words * y_words * target_alphabet > _CODE_LIMIT:
-            raise ValidationError("alphabet^history too large to encode")
-        codes, counts = [], []
-        for (x_next, x_word, y_word), count in mapping.items():
-            count = int(count)
-            if count < 0:
-                raise ValidationError("word counts must be non-negative")
-            if count == 0:
-                continue
-            if not (0 <= x_next < target_alphabet):
-                raise ValidationError(f"next symbol {x_next} outside target alphabet")
-            if len(x_word) != m or len(y_word) != l:
-                raise ValidationError("word length does not match history spec")
-            xcode = 0
-            for s in x_word:
-                if not (0 <= s < target_alphabet):
-                    raise ValidationError(f"target symbol {s} outside alphabet")
-                xcode = xcode * target_alphabet + int(s)
-            ycode = 0
-            for s in y_word:
-                if not (0 <= s < source_alphabet):
-                    raise ValidationError(f"source symbol {s} outside alphabet")
-                ycode = ycode * source_alphabet + int(s)
-            codes.append((x_next * x_words + xcode) * y_words + ycode)
-            counts.append(count)
-        codes = np.asarray(codes, dtype=np.int64)
+        radices = _radices(target_alphabet, source_alphabet, m, l)
+        words = [(key, int(count)) for key, count in mapping.items()]
+        if any(count < 0 for _, count in words):
+            raise ValidationError("word counts must be non-negative")
+        words = [(key, count) for key, count in words if count > 0]
+        if any(len(x_word) != m or len(y_word) != l for (_, x_word, y_word), _ in words):
+            raise ValidationError("word length does not match history spec")
+        digits = np.array(
+            [(x_next, *x_word, *y_word) for (x_next, x_word, y_word), _ in words],
+            dtype=np.int64,
+        ).reshape(-1, len(radices))
+        if np.any((digits < 0) | (digits >= np.array(radices))):
+            raise ValidationError(f"word symbols must lie in their alphabets {radices}")
+        codes = np.ravel_multi_index(digits.T, radices)
         order = np.argsort(codes)
         return cls(
             codes=codes[order],
-            counts=np.asarray(counts, dtype=np.int64)[order],
+            counts=np.array([count for _, count in words], dtype=np.int64)[order],
             target_alphabet=target_alphabet,
             source_alphabet=source_alphabet,
             m=m,
@@ -178,31 +171,9 @@ class WordDistribution:
 
     def items(self):
         """Yield ((x_next, x_word, y_word), count) for every observed word."""
-        for code, count in zip(self.codes.tolist(), self.counts.tolist()):
-            ycode = code % self._y_words
-            rest = code // self._y_words
-            xcode = rest % self._x_words
-            x_next = rest // self._x_words
-            yield (x_next, self._decode(xcode, self.target_alphabet, self.m),
-                   self._decode(ycode, self.source_alphabet, self.l)), count
-
-    @staticmethod
-    def _decode(code: int, base: int, length: int) -> tuple[int, ...]:
-        word = []
-        for _ in range(length):
-            code, digit = divmod(code, base)
-            word.append(digit)
-        return tuple(reversed(word))
-
-    def to_csv(self, path) -> None:
-        """Diagnostic dump: one (word, count) row per observed word."""
-        lines = ["x_next,x_word,y_word,count"]
-        for (x_next, x_word, y_word), count in self.items():
-            xw = "|".join(str(s) for s in x_word)
-            yw = "|".join(str(s) for s in y_word)
-            lines.append(f"{x_next},{xw},{yw},{count}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        digits = np.stack(np.unravel_index(self.codes, self._radices), axis=1)
+        for word, count in zip(digits.tolist(), self.counts.tolist()):
+            yield (word[0], tuple(word[1 : self.m + 1]), tuple(word[self.m + 1 :])), count
 
     # -- cached grouping ---------------------------------------------------
 
@@ -217,6 +188,14 @@ class WordDistribution:
         fx_xh = np.empty(fx[1].size, dtype=np.int64)
         fx_xh[fx[0]] = xh[0]
         return xh, both, fx, fx_xh
+
+
+def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
+    """Mixed-radix digits of a word code: (x', x_1 .. x_m, y_1 .. y_l)."""
+    radices = (target_alphabet,) * (m + 1) + (source_alphabet,) * l
+    if math.prod(radices) > _CODE_LIMIT:
+        raise ValidationError("alphabet^history too large to encode")
+    return radices
 
 
 def _group(group_codes: np.ndarray, counts: np.ndarray):
@@ -250,33 +229,23 @@ def count_words(
         raise ValidationError(
             f"series of length {length} too short for histories m={h.m}, l={h.l}"
         )
-    x_words = x.alphabet_size**h.m
-    y_words = y.alphabet_size**h.l
-    if x_words * y_words * x.alphabet_size > _CODE_LIMIT:
-        raise ValidationError("alphabet^history too large to encode")
+    radices = _radices(x.alphabet_size, y.alphabet_size, h.m, h.l)
+    n_possible = math.prod(radices)
+    if pseudo_count > 0 and n_possible > _PSEUDO_LIMIT:
+        raise ValidationError(
+            "pseudo counts require enumerating every possible word; "
+            f"{n_possible} words is too many (limit {_PSEUDO_LIMIT})"
+        )
 
-    xs = x.symbols.astype(np.int64)
-    ys = y.symbols.astype(np.int64)
-    x_next = xs[start + 1 : start + 1 + n_windows]
-
-    x_pow = x.alphabet_size ** np.arange(h.m - 1, -1, -1, dtype=np.int64)
-    x_view = np.lib.stride_tricks.sliding_window_view(xs, h.m)
-    xcode = x_view[start - h.m + 1 : start - h.m + 1 + n_windows] @ x_pow
-
-    y_pow = y.alphabet_size ** np.arange(h.l - 1, -1, -1, dtype=np.int64)
-    y_view = np.lib.stride_tricks.sliding_window_view(ys, h.l)
-    ycode = y_view[start - h.l + 1 : start - h.l + 1 + n_windows] @ y_pow
-
-    full = (x_next * x_words + xcode) * y_words + ycode
+    x_view = np.lib.stride_tricks.sliding_window_view(x.symbols, h.m)
+    x_hist = x_view[start - h.m + 1 : start - h.m + 1 + n_windows]
+    y_view = np.lib.stride_tricks.sliding_window_view(y.symbols, h.l)
+    y_hist = y_view[start - h.l + 1 : start - h.l + 1 + n_windows]
+    x_next = x.symbols[start + 1 : start + 1 + n_windows]
+    full = np.ravel_multi_index((x_next, *x_hist.T, *y_hist.T), radices)
     codes, counts = np.unique(full, return_counts=True)
     counts = counts.astype(np.int64)
     if pseudo_count > 0:
-        n_possible = x.alphabet_size * x_words * y_words
-        if n_possible > 10**8:
-            raise ValidationError(
-                "pseudo counts require enumerating every possible word; "
-                f"{n_possible} words is too many"
-            )
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
         smoothed[codes] += counts
         codes = np.arange(n_possible, dtype=np.int64)

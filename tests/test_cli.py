@@ -179,6 +179,15 @@ class TestSymbolizeCommand:
         assert {len(row) for row in rows} == {3}
         assert {row[0] for row in rows[1:]} == {"S&P,500", "DAX"}
 
+    def test_labels_option_selects_quoted_comma_label(self, comma_label_csv, tmp_path):
+        out = tmp_path / "symbols.csv"
+        code = main([
+            "symbolize", "--data", str(comma_label_csv), "--labels", '"S&P,500"',
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert {row[0] for row in read_csv_rows(out)[1:]} == {"S&P,500"}
+
 
 class TestMatrixAndNetflow:
     def test_matrix_manifest_and_netflow(self, price_csv, tmp_path):
@@ -209,6 +218,33 @@ class TestMatrixAndNetflow:
         assert code == 0
         lines = net_out.read_text().strip().splitlines()
         assert lines[0] == "target\\source,A,B,C"
+
+    @pytest.mark.parametrize("labels, expected", [
+        ('DAX,"S&P,500"', ["DAX", "S&P,500"]),
+        ('"S&P,500",DAX', ["S&P,500", "DAX"]),
+    ])
+    def test_labels_option_accepts_quoted_comma_label(
+        self, comma_label_csv, tmp_path, labels, expected
+    ):
+        out = tmp_path / "flow.csv"
+        code = main([
+            "matrix", "--data", str(comma_label_csv), "--labels", labels,
+            "--surrogates", "1", "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "flow.manifest.json").read_text())
+        assert manifest["parameters"]["labels"] == expected
+        assert read_csv_rows(out)[0][1:] == expected
+
+    def test_labels_option_plain_list(self, price_csv, tmp_path):
+        out = tmp_path / "flow.csv"
+        code = main([
+            "matrix", "--data", str(price_csv), "--labels", "C,A",
+            "--surrogates", "1", "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "flow.manifest.json").read_text())
+        assert manifest["parameters"]["labels"] == ["C", "A"]
 
     def test_matrix_reproducible_bytes(self, price_csv, tmp_path):
         args = [

@@ -8,7 +8,6 @@ from renflow import (
     NonAscendingTimestampsError,
     RawSeries,
     ValidationError,
-    align,
     align_many,
     load_csv,
 )
@@ -106,32 +105,35 @@ class TestAlign:
         return RawSeries(label=label, timestamps=np.asarray(ts), values=np.asarray(vals, float))
 
     def test_inner_join(self):
-        pair = align(self.a([1, 2, 3], [1.0, 2.0, 3.0]), self.a([2, 3, 4], [20.0, 30.0, 40.0], "B"))
-        assert len(pair) == 2
-        np.testing.assert_array_equal(pair.timestamps, [2, 3])
-        np.testing.assert_array_equal(pair.values_a, [2.0, 3.0])
-        np.testing.assert_array_equal(pair.values_b, [20.0, 30.0])
+        a, b = align_many([
+            self.a([1, 2, 3], [1.0, 2.0, 3.0]), self.a([2, 3, 4], [20.0, 30.0, 40.0], "B")
+        ])
+        assert len(a) == len(b) == 2
+        np.testing.assert_array_equal(a.timestamps, [2, 3])
+        np.testing.assert_array_equal(b.timestamps, [2, 3])
+        np.testing.assert_array_equal(a.values, [2.0, 3.0])
+        np.testing.assert_array_equal(b.values, [20.0, 30.0])
 
     def test_identical_timestamps_full_length(self):
-        pair = align(self.a([1, 2], [1.0, 2.0]), self.a([1, 2], [3.0, 4.0], "B"))
-        assert len(pair) == 2
+        a, b = align_many([self.a([1, 2], [1.0, 2.0]), self.a([1, 2], [3.0, 4.0], "B")])
+        assert len(a) == len(b) == 2
 
     def test_disjoint_rejected(self):
         with pytest.raises(ValidationError):
-            align(self.a([1, 2], [1.0, 2.0]), self.a([3, 4], [3.0, 4.0], "B"))
+            align_many([self.a([1, 2], [1.0, 2.0]), self.a([3, 4], [3.0, 4.0], "B")])
 
     def test_symmetric_in_length_and_timestamps(self):
         s1 = self.a([1, 3, 5, 7], [1.0, 3.0, 5.0, 7.0])
         s2 = self.a([3, 4, 5], [30.0, 40.0, 50.0], "B")
-        forward = align(s1, s2)
-        backward = align(s2, s1)
-        assert len(forward) == len(backward)
-        np.testing.assert_array_equal(forward.timestamps, backward.timestamps)
+        forward = align_many([s1, s2])
+        backward = align_many([s2, s1])
+        assert len(forward[0]) == len(backward[0])
+        np.testing.assert_array_equal(forward[0].timestamps, backward[0].timestamps)
 
     def test_length_bounded_by_shorter(self):
         s1 = self.a([1, 2, 3, 4, 5], np.arange(5.0))
         s2 = self.a([2, 4], [1.0, 2.0], "B")
-        assert len(align(s1, s2)) <= 2
+        assert all(len(s) <= 2 for s in align_many([s1, s2]))
 
     def test_align_many_common_subset(self):
         s1 = self.a([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], "A")

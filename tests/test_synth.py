@@ -46,6 +46,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             CoupledMarkovSpec(3, np.full((2, 2), 0.5), np.full((3, 3, 3), 1 / 3))
 
+    @pytest.mark.parametrize("make", [copy_spec, noisy_copy_spec, independent_spec])
+    def test_single_symbol_preset_rejected(self, make):
+        with pytest.raises(ValidationError, match="at least 2"):
+            make(1)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         spec = random_spec(rng)

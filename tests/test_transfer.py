@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     iid_symbol_series,
@@ -111,6 +113,15 @@ class TestCountWords:
             <= shannon_transfer_entropy(plain).value
         )
 
+    def test_pseudo_count_rejects_large_word_space(self):
+        # alphabet 4 at m = l = 5 has 4^11 = 4,194,304 possible words
+        rng = np.random.default_rng(16)
+        x = iid_symbol_series(rng, 2006, 4)
+        y = iid_symbol_series(rng, 2006, 4)
+        with pytest.raises(ValidationError, match="too many"):
+            count_words(x, y, HistorySpec(5, 5), pseudo_count=1)
+        assert count_words(x, y, HistorySpec(5, 5)).n_windows == 2000
+
     def test_pseudo_count_negative_rejected(self):
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 40, 2)
@@ -125,6 +136,10 @@ class TestWordDistribution:
             WordDistribution.from_counts({(3, (0,), (0,)): 1}, 3, 3, 1, 1)
         with pytest.raises(ValidationError):
             WordDistribution.from_counts({(0, (0, 1), (0,)): 1}, 3, 3, 1, 1)
+        with pytest.raises(ValidationError):
+            WordDistribution.from_counts({(2, (0,), (0,)): 1}, 2, 3, 1, 1)
+        with pytest.raises(ValidationError):
+            WordDistribution.from_counts({(0, (0,), (-1,)): 1}, 3, 3, 1, 1)
 
     def test_from_counts_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -142,21 +157,29 @@ class TestWordDistribution:
         assert words.codes.tolist() == [0, 7]
         assert words.counts.tolist() == [5, 2]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(2, 5), st.integers(1, 3), st.integers(1, 3),
+        st.integers(8, 400), st.integers(0, 2**32 - 1),
+    )
+    def test_from_counts_reproduces_counted_words(self, nx, ny, m, l, length, seed):
+        rng = np.random.default_rng(seed)
+        x = iid_symbol_series(rng, length, nx)
+        y = iid_symbol_series(rng, length, ny)
+        words = count_words(x, y, HistorySpec(m, l))
+        items = dict(words.items())
+        for (x_next, xw, yw) in items:
+            assert 0 <= x_next < nx and len(xw) == m and len(yw) == l
+            assert all(0 <= s < nx for s in xw) and all(0 <= s < ny for s in yw)
+        rebuilt = WordDistribution.from_counts(items, nx, ny, m, l)
+        np.testing.assert_array_equal(rebuilt.codes, words.codes)
+        np.testing.assert_array_equal(rebuilt.counts, words.counts)
+
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(1)
         words = random_word_distribution(rng)
         probs = words.counts / words.n_windows
         assert abs(math.fsum(probs.tolist()) - 1.0) <= 1e-12
-
-    def test_diagnostic_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        words = random_word_distribution(rng, m=2, l=2)
-        path = tmp_path / "words.csv"
-        words.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x_next,x_word,y_word,count"
-        total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
-        assert total == words.n_windows
 
     def test_direction_label(self):
         rng = np.random.default_rng(4)
