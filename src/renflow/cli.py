@@ -46,6 +46,28 @@ def _parse_labels(value: str) -> list[str] | None:
     return next(csv.reader([value])) if value else None
 
 
+def _list_of(kind):
+    """Argparse type for a comma-separated list of `kind` values."""
+    def parse(value: str) -> list:
+        try:
+            return [kind(v) for v in value.split(",")]
+        except ValueError:
+            message = f"expected comma-separated {kind.__name__} values, got {value!r}"
+            raise argparse.ArgumentTypeError(message) from None
+    return parse
+
+
+def _offset(value: str) -> tuple[str, int]:
+    """Argparse type for one LABEL=MINUTES clock offset."""
+    label, _, minutes = value.partition("=")
+    try:
+        if label:
+            return label, int(minutes)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected LABEL=MINUTES, got {value!r}")
+
+
 def _add_data_options(parser, multi_label: bool):
     parser.add_argument("--data", required=True, help="input CSV file")
     parser.add_argument("--timestamp-column", default="timestamp")
@@ -58,7 +80,7 @@ def _add_data_options(parser, multi_label: bool):
         parser.add_argument("--source", required=True, help="source column label")
         parser.add_argument("--target", required=True, help="target column label")
     parser.add_argument(
-        "--tz-offset", action="append", default=[], metavar="LABEL=MINUTES",
+        "--tz-offset", action="append", default=[], type=_offset, metavar="LABEL=MINUTES",
         help="clock offset of a column, minutes ahead of the reference clock",
     )
 
@@ -101,19 +123,9 @@ def _add_output_options(parser, required: bool):
     parser.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
 
 
-def _parse_offsets(pairs) -> dict[str, int]:
-    offsets = {}
-    for pair in pairs:
-        label, _, minutes = pair.partition("=")
-        if not label or not minutes:
-            raise ValidationError(f"--tz-offset expects LABEL=MINUTES, got {pair!r}")
-        offsets[label] = int(minutes)
-    return offsets
-
-
 def _load_aligned_symbols(args, labels: list[str] | None):
     """Load, align, and symbolize; also return metadata for run manifests."""
-    offsets = _parse_offsets(args.tz_offset)
+    offsets = dict(args.tz_offset)
     raw = load_csv(
         args.data,
         timestamp_column=args.timestamp_column,
@@ -131,28 +143,20 @@ def _load_aligned_symbols(args, labels: list[str] | None):
             label: loaded_lengths[label] - len(raw[0]) for label in loaded_lengths
         },
     }
-    out = []
-    for series in raw:
-        if args.pre_symbolized:
-            out.append(
-                SymbolSeries(
-                    symbols=series.values,
-                    alphabet_size=args.alphabet,
-                    label=series.label,
-                )
-            )
-        else:
-            out.append(
-                prepare_series(
-                    series.values,
-                    alphabet_size=args.alphabet,
-                    block_size=args.block,
-                    mode=args.bins,
-                    use_log_returns=args.log_returns,
-                    label=series.label,
-                )
-            )
-    return out, info
+    symbols = [
+        SymbolSeries(symbols=series.values, alphabet_size=args.alphabet, label=series.label)
+        if args.pre_symbolized
+        else prepare_series(
+            series.values,
+            alphabet_size=args.alphabet,
+            block_size=args.block,
+            mode=args.bins,
+            use_log_returns=args.log_returns,
+            label=series.label,
+        )
+        for series in raw
+    ]
+    return symbols, info
 
 
 def _surrogate_spec(args) -> SurrogateSpec:
@@ -274,17 +278,16 @@ def _cmd_netflow(args) -> int:
 
 def _cmd_sweep_q(args) -> int:
     target, source = _target_source(args)
-    grid = [float(v) for v in args.q_grid.split(",")]
-    table = q_sweep(target, source, HistorySpec(args.m, args.l), grid, _surrogate_spec(args))
+    h = HistorySpec(args.m, args.l)
+    table = q_sweep(target, source, h, args.q_grid, _surrogate_spec(args))
     emit(table, args.out, args.format)
     return 0
 
 
 def _cmd_sweep_m(args) -> int:
     target, source = _target_source(args)
-    grid = [int(v) for v in args.m_grid.split(",")]
     table = m_sweep(
-        target, source, grid, args.q, _surrogate_spec(args), min_windows=args.min_windows
+        target, source, args.m_grid, args.q, _surrogate_spec(args), min_windows=args.min_windows
     )
     emit(table, args.out, args.format)
     return 0
@@ -367,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_options(p)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--q-grid", default="0.8,1,1.5", help="comma-separated orders")
+    p.add_argument(
+        "--q-grid", default="0.8,1,1.5", type=_list_of(float), help="comma-separated orders"
+    )
     _add_surrogate_options(p)
     _add_output_options(p, required=True)
     p.set_defaults(func=_cmd_sweep_q)
@@ -375,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-m", help="scan the history length (l = m) for one pair")
     _add_data_options(p, multi_label=False)
     _add_pipeline_options(p)
-    p.add_argument("--m-grid", default="1,2,3", help="comma-separated history lengths")
+    p.add_argument(
+        "--m-grid", default="1,2,3", type=_list_of(int), help="comma-separated history lengths"
+    )
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--min-windows", type=int, default=100)
     _add_surrogate_options(p)

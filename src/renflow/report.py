@@ -438,9 +438,11 @@ def parse_matrix_csv(path) -> FlowMatrix:
     labels = tuple(rows[0][1:])
     values = np.full((len(labels), len(labels)), np.nan)
     for i, cells in enumerate(rows[1:]):
-        if cells[0] != labels[i]:
-            raise ValidationError(f"{path}: row label {cells[0]!r} does not match header")
-        for j, cell in enumerate(cells[1:]):
-            if cell != "":
-                values[i, j] = float(cell)
+        where = f"{path}: data row {i + 1} ({cells[0]!r})"
+        if i >= len(labels) or cells[0] != labels[i] or len(cells) > len(labels) + 1:
+            raise ValidationError(f"{where} does not match the header {labels}")
+        try:
+            values[i, : len(cells) - 1] = [float(cell) if cell else np.nan for cell in cells[1:]]
+        except ValueError:
+            raise ValidationError(f"{where} holds a cell that is not a number") from None
     return FlowMatrix(labels=labels, values=values, params={})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .infocore import RenyiOrder, conditional_entropy
+from .infocore import conditional_mutual_information
 from .symbolize import SymbolSeries
 
 _ROW_TOL = 1e-12
@@ -94,16 +94,19 @@ class CoupledMarkovSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CoupledMarkovSpec":
-        raw = json.loads(text)
-        return cls(
-            alphabet_size=int(raw["alphabet_size"]),
-            source_transition=np.asarray(raw["source_transition"], dtype=float),
-            target_transition=np.asarray(raw["target_transition"], dtype=float),
-            initial_source=np.asarray(raw["initial_source"], dtype=float)
-            if "initial_source" in raw else None,
-            initial_target=np.asarray(raw["initial_target"], dtype=float)
-            if "initial_target" in raw else None,
-        )
+        try:
+            raw = json.loads(text)
+            return cls(
+                alphabet_size=int(raw["alphabet_size"]),
+                source_transition=raw["source_transition"],
+                target_transition=raw["target_transition"],
+                initial_source=raw.get("initial_source"),
+                initial_target=raw.get("initial_target"),
+            )
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"process spec is not JSON: {exc}") from None
+        except KeyError as exc:
+            raise ValidationError(f"process spec has no {exc.args[0]!r} key") from None
 
 
 def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
@@ -161,13 +164,10 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     xs = np.empty(length, dtype=np.int64)
     ys = np.empty(length, dtype=np.int64)
     ux, uy = uniforms[0].tolist(), uniforms[1].tolist()
-    x = draw(cum_init_x, ux[0])
-    y = draw(cum_init_y, uy[0])
+    x, y = draw(cum_init_x, ux[0]), draw(cum_init_y, uy[0])
     xs[0], ys[0] = x, y
     for t in range(1, length):
-        x_new = draw(cum_b[x][y], ux[t])
-        y = draw(cum_a[y], uy[t])
-        x = x_new
+        x, y = draw(cum_b[x][y], ux[t]), draw(cum_a[y], uy[t])
         xs[t], ys[t] = x, y
     return (
         SymbolSeries(symbols=xs, alphabet_size=n, label="X"),
@@ -201,17 +201,10 @@ def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
 def exact_transfer_entropy(spec: CoupledMarkovSpec, q) -> float:
     """Exact order-q transfer entropy from source to target at m = l = 1.
 
-    Builds the stationary three-variable joint p(x', x, y) by one
-    transition step from the stationary pair distribution and takes the
-    difference of the two escort-averaged conditional entropies.
+    The conditional mutual information I_q(X'; Y | X) of the stationary
+    joint p(x', y, x) = pi(x, y) * B[x, y, x'], one transition step from
+    the stationary pair distribution.
     """
-    order = RenyiOrder.coerce(q)
-    n = spec.alphabet_size
-    pi = stationary_joint(spec)
-    # p(x', x, y) = pi(x, y) * B[x, y, x'], arranged with x' first.
-    triple = np.einsum("xy,xyu->uxy", pi, spec.target_transition)
-    joint_next_given_pair = triple.reshape(n, n * n)
-    joint_next_given_target = triple.sum(axis=2)
-    return conditional_entropy(joint_next_given_target, order) - conditional_entropy(
-        joint_next_given_pair, order
+    return conditional_mutual_information(
+        np.einsum("xy,xyu->uyx", stationary_joint(spec), spec.target_transition), q
     )

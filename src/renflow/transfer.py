@@ -17,11 +17,13 @@ which recovers the Shannon value as q -> 1 and, unlike it, may be
 negative for q != 1: learning the source history can widen the sector
 of the predictive distribution that order q emphasizes.
 
-Each word is one int64 mixed-radix code with digits (x', x_1..x_m,
-y_1..y_l), so counting is a vectorized unique-and-count; only observed
-words are stored, so memory scales with the data, not with the alphabet
-power.  Both values come from the counts of four word groupings:
-(x', xw, yw), (xw, yw), (x', xw) and (xw).
+Each word is one int64 mixed-radix code with digits (x_1..x_m,
+y_1..y_l, x'), so counting is a vectorized unique-and-count and the only
+sort; only observed words are stored, so memory scales with the data,
+not with the alphabet power.  Both values come from the counts of four
+word groupings: (x', xw, yw), (xw, yw), (x', xw) and (xw).  With the
+conditioning history first, every (xw) and every (xw, yw) group is a run
+of the sorted codes.
 """
 
 from __future__ import annotations
@@ -112,14 +114,6 @@ class WordDistribution:
         return _radices(self.target_alphabet, self.source_alphabet, self.m, self.l)
 
     @property
-    def _x_words(self) -> int:
-        return self.target_alphabet**self.m
-
-    @property
-    def _y_words(self) -> int:
-        return self.source_alphabet**self.l
-
-    @property
     def n_windows(self) -> int:
         return int(self.counts.sum())
 
@@ -151,7 +145,7 @@ class WordDistribution:
         if any(len(x_word) != m or len(y_word) != l for (_, x_word, y_word), _ in words):
             raise ValidationError("word length does not match history spec")
         digits = np.array(
-            [(x_next, *x_word, *y_word) for (x_next, x_word, y_word), _ in words],
+            [(*x_word, *y_word, x_next) for (x_next, x_word, y_word), _ in words],
             dtype=np.int64,
         ).reshape(-1, len(radices))
         if np.any((digits < 0) | (digits >= np.array(radices))):
@@ -173,35 +167,33 @@ class WordDistribution:
         """Yield ((x_next, x_word, y_word), count) for every observed word."""
         digits = np.stack(np.unravel_index(self.codes, self._radices), axis=1)
         for word, count in zip(digits.tolist(), self.counts.tolist()):
-            yield (word[0], tuple(word[1 : self.m + 1]), tuple(word[self.m + 1 :])), count
+            yield (word[-1], tuple(word[: self.m]), tuple(word[self.m : -1])), count
 
     # -- cached grouping ---------------------------------------------------
 
     @cached_property
     def _groups(self):
-        """((index per word, integer totals) of the (xw), (xw, yw) and (x', xw)
-        groups, numbered in ascending code order; the (xw) group of each (x', xw) group)."""
-        fx_codes = self.codes // self._y_words
-        xh = _group(fx_codes % self._x_words, self.counts)
-        both = _group(self.codes % (self._x_words * self._y_words), self.counts)
-        fx = _group(fx_codes, self.counts)
-        fx_xh = np.empty(fx[1].size, dtype=np.int64)
-        fx_xh[fx[0]] = xh[0]
-        return xh, both, fx, fx_xh
+        """(Per-word run index, integer totals) of the (xw) and (xw, yw) runs of
+        the sorted codes, and of the (xw, x') cells at xw_run * target_alphabet + x'."""
+        n_x = self.target_alphabet
+        xh = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
+        both = _runs(self.codes // n_x, self.counts)
+        fx_inv = xh[0] * n_x + self.codes % n_x
+        return xh, both, (fx_inv, np.bincount(fx_inv, weights=self.counts).astype(np.int64))
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
-    """Mixed-radix digits of a word code: (x', x_1 .. x_m, y_1 .. y_l)."""
-    radices = (target_alphabet,) * (m + 1) + (source_alphabet,) * l
+    """Mixed-radix digits of a word code: (x_1 .. x_m, y_1 .. y_l, x')."""
+    radices = (target_alphabet,) * m + (source_alphabet,) * l + (target_alphabet,)
     if math.prod(radices) > _CODE_LIMIT:
         raise ValidationError("alphabet^history too large to encode")
     return radices
 
 
-def _group(group_codes: np.ndarray, counts: np.ndarray):
-    """Per-word group index and per-group integer totals."""
-    inverse = np.unique(group_codes, return_inverse=True)[1]
-    return inverse, np.bincount(inverse, weights=counts).astype(np.int64)
+def _runs(keys: np.ndarray, counts: np.ndarray):
+    """Run index of each word in the non-decreasing `keys`, and each run's total."""
+    new_run = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return np.cumsum(new_run) - 1, np.add.reduceat(counts, np.flatnonzero(new_run))
 
 
 def count_words(
@@ -242,9 +234,8 @@ def count_words(
     y_view = np.lib.stride_tricks.sliding_window_view(y.symbols, h.l)
     y_hist = y_view[start - h.l + 1 : start - h.l + 1 + n_windows]
     x_next = x.symbols[start + 1 : start + 1 + n_windows]
-    full = np.ravel_multi_index((x_next, *x_hist.T, *y_hist.T), radices)
+    full = np.ravel_multi_index((*x_hist.T, *y_hist.T, x_next), radices)
     codes, counts = np.unique(full, return_counts=True)
-    counts = counts.astype(np.int64)
     if pseudo_count > 0:
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
         smoothed[codes] += counts
@@ -275,7 +266,7 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
     """
     order = RenyiOrder.coerce(q)
     total = w.n_windows
-    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts), fx_xh = w._groups
+    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts) = w._groups
     if order.is_shannon:
         log_ratio = (
             np.log2(w.counts)
@@ -285,7 +276,8 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
         )
         value = math.fsum(((w.counts / total) * log_ratio).tolist())
     else:
-        target_only = _conditional_renyi(fx_counts / total, fx_xh, order.q)
+        xh_of_fx = np.arange(fx_counts.size) // w.target_alphabet
+        target_only = _conditional_renyi(fx_counts / total, xh_of_fx, order.q)
         value = target_only - _conditional_renyi(w.counts / total, both_inv, order.q)
     return TransferResult(
         value=value,

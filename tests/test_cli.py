@@ -87,6 +87,17 @@ class TestGenSynthAndOracle:
         assert main(["oracle", "--q", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"alphabet_size": 2}', "'source_transition'"),
+        ("alphabet_size: 2", "not JSON"),
+    ], ids=["missing-key", "not-json"])
+    def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text, encoding="utf-8")
+        assert main(["oracle", "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestTe:
     def test_copy_process_effective(self, synth_csv, tmp_path, capsys):
@@ -246,6 +257,19 @@ class TestMatrixAndNetflow:
         manifest = json.loads((tmp_path / "flow.manifest.json").read_text())
         assert manifest["parameters"]["labels"] == ["C", "A"]
 
+    @pytest.mark.parametrize("rows, message", [
+        (["A,,0.1", "B,0.2,", "C,0.3,0.4"], "data row 3 ('C')"),
+        (["A,,0.1,0.5", "B,0.2,"], "data row 1 ('A')"),
+        (["A,,abc", "B,0.2,"], "data row 1 ('A') holds a cell that is not a number"),
+    ], ids=["extra-row", "long-row", "non-numeric-cell"])
+    def test_netflow_rejects_malformed_matrix(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "flow.csv"
+        path.write_text("\n".join(["target\\source,A,B", *rows]) + "\n", encoding="utf-8")
+        code = main(["netflow", "--from-matrix", str(path), "--out", str(tmp_path / "net.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and message in err
+
     def test_matrix_reproducible_bytes(self, price_csv, tmp_path):
         args = [
             "matrix", "--data", str(price_csv), "--alphabet", "3",
@@ -300,6 +324,24 @@ class TestMatrixAndNetflow:
         # shifting A's clock breaks the common grid except where it overlaps
         assert alignment["aligned_rows"] < alignment["loaded_rows"]["A"]
         assert alignment["rows_dropped_by_alignment"]["A"] > 0
+
+
+class TestNumberOptions:
+    @pytest.mark.parametrize("command, option, value", [
+        ("sweep-q", "--q-grid", "1,x"),
+        ("sweep-m", "--m-grid", "1,x"),
+        ("te", "--tz-offset", "A=x"),
+    ], ids=["q-grid", "m-grid", "tz-offset"])
+    def test_bad_value_is_a_usage_error(self, price_csv, tmp_path, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                command, "--data", str(price_csv), "--source", "A", "--target", "B",
+                option, value, "--surrogates", "1", "--out", str(tmp_path / "out.csv"),
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err and repr(value) in err
+        assert "Traceback" not in err
 
 
 class TestSweeps:

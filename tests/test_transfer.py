@@ -273,9 +273,17 @@ class TestRenyiTransferEntropy:
     @pytest.mark.parametrize("q", (0.3, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0))
     def test_escort_ratio_form_agrees(self, q):
         rng = np.random.default_rng(10)
+        inputs = []
         for _ in range(40):
             a, b, m, l = (int(v) for v in rng.integers((2, 2, 1, 1), (4, 4, 4, 4)))
-            words = random_word_distribution(rng, a, b, m, l)
+            inputs.append(random_word_distribution(rng, a, b, m, l))
+        # sparse counted words: many (xw) and (xw, yw) runs, most of a single word
+        for _ in range(40):
+            a, b, m, l = (int(v) for v in rng.integers((2, 2, 1, 1), (6, 6, 5, 5)))
+            length = int(rng.integers(10, 300))
+            x, y = iid_symbol_series(rng, length, a), iid_symbol_series(rng, length, b)
+            inputs.append(count_words(x, y, HistorySpec(m, l)))
+        for words in inputs:
             reference = renyi_transfer_entropy(words, q).value
             for dual in (False, True):
                 assert renyi_transfer_entropy_escort(words, q, dual) == pytest.approx(
