@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p, required=True)
     p.add_argument(
         "--timings", action="store_true",
-        help="record wall-clock timing in the manifest (breaks byte reproducibility)",
+        help="record total seconds and, per pair, counting and evaluation seconds over the raw "
+        "pair and all replicas; shared source shuffles go to no pair (breaks byte reproducibility)",
     )
     p.set_defaults(func=_cmd_matrix)
 

@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .infocore import RenyiOrder
-from .surrogate import SurrogateSpec, effective_transfer_entropy
+from .surrogate import SurrogateSpec, effective_transfer_entropies
 from .symbolize import SymbolSeries
 from .transfer import HistorySpec
 
@@ -121,10 +120,6 @@ class SweepTable:
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
-def _series_label(series: SymbolSeries, fallback: str) -> str:
-    return series.label or fallback
-
-
 def pairwise_matrix(
     series: list[SymbolSeries],
     h: HistorySpec,
@@ -136,34 +131,29 @@ def pairwise_matrix(
 
     All series must have equal lengths (align upstream) and unique
     labels.  A failure on any pair aborts the whole run with the pair
-    named in the error.  Passing a dict as `timing_sink` records the
-    wall-clock seconds spent on each directed pair.
+    named in the error.  A dict passed as `timing_sink` receives each
+    directed pair's seconds of counting and evaluation over the raw pair
+    and every replica; the shared source shuffles are charged to no pair.
     """
     if len(series) < 2:
         raise ValidationError("pairwise matrix needs at least two series")
-    labels = tuple(_series_label(s, f"series{i}") for i, s in enumerate(series))
+    labels = tuple(s.label or f"series{i}" for i, s in enumerate(series))
     if len(set(labels)) != len(labels):
         raise ValidationError(f"series labels must be unique, got {labels}")
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise ValidationError(f"series lengths differ: {sorted(lengths)}")
     order = RenyiOrder.coerce(q)
     n = len(series)
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]  # (target, source)
+    seconds = [] if timing_sink is not None else None
+    results = effective_transfer_entropies(
+        [(series[i], series[j], h) for i, j in cells], [order], spec, seconds
+    )
     values = np.full((n, n), np.nan)
-    for i in range(n):  # target
-        for j in range(n):  # source
-            if i == j:
-                continue
-            started = time.perf_counter()
-            try:
-                result = effective_transfer_entropy(series[i], series[j], h, order, spec)
-            except Exception as exc:
-                raise ValidationError(
-                    f"pair {labels[j]}->{labels[i]} failed: {exc}"
-                ) from exc
-            values[i, j] = result.effective
-            if timing_sink is not None:
-                timing_sink[f"{labels[j]}->{labels[i]}"] = time.perf_counter() - started
+    for (i, j), (result,) in zip(cells, results):
+        values[i, j] = result.effective
+    if timing_sink is not None:
+        timing_sink.update(
+            (f"{labels[j]}->{labels[i]}", t) for (i, j), t in zip(cells, seconds)
+        )
     params = {
         "q": order.q,
         "m": h.m,
@@ -186,32 +176,31 @@ def net_flow(matrix: FlowMatrix) -> NetFlowMatrix:
 
 def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
            spec: SurrogateSpec, params: dict, min_windows: int = 0) -> SweepTable:
-    """Rows in both directions for every (value, history, order) setting.
+    """Rows in both directions for every (value, history, order) setting,
+    from one planner call over the distinct histories and orders.
 
     A FiniteSampleWarning is raised whenever a setting leaves fewer than
     `min_windows` windows.
     """
-    label_x = _series_label(x, "X")
-    label_y = _series_label(y, "Y")
+    label_x, label_y = x.label or "X", y.label or "Y"
+    settings = list(settings)
+    histories = list(dict.fromkeys(h for _, h, _ in settings))
+    orders = list(dict.fromkeys(order for _, _, order in settings))
+    directions = ((x, y, label_x, label_y), (y, x, label_y, label_x))
+    results = effective_transfer_entropies(
+        [(target, source, h) for h in histories for target, source, _, _ in directions],
+        orders, spec,
+    )
     rows = []
     for value, h, order in settings:
-        for target, source, t_label, s_label in (
-            (x, y, label_x, label_y),
-            (y, x, label_y, label_x),
-        ):
-            r = effective_transfer_entropy(target, source, h, order, spec)
-            rows.append(
-                SweepRow(
-                    param=float(value),
-                    source=s_label,
-                    target=t_label,
-                    raw=r.raw.value,
-                    surrogate_mean=r.surrogate_mean,
-                    surrogate_std=r.surrogate_std,
-                    effective=r.effective,
-                    n_windows=r.raw.n_windows,
-                )
-            )
+        k = 2 * histories.index(h)
+        for d, (_, _, t_label, s_label) in enumerate(directions):
+            r = results[k + d][orders.index(order)]
+            rows.append(SweepRow(
+                param=float(value), source=s_label, target=t_label, raw=r.raw.value,
+                surrogate_mean=r.surrogate_mean, surrogate_std=r.surrogate_std,
+                effective=r.effective, n_windows=r.raw.n_windows,
+            ))
         n_windows = rows[-1].n_windows
         if n_windows < min_windows:
             warnings.warn(
@@ -439,10 +428,16 @@ def parse_matrix_csv(path) -> FlowMatrix:
     values = np.full((len(labels), len(labels)), np.nan)
     for i, cells in enumerate(rows[1:]):
         where = f"{path}: data row {i + 1} ({cells[0]!r})"
-        if i >= len(labels) or cells[0] != labels[i] or len(cells) > len(labels) + 1:
+        if i >= len(labels) or cells[0] != labels[i]:
             raise ValidationError(f"{where} does not match the header {labels}")
+        if len(cells) != len(labels) + 1:
+            raise ValidationError(f"{where} has {len(cells)} cells, not {len(labels) + 1}")
         try:
-            values[i, : len(cells) - 1] = [float(cell) if cell else np.nan for cell in cells[1:]]
+            values[i] = [float(cell) if cell else np.nan for cell in cells[1:]]
         except ValueError:
             raise ValidationError(f"{where} holds a cell that is not a number") from None
+    if len(rows) <= len(labels):
+        raise ValidationError(
+            f"{path}: data row {len(rows)} ({labels[len(rows) - 1]!r}) is missing"
+        )
     return FlowMatrix(labels=labels, values=values, params={})

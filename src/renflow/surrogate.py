@@ -7,13 +7,16 @@ finite-sample bias, and subtracting the surrogate-ensemble mean from
 the raw value yields the effective transfer entropy.
 
 Every replica draws from its own random stream seeded by
-(rng_seed, replica_index), so results do not depend on evaluation
-order and replicas can run in parallel.
+(rng_seed, replica_index), so a surrogate depends only on (source,
+spec, replica), never on evaluation order.  One run planner serves every
+command: a matrix over N series makes N shuffles per replica, and a
+q-sweep counts each word table once for all its orders.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +77,6 @@ class EffectiveResult:
             raise ValidationError("effective value must equal raw minus surrogate mean")
 
 
-def _replica_rng(spec: SurrogateSpec, replica_index: int) -> np.random.Generator:
-    return np.random.default_rng([spec.rng_seed, int(replica_index)])
-
-
 def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> SymbolSeries:
     """Shuffled copy of the source series for one ensemble replica.
 
@@ -86,7 +85,7 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     block is kept so the histogram is preserved exactly).  The same
     (seed, replica_index) always yields the same surrogate.
     """
-    rng = _replica_rng(spec, replica_index)
+    rng = np.random.default_rng([spec.rng_seed, int(replica_index)])
     symbols = y.symbols
     if spec.method == "permutation" or len(y) <= 1:
         shuffled = rng.permutation(symbols)
@@ -107,12 +106,54 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     )
 
 
+def effective_transfer_entropies(
+    jobs, orders, spec: SurrogateSpec, timing_sink: list | None = None
+) -> list[list[EffectiveResult]]:
+    """Effective transfer entropy of each (target, source, history) job at each
+    order; `result[k][i]` is `jobs[k]` at `orders[i]`.
+
+    The raw pairs come first, then the replicas in order: each replica
+    shuffles every distinct source once and counts each job once, and all
+    orders are evaluated from that one word table.  A failing job is named
+    as `pair S->T`.  A list passed as `timing_sink` receives each job's
+    seconds of counting and evaluation over the raw pair and every replica;
+    the shuffles are shared by the jobs of a source and charged to none.
+    """
+    orders = [RenyiOrder.coerce(q) for q in orders]
+    sources = {id(y): y for _, y, _ in jobs}
+    runs = [[] for _ in jobs]  # per job: the raw results, then each replica's values
+    seconds = [0.0] * len(jobs)
+    for replica in [None, *range(spec.ensemble_size)]:
+        if replica is not None:
+            shuffled = {key: make_surrogate(y, spec, replica) for key, y in sources.items()}
+        for k, (x, y, h) in enumerate(jobs):
+            started = time.perf_counter()
+            try:
+                words = count_words(x, y if replica is None else shuffled[id(y)], h)
+                results = [renyi_transfer_entropy(words, order) for order in orders]
+            except ValidationError as exc:
+                pair = f"{y.label or 'Y'}->{x.label or 'X'}"
+                raise ValidationError(f"pair {pair} failed: {exc}") from exc
+            seconds[k] += time.perf_counter() - started
+            runs[k].append(results if replica is None else [r.value for r in results])
+    if timing_sink is not None:
+        timing_sink.extend(seconds)
+    return [
+        [_effective(raw, [values[i] for values in replicas], spec) for i, raw in enumerate(first)]
+        for first, *replicas in runs
+    ]
+
+
+def _effective(raw: TransferResult, values: list[float], spec: SurrogateSpec) -> EffectiveResult:
+    n = len(values)
+    mean = math.fsum(values) / n if n else 0.0
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
+    return EffectiveResult(raw=raw, surrogate_mean=mean, surrogate_std=std,
+                           effective=raw.value - mean, spec=spec)
+
+
 def effective_transfer_entropy(
-    x: SymbolSeries,
-    y: SymbolSeries,
-    h: HistorySpec,
-    q,
-    spec: SurrogateSpec,
+    x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spec: SurrogateSpec
 ) -> EffectiveResult:
     """Raw transfer entropy from y to x minus the surrogate-ensemble mean.
 
@@ -120,21 +161,4 @@ def effective_transfer_entropy(
     for fewer than two replicas) is reported alongside so callers can
     judge whether an effective value clears the noise floor.
     """
-    order = RenyiOrder.coerce(q)
-    raw = renyi_transfer_entropy(count_words(x, y, h), order)
-    values = [
-        renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), order).value
-        for replica in range(spec.ensemble_size)
-    ]
-    mean = math.fsum(values) / len(values) if values else 0.0
-    if len(values) > 1:
-        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
-    else:
-        std = 0.0
-    return EffectiveResult(
-        raw=raw,
-        surrogate_mean=mean,
-        surrogate_std=std,
-        effective=raw.value - mean,
-        spec=spec,
-    )
+    return effective_transfer_entropies([(x, y, h)], [q], spec)[0][0]

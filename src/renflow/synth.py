@@ -96,15 +96,23 @@ class CoupledMarkovSpec:
     def from_json(cls, text: str) -> "CoupledMarkovSpec":
         try:
             raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"process spec is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"process spec must be a JSON object, got {type(raw).__name__}")
+        try:
+            alphabet_size = raw["alphabet_size"]
+            if not isinstance(alphabet_size, int):
+                raise ValidationError(
+                    f"process spec alphabet_size must be an integer, got {alphabet_size!r}"
+                )
             return cls(
-                alphabet_size=int(raw["alphabet_size"]),
+                alphabet_size=alphabet_size,
                 source_transition=raw["source_transition"],
                 target_transition=raw["target_transition"],
                 initial_source=raw.get("initial_source"),
                 initial_target=raw.get("initial_target"),
             )
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"process spec is not JSON: {exc}") from None
         except KeyError as exc:
             raise ValidationError(f"process spec has no {exc.args[0]!r} key") from None
 

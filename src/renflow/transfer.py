@@ -18,12 +18,13 @@ negative for q != 1: learning the source history can widen the sector
 of the predictive distribution that order q emphasizes.
 
 Each word is one int64 mixed-radix code with digits (x_1..x_m,
-y_1..y_l, x'), so counting is a vectorized unique-and-count and the only
-sort; only observed words are stored, so memory scales with the data,
-not with the alphabet power.  Both values come from the counts of four
-word groupings: (x', xw, yw), (xw, yw), (x', xw) and (xw).  With the
-conditioning history first, every (xw) and every (xw, yw) group is a run
-of the sorted codes.
+y_1..y_l, x'), packed by Horner's rule.  A code space no larger than the
+window count is counted densely with `np.bincount`; a larger one by a
+unique-and-count sort, the only sort.  Only observed words are stored,
+so memory scales with the data, not with the alphabet power.  Both
+values come from the counts of four word groupings: (x', xw, yw),
+(xw, yw), (x', xw) and (xw).  With the conditioning history first, every
+(xw) and every (xw, yw) group is a run of the sorted codes.
 """
 
 from __future__ import annotations
@@ -234,8 +235,16 @@ def count_words(
     y_view = np.lib.stride_tricks.sliding_window_view(y.symbols, h.l)
     y_hist = y_view[start - h.l + 1 : start - h.l + 1 + n_windows]
     x_next = x.symbols[start + 1 : start + 1 + n_windows]
-    full = np.ravel_multi_index((*x_hist.T, *y_hist.T, x_next), radices)
-    codes, counts = np.unique(full, return_counts=True)
+    full = np.zeros(n_windows, dtype=np.int64)
+    for radix, digit in zip(radices, (*x_hist.T, *y_hist.T, x_next)):
+        full *= radix
+        full += digit
+    if n_possible <= n_windows:
+        counts = np.bincount(full)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        codes, counts = np.unique(full, return_counts=True)
     if pseudo_count > 0:
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
         smoothed[codes] += counts

@@ -9,7 +9,14 @@ from itertools import product
 
 import numpy as np
 
-from renflow import HistorySpec, SymbolSeries, WordDistribution, count_words
+from renflow import (
+    HistorySpec,
+    SymbolSeries,
+    WordDistribution,
+    count_words,
+    make_surrogate,
+    renyi_transfer_entropy,
+)
 
 
 def iid_symbol_series(rng: np.random.Generator, length: int, alphabet: int, label: str = "") -> SymbolSeries:
@@ -134,7 +141,7 @@ def lag2_xor_word_distribution(flip_numerator: int = 1, flip_denominator: int = 
 
 def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     """Convenience: count words and return the order-q transfer entropy value."""
-    from renflow import renyi_transfer_entropy, shannon_transfer_entropy
+    from renflow import shannon_transfer_entropy
 
     words = count_words(x, y, HistorySpec(m, l))
     if abs(q - 1.0) < 1e-9:
@@ -190,3 +197,40 @@ def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = Fa
             for (x_next, xw, _), c in words.items()
         )
     return (math.log2(num) - math.log2(den)) / (1.0 - q)
+
+
+# -- per-cell reference loop for the run planner --------------------------------
+
+def reference_effective(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spec) -> tuple:
+    """(raw, surrogate mean, surrogate std, effective, windows) of one pair at
+    one order, counting the raw pair and then every replica on its own."""
+    raw = renyi_transfer_entropy(count_words(x, y, h), q)
+    values = [
+        renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), q).value
+        for replica in range(spec.ensemble_size)
+    ]
+    mean = math.fsum(values) / len(values) if values else 0.0
+    std = 0.0
+    if len(values) > 1:
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    return raw.value, mean, std, raw.value - mean, raw.n_windows
+
+
+def reference_matrix(series: list[SymbolSeries], h: HistorySpec, q, spec) -> np.ndarray:
+    """Effective values of every ordered pair, rows = target, NaN diagonal."""
+    n = len(series)
+    values = np.full((n, n), np.nan)
+    for i, j in product(range(n), repeat=2):
+        if i != j:
+            values[i, j] = reference_effective(series[i], series[j], h, q, spec)[3]
+    return values
+
+
+def reference_sweep_rows(x: SymbolSeries, y: SymbolSeries, settings, spec) -> list[tuple]:
+    """Sweep rows (param, source, target, raw, mean, std, effective, windows)
+    for (param, history, order) settings, Y -> X first in each."""
+    return [
+        (float(value), source.label, target.label, *reference_effective(target, source, h, q, spec))
+        for value, h, q in settings
+        for target, source in ((x, y), (y, x))
+    ]

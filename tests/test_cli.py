@@ -90,7 +90,10 @@ class TestGenSynthAndOracle:
     @pytest.mark.parametrize("text, message", [
         ('{"alphabet_size": 2}', "'source_transition'"),
         ("alphabet_size: 2", "not JSON"),
-    ], ids=["missing-key", "not-json"])
+        ("[1, 2]", "must be a JSON object"),
+        ('{"alphabet_size": null, "source_transition": [], "target_transition": []}',
+         "alphabet_size must be an integer"),
+    ], ids=["missing-key", "not-json", "not-an-object", "null-alphabet"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
@@ -261,7 +264,9 @@ class TestMatrixAndNetflow:
         (["A,,0.1", "B,0.2,", "C,0.3,0.4"], "data row 3 ('C')"),
         (["A,,0.1,0.5", "B,0.2,"], "data row 1 ('A')"),
         (["A,,abc", "B,0.2,"], "data row 1 ('A') holds a cell that is not a number"),
-    ], ids=["extra-row", "long-row", "non-numeric-cell"])
+        (["A,,0.1"], "data row 2 ('B') is missing"),
+        (["A,", "B,0.2,"], "data row 1 ('A') has 2 cells, not 3"),
+    ], ids=["extra-row", "long-row", "non-numeric-cell", "missing-row", "short-row"])
     def test_netflow_rejects_malformed_matrix(self, tmp_path, capsys, rows, message):
         path = tmp_path / "flow.csv"
         path.write_text("\n".join(["target\\source,A,B", *rows]) + "\n", encoding="utf-8")

@@ -2,16 +2,22 @@
 
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import renflow.surrogate
 from helpers import (
     iid_symbol_series,
     lag2_xor_exact_te,
     lag2_xor_series,
     lag2_xor_word_distribution,
     noisy_copy_series,
+    reference_matrix,
+    reference_sweep_rows,
 )
 from renflow import (
     FiniteSampleWarning,
@@ -34,6 +40,33 @@ from renflow import (
 
 H11 = HistorySpec(1, 1)
 FAST = SurrogateSpec(ensemble_size=5, rng_seed=3)
+ORDERS = (0.5, 1.0, 1.5, 3.0)
+
+surrogate_specs = st.builds(
+    SurrogateSpec,
+    method=st.sampled_from(("permutation", "block-permutation")),
+    ensemble_size=st.sampled_from((0, 1, 5)),
+    rng_seed=st.integers(0, 2**32 - 1),
+    block_length=st.integers(1, 7),
+)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call the planner makes to `renflow.surrogate.<name>`."""
+    calls = []
+    original = getattr(renflow.surrogate, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(renflow.surrogate, name, counted)
+    return calls
+
+
+def row_tuples(table) -> list[tuple]:
+    return [(r.param, r.source, r.target, r.raw, r.surrogate_mean, r.surrogate_std,
+             r.effective, r.n_windows) for r in table.rows]
 
 
 def example_matrix() -> FlowMatrix:
@@ -104,6 +137,28 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError, match="pair"):
             pairwise_matrix(series, HistorySpec(3, 3), 1.0, FAST)
 
+    def test_each_source_shuffled_once_per_replica(self, monkeypatch):
+        calls = count_calls(monkeypatch, "make_surrogate")
+        rng = np.random.default_rng(14)
+        series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
+        pairwise_matrix(series, H11, 1.0, FAST)
+        assert len(calls) == 4 * FAST.ensemble_size
+        shuffled = sorted((y.label, replica) for y, _, replica in calls)
+        assert shuffled == sorted(product(("S0", "S1", "S2", "S3"), range(FAST.ensemble_size)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(1, 3),
+        st.integers(1, 3), st.sampled_from(ORDERS), st.integers(30, 300), surrogate_specs,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference_loop(self, alphabets, m, l, q, length, spec, seed):
+        rng = np.random.default_rng(seed)
+        series = [iid_symbol_series(rng, length, n, label=f"S{i}") for i, n in enumerate(alphabets)]
+        h = HistorySpec(m, l)
+        matrix = pairwise_matrix(series, h, q, spec)
+        np.testing.assert_array_equal(matrix.values, reference_matrix(series, h, q, spec))
+
 
 class TestNetFlow:
     def test_symmetric_matrix_gives_zeros(self):
@@ -147,6 +202,29 @@ class TestQSweep:
         again = effective_transfer_entropy(x, y, H11, 1.0, FAST)
         assert row.effective == pytest.approx(again.effective, abs=1e-10)
 
+    def test_words_counted_once_for_every_order(self, monkeypatch):
+        calls = count_calls(monkeypatch, "count_words")
+        rng = np.random.default_rng(15)
+        x = iid_symbol_series(rng, 500, 3, label="X")
+        y = iid_symbol_series(rng, 500, 3, label="Y")
+        q_sweep(x, y, H11, ORDERS, FAST)
+        assert len(calls) == 2 * (FAST.ensemble_size + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(2, 4), st.integers(1, 3), st.integers(1, 3),
+        st.lists(st.sampled_from(ORDERS), min_size=1, max_size=5), st.integers(30, 300),
+        surrogate_specs, st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference_loop(self, nx, ny, m, l, q_grid, length, spec, seed):
+        rng = np.random.default_rng(seed)
+        x = iid_symbol_series(rng, length, nx, label="X")
+        y = iid_symbol_series(rng, length, ny, label="Y")
+        h = HistorySpec(m, l)
+        table = q_sweep(x, y, h, q_grid, spec)
+        expected = reference_sweep_rows(x, y, [(q, h, q) for q in q_grid], spec)
+        assert row_tuples(table) == expected
+
     def test_independent_pair_near_zero_across_grid(self):
         rng = np.random.default_rng(9)
         x = iid_symbol_series(rng, 30_000, 3, label="X")
@@ -180,6 +258,19 @@ class TestMSweep:
             assert renyi_transfer_entropy(words, q).value == pytest.approx(
                 lag2_xor_exact_te(q, 0.25, m=2), abs=1e-12
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(2, 4), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.sampled_from(ORDERS), st.integers(30, 300), surrogate_specs, st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference_loop(self, nx, ny, m_grid, q, length, spec, seed):
+        rng = np.random.default_rng(seed)
+        x = iid_symbol_series(rng, length, nx, label="X")
+        y = iid_symbol_series(rng, length, ny, label="Y")
+        table = m_sweep(x, y, m_grid, q, spec, min_windows=0)
+        expected = reference_sweep_rows(x, y, [(m, HistorySpec(m, m), q) for m in m_grid], spec)
+        assert row_tuples(table) == expected
 
     def test_warns_in_finite_sample_regime(self):
         rng = np.random.default_rng(12)

@@ -74,11 +74,23 @@ class TestCountWords:
 
     def test_window_count_formula(self):
         rng = np.random.default_rng(0)
-        x = iid_symbol_series(rng, 50, 2)
-        y = iid_symbol_series(rng, 50, 2)
-        for m, l in ((1, 1), (2, 3), (4, 2)):
+        # Code spaces 2^(m+l+1) of 8, 64 and 128 words against 45..48 windows,
+        # then 32 words against 33, 32 and 31 windows: counting is dense up to
+        # a code space equal to the window count and sorted above it.
+        for length, m, l in ((50, 1, 1), (50, 2, 3), (50, 4, 2), (36, 2, 2), (35, 2, 2), (34, 2, 2)):
+            x = iid_symbol_series(rng, length, 2)
+            y = iid_symbol_series(rng, length, 2)
             words = count_words(x, y, HistorySpec(m, l))
-            assert words.n_windows == 50 - max(m, l) - 1
+            n = length - max(m, l) - 1
+            assert words.n_windows == n
+            start = max(m, l)
+            columns = [x.symbols[start - m + 1 + k : start - m + 1 + k + n] for k in range(m)]
+            columns += [y.symbols[start - l + 1 + k : start - l + 1 + k + n] for k in range(l)]
+            columns.append(x.symbols[start + 1 : start + 1 + n])
+            packed = np.ravel_multi_index(columns, (2,) * (m + l + 1))
+            codes, counts = np.unique(packed, return_counts=True)
+            np.testing.assert_array_equal(words.codes, codes)
+            np.testing.assert_array_equal(words.counts, counts)
 
     def test_mixed_alphabet_sizes(self):
         rng = np.random.default_rng(1)
