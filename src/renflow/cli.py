@@ -28,8 +28,8 @@ from .report import (
     pairwise_matrix,
     q_sweep,
 )
-from .surrogate import SurrogateSpec, effective_transfer_entropy
-from .symbolize import SymbolSeries, prepare_series
+from .surrogate import SURROGATE_METHODS, SurrogateSpec, effective_transfer_entropy
+from .symbolize import BIN_MODES, SymbolSeries, prepare_series
 from .synth import (
     CoupledMarkovSpec,
     copy_spec,
@@ -66,61 +66,6 @@ def _offset(value: str) -> tuple[str, int]:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected LABEL=MINUTES, got {value!r}")
-
-
-def _add_data_options(parser, multi_label: bool):
-    parser.add_argument("--data", required=True, help="input CSV file")
-    parser.add_argument("--timestamp-column", default="timestamp")
-    if multi_label:
-        parser.add_argument(
-            "--labels", default=None, type=_parse_labels,
-            help="comma-separated column subset, CSV-quoted (default: all value columns)",
-        )
-    else:
-        parser.add_argument("--source", required=True, help="source column label")
-        parser.add_argument("--target", required=True, help="target column label")
-    parser.add_argument(
-        "--tz-offset", action="append", default=[], type=_offset, metavar="LABEL=MINUTES",
-        help="clock offset of a column, minutes ahead of the reference clock",
-    )
-
-
-def _add_pipeline_options(parser):
-    parser.add_argument("--alphabet", type=int, default=3, help="number of symbols N")
-    parser.add_argument("--block", type=int, default=1, help="coarse-graining block size")
-    parser.add_argument("--bins", choices=["width", "quantile"], default="width")
-    parser.add_argument(
-        "--log-returns", action="store_true",
-        help="symbolize log-returns of the block means instead of the means",
-    )
-    parser.add_argument(
-        "--pre-symbolized", action="store_true",
-        help="treat input values as symbols already (skip blocking and binning)",
-    )
-
-
-def _add_surrogate_options(parser):
-    parser.add_argument("--surrogates", type=int, default=20, help="ensemble size")
-    parser.add_argument(
-        "--surrogate-method", choices=["permutation", "block-permutation"],
-        default="permutation",
-    )
-    parser.add_argument("--surrogate-block", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_process_options(parser):
-    parser.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
-    parser.add_argument(
-        "--preset", choices=["copy", "noisy-copy", "independent"], default=None
-    )
-    parser.add_argument("--preset-alphabet", type=int, default=3)
-    parser.add_argument("--preset-fidelity", type=float, default=0.75)
-
-
-def _add_output_options(parser, required: bool):
-    parser.add_argument("--out", required=required, default=None, help="output file path")
-    parser.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
 
 
 def _load_aligned_symbols(args, labels: list[str] | None):
@@ -180,12 +125,12 @@ def _manifest(args, command: str, parameters: dict, timings: dict | None = None)
     return payload
 
 
-def _effective_payload(result, m: int, l: int) -> dict:
+def _effective_payload(result) -> dict:
     return {
         "direction": result.raw.direction,
         "q": result.raw.q,
-        "m": m,
-        "l": l,
+        "m": result.raw.m,
+        "l": result.raw.l,
         "n_windows": result.raw.n_windows,
         "raw_bits": result.raw.value,
         "surrogate_mean_bits": result.surrogate_mean,
@@ -199,10 +144,8 @@ def _effective_payload(result, m: int, l: int) -> dict:
 
 # -- subcommand implementations -----------------------------------------------
 
-def _cmd_symbolize(args) -> int:
+def _cmd_symbolize(args) -> None:
     symbols, _ = _load_aligned_symbols(args, args.labels)
-    if args.format == "svg":
-        raise ValidationError("symbolize output supports csv and json only")
     if args.format == "json":
         payload = {
             "series": [
@@ -222,24 +165,21 @@ def _cmd_symbolize(args) -> int:
         for s in symbols:
             payload.extend((s.label, i, v) for i, v in enumerate(s.symbols.tolist()))
     emit(payload, args.out, args.format)
-    return 0
 
 
 def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
-    symbols, _ = _load_aligned_symbols(args, [args.source, args.target])
-    by_label = {s.label: s for s in symbols}
-    return by_label[args.target], by_label[args.source]
+    (target, source), _ = _load_aligned_symbols(args, [args.target, args.source])
+    return target, source
 
 
-def _cmd_te(args) -> int:
+def _cmd_te(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
     result = effective_transfer_entropy(target, source, h, args.q, _surrogate_spec(args))
-    emit(_effective_payload(result, args.m, args.l), args.out, "json")
-    return 0
+    emit(_effective_payload(result), args.out, "json")
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> None:
     started = time.perf_counter()
     symbols, info = _load_aligned_symbols(args, args.labels)
     h = HistorySpec(args.m, args.l)
@@ -267,62 +207,104 @@ def _cmd_matrix(args) -> int:
         timings = {"total_seconds": time.perf_counter() - started, "pairs": timing_sink}
     manifest = _manifest(args, "matrix", params, timings)
     emit(manifest, Path(args.out).with_suffix(".manifest.json"), "json")
-    return 0
 
 
-def _cmd_netflow(args) -> int:
+def _cmd_netflow(args) -> None:
     matrix = parse_matrix_csv(args.from_matrix)
     emit(net_flow(matrix), args.out, args.format)
-    return 0
 
 
-def _cmd_sweep_q(args) -> int:
+def _cmd_sweep_q(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
     table = q_sweep(target, source, h, args.q_grid, _surrogate_spec(args))
     emit(table, args.out, args.format)
-    return 0
 
 
-def _cmd_sweep_m(args) -> int:
+def _cmd_sweep_m(args) -> None:
     target, source = _target_source(args)
     table = m_sweep(
         target, source, args.m_grid, args.q, _surrogate_spec(args), min_windows=args.min_windows
     )
     emit(table, args.out, args.format)
-    return 0
+
+
+_PRESETS = {
+    "copy": lambda args: copy_spec(args.preset_alphabet),
+    "noisy-copy": lambda args: noisy_copy_spec(args.preset_alphabet, args.preset_fidelity),
+    "independent": lambda args: independent_spec(args.preset_alphabet),
+}
 
 
 def _load_process_spec(args) -> CoupledMarkovSpec:
     if args.spec:
         return CoupledMarkovSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-    if args.preset == "copy":
-        return copy_spec(args.preset_alphabet)
-    if args.preset == "noisy-copy":
-        return noisy_copy_spec(args.preset_alphabet, args.preset_fidelity)
-    if args.preset == "independent":
-        return independent_spec(args.preset_alphabet)
+    if args.preset:
+        return _PRESETS[args.preset](args)
     raise ValidationError("provide --spec FILE or --preset NAME")
 
 
-def _cmd_gen_synth(args) -> int:
+def _cmd_gen_synth(args) -> None:
     spec = _load_process_spec(args)
     x, y = generate(spec, args.length, args.seed)
     rows = [("t", "x", "y"), *zip(range(len(x)), x.symbols.tolist(), y.symbols.tolist())]
     emit(rows, args.out, "csv")
-    return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     spec = _load_process_spec(args)
     value = exact_transfer_entropy(spec, args.q)
     payload = {"direction": "source->target", "q": args.q, "m": 1, "l": 1,
                "transfer_entropy_bits": value}
     emit(payload, args.out, "json")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each option group is declared once and given to the commands that act on it.
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="input CSV file")
+    data.add_argument("--timestamp-column", default="timestamp")
+    data.add_argument(
+        "--tz-offset", action="append", default=[], type=_offset, metavar="LABEL=MINUTES",
+        help="clock offset of a column, minutes ahead of the reference clock",
+    )
+    data.add_argument("--alphabet", type=int, default=3, help="number of symbols N")
+    data.add_argument("--block", type=int, default=1, help="coarse-graining block size")
+    data.add_argument("--bins", choices=BIN_MODES, default="width")
+    data.add_argument(
+        "--log-returns", action="store_true",
+        help="symbolize log-returns of the block means instead of the means",
+    )
+    data.add_argument(
+        "--pre-symbolized", action="store_true",
+        help="treat input values as symbols already (skip blocking and binning)",
+    )
+    columns = argparse.ArgumentParser(add_help=False)
+    columns.add_argument(
+        "--labels", default=None, type=_parse_labels,
+        help="comma-separated column subset, CSV-quoted (default: all value columns)",
+    )
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--source", required=True, help="source column label")
+    pair.add_argument("--target", required=True, help="target column label")
+    history = argparse.ArgumentParser(add_help=False)
+    history.add_argument("--m", type=int, default=1, help="target history length")
+    history.add_argument("--l", type=int, default=1, help="source history length")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--q", type=float, default=1.0, help="Renyi order (1 = Shannon)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    ensemble = argparse.ArgumentParser(add_help=False, parents=[seed])
+    ensemble.add_argument("--surrogates", type=int, default=20, help="ensemble size")
+    ensemble.add_argument("--surrogate-method", choices=SURROGATE_METHODS, default="permutation")
+    ensemble.add_argument("--surrogate-block", type=int, default=1)
+    process = argparse.ArgumentParser(add_help=False)
+    source = process.add_mutually_exclusive_group()
+    source.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
+    source.add_argument("--preset", choices=_PRESETS, default=None)
+    process.add_argument("--preset-alphabet", type=int, default=3)
+    process.add_argument("--preset-fidelity", type=float, default=0.75)
+
     parser = argparse.ArgumentParser(
         prog="renflow",
         description="Shannon and Renyi (effective) transfer entropy between time series",
@@ -330,89 +312,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"renflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("symbolize", help="discretize CSV columns into symbol series")
-    _add_data_options(p, multi_label=True)
-    _add_pipeline_options(p)
-    _add_output_options(p, required=False)
-    p.set_defaults(func=_cmd_symbolize)
+    def command(name, func, summary, parents, out_required=False, formats=()):
+        """Add a subcommand with `--out`, and `--format` when it writes more than one."""
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.add_argument("--out", required=out_required, default=None, help="output file path")
+        if formats:
+            p.add_argument("--format", choices=formats, default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("te", help="effective transfer entropy for one directed pair")
-    _add_data_options(p, multi_label=False)
-    _add_pipeline_options(p)
-    p.add_argument("--m", type=int, default=1, help="target history length")
-    p.add_argument("--l", type=int, default=1, help="source history length")
-    p.add_argument("--q", type=float, default=1.0, help="Renyi order (1 = Shannon)")
-    _add_surrogate_options(p)
-    _add_output_options(p, required=False)
-    p.set_defaults(func=_cmd_te)
-
-    p = sub.add_parser("matrix", help="effective TE for every ordered pair of columns")
-    _add_data_options(p, multi_label=True)
-    _add_pipeline_options(p)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--q", type=float, default=1.0)
-    _add_surrogate_options(p)
-    _add_output_options(p, required=True)
+    command("symbolize", _cmd_symbolize, "discretize CSV columns into symbol series",
+            [data, columns], formats=("csv", "json"))
+    command("te", _cmd_te, "effective transfer entropy for one directed pair",
+            [data, pair, history, order, ensemble])
+    p = command("matrix", _cmd_matrix, "effective TE for every ordered pair of columns",
+                [data, columns, history, order, ensemble], True, ("csv", "json", "svg"))
     p.add_argument(
         "--timings", action="store_true",
         help="record total seconds and, per pair, counting and evaluation seconds over the raw "
         "pair and all replicas; shared source shuffles go to no pair (breaks byte reproducibility)",
     )
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("netflow", help="net information flow from a stored matrix")
+    p = command("netflow", _cmd_netflow, "net information flow from a stored matrix",
+                [], True, ("csv", "json", "svg"))
     p.add_argument("--from-matrix", required=True, help="matrix CSV written by `matrix`")
-    _add_output_options(p, required=True)
-    p.set_defaults(func=_cmd_netflow)
-
-    p = sub.add_parser("sweep-q", help="scan the Renyi order for one pair")
-    _add_data_options(p, multi_label=False)
-    _add_pipeline_options(p)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--l", type=int, default=1)
+    p = command("sweep-q", _cmd_sweep_q, "scan the Renyi order for one pair",
+                [data, pair, history, ensemble], True, ("csv", "json"))
     p.add_argument(
         "--q-grid", default="0.8,1,1.5", type=_list_of(float), help="comma-separated orders"
     )
-    _add_surrogate_options(p)
-    _add_output_options(p, required=True)
-    p.set_defaults(func=_cmd_sweep_q)
-
-    p = sub.add_parser("sweep-m", help="scan the history length (l = m) for one pair")
-    _add_data_options(p, multi_label=False)
-    _add_pipeline_options(p)
+    p = command("sweep-m", _cmd_sweep_m, "scan the history length (l = m) for one pair",
+                [data, pair, order, ensemble], True, ("csv", "json"))
     p.add_argument(
         "--m-grid", default="1,2,3", type=_list_of(int), help="comma-separated history lengths"
     )
-    p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--min-windows", type=int, default=100)
-    _add_surrogate_options(p)
-    _add_output_options(p, required=True)
-    p.set_defaults(func=_cmd_sweep_m)
-
-    p = sub.add_parser("gen-synth", help="sample a coupled synthetic process to CSV")
-    _add_process_options(p)
+    p = command("gen-synth", _cmd_gen_synth, "sample a coupled synthetic process to CSV",
+                [process, seed], True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_synth)
-
-    p = sub.add_parser("oracle", help="exact transfer entropy of a synthetic process")
-    _add_process_options(p)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_oracle)
-
+    command("oracle", _cmd_oracle, "exact transfer entropy of a synthetic process",
+            [process, order])
     return parser
 
 
+# An option that some other setting makes inert: (option, its default, why, is it inert).
+_INERT = (
+    ("--surrogate-block", 1, "without --surrogate-method block-permutation",
+     lambda a: a.surrogate_method != "block-permutation"),
+    ("--block", 1, "with --pre-symbolized", lambda a: a.pre_symbolized),
+    ("--bins", "width", "with --pre-symbolized", lambda a: a.pre_symbolized),
+    ("--log-returns", False, "with --pre-symbolized", lambda a: a.pre_symbolized),
+    ("--preset-alphabet", 3, "without --preset", lambda a: a.preset is None),
+    ("--preset-fidelity", 0.75, "without --preset noisy-copy", lambda a: a.preset != "noisy-copy"),
+)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for option, default, why, inert in _INERT:
+        if vars(args).get(option[2:].replace("-", "_"), default) != default and inert(args):
+            parser.error(f"argument {option}: has no effect {why}")
     try:
-        return args.func(args)
+        args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

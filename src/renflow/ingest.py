@@ -64,9 +64,10 @@ def load_csv(
     """Read one RawSeries per value column from a CSV file.
 
     Rows whose cell for a given column is missing or unparseable are
-    omitted from that column's series only.  `tz_offsets` maps labels to
-    clock offsets in minutes ahead of the reference clock; offsets are
-    subtracted so all output timestamps share the reference clock.
+    omitted from that column's series only.  `tz_offsets` maps value
+    columns to clock offsets in minutes ahead of the reference clock;
+    offsets are subtracted so all output timestamps share the reference
+    clock.  Repeated labels and offsets for other labels are rejected.
     """
     path = Path(path)
     offsets = tz_offsets or {}
@@ -82,12 +83,16 @@ def load_csv(
                 f"{path}: no {timestamp_column!r} column in header {header}"
             )
         ts_idx = header.index(timestamp_column)
-        labels = value_columns if value_columns is not None else [
-            h for i, h in enumerate(header) if i != ts_idx
-        ]
+        file_labels = [h for i, h in enumerate(header) if i != ts_idx]
+        labels = value_columns if value_columns is not None else file_labels
         for label in labels:
             if label not in header:
                 raise MalformedHeaderError(f"{path}: no {label!r} column in header")
+            if labels.count(label) > 1:
+                raise ValidationError(f"{path}: column {label!r} is named more than once")
+        for label in offsets:
+            if label not in file_labels:
+                raise MalformedHeaderError(f"{path}: no {label!r} value column to offset")
         col_idx = {label: header.index(label) for label in labels}
 
         stamps: dict[str, list[int]] = {label: [] for label in labels}

@@ -24,6 +24,16 @@ _POWER_TOL = 1e-14
 _POWER_MAX_ITER = 10**6
 
 
+def _float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+    if arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 def _check_stochastic(arr: np.ndarray, name: str) -> np.ndarray:
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must contain finite non-negative probabilities")
@@ -53,16 +63,12 @@ class CoupledMarkovSpec:
         n = self.alphabet_size
         if n < 2:
             raise ValidationError("alphabet size must be at least 2")
-        a = np.asarray(self.source_transition, dtype=float)
-        b = np.asarray(self.target_transition, dtype=float)
-        if a.shape != (n, n):
-            raise ValidationError(f"source transition must be {n}x{n}, got {a.shape}")
-        if b.shape != (n, n, n):
-            raise ValidationError(f"target transition must be {n}x{n}x{n}, got {b.shape}")
-        _check_stochastic(a, "source transition")
-        _check_stochastic(b, "target transition")
-        init_y = self._init_vector(self.initial_source, n, "initial source")
-        init_x = self._init_vector(self.initial_target, n, "initial target")
+        a = _float_array(self.source_transition, (n, n), "source_transition")
+        b = _float_array(self.target_transition, (n, n, n), "target_transition")
+        _check_stochastic(a, "source_transition")
+        _check_stochastic(b, "target_transition")
+        init_y = self._init_vector(self.initial_source, n, "initial_source")
+        init_x = self._init_vector(self.initial_target, n, "initial_target")
         for name, arr in (("source_transition", a), ("target_transition", b),
                           ("initial_source", init_y), ("initial_target", init_x)):
             arr = arr.copy()
@@ -73,12 +79,7 @@ class CoupledMarkovSpec:
     def _init_vector(value, n: int, name: str) -> np.ndarray:
         if value is None:
             return np.full(n, 1.0 / n)
-        arr = np.asarray(value, dtype=float)
-        if arr.shape != (n,):
-            raise ValidationError(f"{name} must have length {n}")
-        if np.any(arr < 0.0) or abs(arr.sum() - 1.0) > _ROW_TOL:
-            raise ValidationError(f"{name} must be a probability vector")
-        return arr
+        return _check_stochastic(_float_array(value, (n,), name), name)
 
     def to_json(self) -> str:
         return json.dumps(

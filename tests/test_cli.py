@@ -1,5 +1,6 @@
 """End-to-end command line coverage."""
 
+import argparse
 import csv
 import json
 import math
@@ -7,7 +8,21 @@ import math
 import numpy as np
 import pytest
 
-from renflow.cli import main
+from renflow.cli import build_parser, main
+
+
+DATA = {
+    "--data", "--timestamp-column", "--tz-offset",
+    "--alphabet", "--block", "--bins", "--log-returns", "--pre-symbolized",
+}
+PAIR = ["--source", "A", "--target", "B"]
+ENSEMBLE = {"--surrogates", "--surrogate-method", "--surrogate-block", "--seed"}
+PROCESS = {"--spec", "--preset", "--preset-alphabet", "--preset-fidelity"}
+TABLE, IMAGE = ["csv", "json"], ["csv", "json", "svg"]
+TE_SYNTH = [
+    "te", "--data", "@synth.csv", "--timestamp-column", "t", "--source", "y", "--target", "x",
+    "--alphabet", "3", "--surrogates", "2",
+]
 
 
 @pytest.fixture
@@ -93,7 +108,13 @@ class TestGenSynthAndOracle:
         ("[1, 2]", "must be a JSON object"),
         ('{"alphabet_size": null, "source_transition": [], "target_transition": []}',
          "alphabet_size must be an integer"),
-    ], ids=["missing-key", "not-json", "not-an-object", "null-alphabet"])
+        ('{"alphabet_size": 2, "source_transition": [["a", "b"], [0.5, 0.5]], '
+         '"target_transition": []}', "source_transition must be an array of numbers"),
+        ('{"alphabet_size": 2, "source_transition": [[0.5, 0.5], [0.5, 0.5]], '
+         '"target_transition": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]], '
+         '"initial_source": [null, 1.0]}', "initial_source must contain finite"),
+    ], ids=["missing-key", "not-json", "not-an-object", "null-alphabet", "non-numeric-cell",
+            "null-initial"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
@@ -145,6 +166,28 @@ class TestTe:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_code_space_too_large_is_reported(self, synth_csv, capsys):
+        code = main([
+            "te", "--data", str(synth_csv), "--timestamp-column", "t",
+            "--source", "y", "--target", "x", "--pre-symbolized",
+            "--alphabet", "60", "--m", "6", "--l", "6", "--surrogates", "0",
+        ])
+        assert code == 2
+        assert "alphabet^history too large to encode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["te", "--source", "A", "--target", "A"], "column 'A' is named more than once"),
+        (["matrix", "--labels", "A,A,B"], "column 'A' is named more than once"),
+        (["te", *PAIR, "--tz-offset", "AA=60"], "no 'AA' value column to offset"),
+        (["matrix", "--tz-offset", "A=60", "--tz-offset", "AA=60"], "no 'AA' value column"),
+    ], ids=["te-same-column", "matrix-repeated-label", "te-offset", "matrix-offset"])
+    def test_column_selection_errors_are_reported(self, price_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--data", str(price_csv), "--surrogates", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_unwritable_output_is_reported(self, synth_csv, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -347,6 +390,84 @@ class TestNumberOptions:
         err = capsys.readouterr().err
         assert f"argument {option}" in err and repr(value) in err
         assert "Traceback" not in err
+
+
+class TestCommandLineSurface:
+    @pytest.mark.parametrize("command, options, formats", [
+        ("symbolize", DATA | {"--labels", "--out", "--format"}, TABLE),
+        ("te", DATA | {"--source", "--target", "--m", "--l", "--q", "--out"} | ENSEMBLE, None),
+        ("matrix", DATA | {"--labels", "--m", "--l", "--q", "--out", "--format", "--timings"}
+         | ENSEMBLE, IMAGE),
+        ("netflow", {"--from-matrix", "--out", "--format"}, IMAGE),
+        ("sweep-q", DATA | {"--source", "--target", "--m", "--l", "--q-grid", "--out", "--format"}
+         | ENSEMBLE, TABLE),
+        ("sweep-m", DATA | {"--source", "--target", "--m-grid", "--q", "--min-windows", "--out",
+                            "--format"} | ENSEMBLE, TABLE),
+        ("gen-synth", PROCESS | {"--length", "--seed", "--out"}, None),
+        ("oracle", PROCESS | {"--q", "--out"}, None),
+    ], ids=["symbolize", "te", "matrix", "netflow", "sweep-q", "sweep-m", "gen-synth", "oracle"])
+    def test_command_takes_exactly_its_options(self, command, options, formats):
+        (commands,) = [
+            a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        actions = commands[command]._actions
+        assert {s for a in actions for s in a.option_strings} == options | {"-h", "--help"}
+        format_choices = [list(a.choices) for a in actions if a.dest == "format"]
+        assert format_choices == ([formats] if formats else [])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["te", *PAIR, "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["symbolize", "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["sweep-q", *PAIR, "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["sweep-m", *PAIR, "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+    ], ids=["te-format", "symbolize-svg", "sweep-q-svg", "sweep-m-svg"])
+    def test_unwritable_format_is_a_usage_error(self, price_csv, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--data", str(price_csv), "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*TE_SYNTH, "--surrogate-block", "3"],
+         "argument --surrogate-block: has no effect without --surrogate-method block-permutation"),
+        ([*TE_SYNTH, "--pre-symbolized", "--block", "2"],
+         "argument --block: has no effect with --pre-symbolized"),
+        ([*TE_SYNTH, "--pre-symbolized", "--bins", "quantile"],
+         "argument --bins: has no effect with --pre-symbolized"),
+        ([*TE_SYNTH, "--pre-symbolized", "--log-returns"],
+         "argument --log-returns: has no effect with --pre-symbolized"),
+        (["oracle", "--spec", "@spec.json", "--preset", "copy"],
+         "argument --preset: not allowed with argument --spec"),
+        (["oracle", "--spec", "@spec.json", "--preset-alphabet", "4"],
+         "argument --preset-alphabet: has no effect without --preset"),
+        (["oracle", "--spec", "@spec.json", "--preset-fidelity", "0.9"],
+         "argument --preset-fidelity: has no effect without --preset noisy-copy"),
+        (["oracle", "--preset", "copy", "--preset-fidelity", "0.9"],
+         "argument --preset-fidelity: has no effect without --preset noisy-copy"),
+        (["gen-synth", "--length", "10", "--preset", "independent", "--preset-fidelity", "0.5"],
+         "argument --preset-fidelity: has no effect without --preset noisy-copy"),
+    ], ids=["surrogate-block", "block", "bins", "log-returns", "spec-and-preset",
+            "spec-alphabet", "spec-fidelity", "copy-fidelity", "independent-fidelity"])
+    def test_inert_option_is_a_usage_error(self, synth_csv, tmp_path, capsys, argv, message):
+        from renflow import noisy_copy_spec
+
+        (tmp_path / "spec.json").write_text(noisy_copy_spec(2, 0.75).to_json(), encoding="utf-8")
+        inputs = {"@synth.csv": str(synth_csv), "@spec.json": str(tmp_path / "spec.json")}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*[inputs.get(a, a) for a in argv], "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--surrogate-method", "block-permutation", "--surrogate-block", "3"],
+        ["--pre-symbolized", "--block", "1", "--bins", "width", "--surrogate-block", "1"],
+    ], ids=["block-permutation", "defaults"])
+    def test_acting_options_are_accepted(self, synth_csv, capsys, argv):
+        argv = [str(synth_csv) if a == "@synth.csv" else a for a in [*TE_SYNTH, *argv]]
+        assert main(argv) == 0
 
 
 class TestSweeps:

@@ -65,6 +65,21 @@ class TestLoadCsv:
         with pytest.raises(MalformedHeaderError):
             load_csv(path, value_columns=["B"])
 
+    @pytest.mark.parametrize("header, columns", [
+        ("timestamp,A,B", ["A", "B", "A"]),
+        ("timestamp,A,A", None),
+    ], ids=["selected-twice", "header-twice"])
+    def test_repeated_label_rejected(self, tmp_path, header, columns):
+        path = write(tmp_path, "p.csv", f"{header}\n1,2.0,3.0\n2,2.5,3.5\n")
+        with pytest.raises(ValidationError, match="column 'A' is named more than once"):
+            load_csv(path, value_columns=columns)
+
+    @pytest.mark.parametrize("label", ["AA", "timestamp"])
+    def test_offset_for_unknown_column_rejected(self, tmp_path, label):
+        path = write(tmp_path, "p.csv", "timestamp,A,B\n1,2.0,3.0\n")
+        with pytest.raises(MalformedHeaderError, match=f"no '{label}' value column to offset"):
+            load_csv(path, tz_offsets={"A": 60, label: 60})
+
     def test_duplicate_timestamps_rejected(self, tmp_path):
         path = write(tmp_path, "p.csv", "timestamp,A\n1,2.0\n1,3.0\n")
         with pytest.raises(NonAscendingTimestampsError):
