@@ -32,7 +32,6 @@ from .report import (
     FiniteSampleWarning,
     FlowMatrix,
     NetFlowMatrix,
-    SweepRow,
     SweepTable,
     emit,
     m_sweep,
@@ -91,7 +90,6 @@ __all__ = [
     "RawSeries",
     "RenyiOrder",
     "SurrogateSpec",
-    "SweepRow",
     "SweepTable",
     "SymbolSeries",
     "TransferResult",

@@ -28,7 +28,7 @@ from .report import (
     pairwise_matrix,
     q_sweep,
 )
-from .surrogate import SURROGATE_METHODS, SurrogateSpec, effective_transfer_entropy
+from .surrogate import SurrogateSpec, effective_transfer_entropy
 from .symbolize import BIN_MODES, SymbolSeries, prepare_series
 from .synth import (
     CoupledMarkovSpec,
@@ -41,9 +41,11 @@ from .synth import (
 from .transfer import HistorySpec
 
 
-def _parse_labels(value: str) -> list[str] | None:
+def _parse_labels(value: str) -> list[str]:
     """One CSV record, so a quoted label may hold a comma."""
-    return next(csv.reader([value])) if value else None
+    if not value:
+        raise argparse.ArgumentTypeError("expected at least one label, got ''")
+    return next(csv.reader([value]))
 
 
 def _list_of(kind):
@@ -106,7 +108,6 @@ def _load_aligned_symbols(args, labels: list[str] | None):
 
 def _surrogate_spec(args) -> SurrogateSpec:
     return SurrogateSpec(
-        method=args.surrogate_method,
         ensemble_size=args.surrogates,
         rng_seed=args.seed,
         block_length=args.surrogate_block,
@@ -183,8 +184,9 @@ def _cmd_matrix(args) -> None:
     started = time.perf_counter()
     symbols, info = _load_aligned_symbols(args, args.labels)
     h = HistorySpec(args.m, args.l)
+    spec = _surrogate_spec(args)
     timing_sink = {} if args.timings else None
-    matrix = pairwise_matrix(symbols, h, args.q, _surrogate_spec(args), timing_sink)
+    matrix = pairwise_matrix(symbols, h, args.q, spec, timing_sink)
     out = emit(matrix, args.out, args.format)
     params = {
         "labels": list(matrix.labels),
@@ -197,7 +199,7 @@ def _cmd_matrix(args) -> None:
         "l": args.l,
         "q": args.q,
         "surrogates": args.surrogates,
-        "surrogate_method": args.surrogate_method,
+        "surrogate_method": spec.method,
         "seed": args.seed,
         "output": out.name,
         "alignment": info,
@@ -296,8 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0)
     ensemble = argparse.ArgumentParser(add_help=False, parents=[seed])
     ensemble.add_argument("--surrogates", type=int, default=20, help="ensemble size")
-    ensemble.add_argument("--surrogate-method", choices=SURROGATE_METHODS, default="permutation")
-    ensemble.add_argument("--surrogate-block", type=int, default=1)
+    ensemble.add_argument(
+        "--surrogate-block", type=int, default=1,
+        help="shuffle the source in blocks of this many symbols (1 = plain permutation)",
+    )
     process = argparse.ArgumentParser(add_help=False)
     source = process.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
@@ -356,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # An option that some other setting makes inert: (option, its default, why, is it inert).
 _INERT = (
-    ("--surrogate-block", 1, "without --surrogate-method block-permutation",
-     lambda a: a.surrogate_method != "block-permutation"),
     ("--block", 1, "with --pre-symbolized", lambda a: a.pre_symbolized),
     ("--bins", "width", "with --pre-symbolized", lambda a: a.pre_symbolized),
     ("--log-returns", False, "with --pre-symbolized", lambda a: a.pre_symbolized),
@@ -369,6 +371,10 @@ _INERT = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    offset_labels = [label for label, _ in vars(args).get("tz_offset", [])]
+    for label in offset_labels:
+        if offset_labels.count(label) > 1:
+            parser.error(f"argument --tz-offset: column {label!r} is offset more than once")
     for option, default, why, inert in _INERT:
         if vars(args).get(option[2:].replace("-", "_"), default) != default and inert(args):
             parser.error(f"argument {option}: has no effect {why}")

@@ -86,8 +86,8 @@ def load_csv(
         file_labels = [h for i, h in enumerate(header) if i != ts_idx]
         labels = value_columns if value_columns is not None else file_labels
         for label in labels:
-            if label not in header:
-                raise MalformedHeaderError(f"{path}: no {label!r} column in header")
+            if label not in file_labels:
+                raise MalformedHeaderError(f"{path}: no {label!r} value column in header")
             if labels.count(label) > 1:
                 raise ValidationError(f"{path}: column {label!r} is named more than once")
         for label in offsets:

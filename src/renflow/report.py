@@ -21,14 +21,14 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .infocore import RenyiOrder
-from .surrogate import SurrogateSpec, effective_transfer_entropies
+from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
 from .symbolize import SymbolSeries
 from .transfer import HistorySpec
 
@@ -52,8 +52,9 @@ class FlowMatrix:
         values = np.asarray(self.values, dtype=float)
         if len(labels) < 2:
             raise ValidationError("a flow matrix needs at least two labels")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("flow matrix labels must be unique")
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValidationError(f"flow matrix label {label!r} is repeated")
         if values.shape != (len(labels), len(labels)):
             raise ValidationError(
                 f"matrix shape {values.shape} does not match {len(labels)} labels"
@@ -93,25 +94,12 @@ class NetFlowMatrix:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One (parameter value, direction) result of a sweep."""
-
-    param: float
-    source: str
-    target: str
-    raw: float
-    surrogate_mean: float
-    surrogate_std: float
-    effective: float
-    n_windows: int
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """Rows of a q- or m-sweep over one ordered pair, both directions."""
+    """Rows of a q- or m-sweep over one ordered pair: a (parameter value,
+    result) pair for Y -> X, then one for X -> Y, at each value."""
 
     param_name: str
-    rows: tuple[SweepRow, ...]
+    rows: tuple[tuple[float, EffectiveResult], ...]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -182,26 +170,19 @@ def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
     A FiniteSampleWarning is raised whenever a setting leaves fewer than
     `min_windows` windows.
     """
-    label_x, label_y = x.label or "X", y.label or "Y"
+    x, y = (s if s.label else replace(s, label=name) for s, name in ((x, "X"), (y, "Y")))
     settings = list(settings)
     histories = list(dict.fromkeys(h for _, h, _ in settings))
     orders = list(dict.fromkeys(order for _, _, order in settings))
-    directions = ((x, y, label_x, label_y), (y, x, label_y, label_x))
     results = effective_transfer_entropies(
-        [(target, source, h) for h in histories for target, source, _, _ in directions],
+        [(target, source, h) for h in histories for target, source in ((x, y), (y, x))],
         orders, spec,
     )
     rows = []
     for value, h, order in settings:
-        k = 2 * histories.index(h)
-        for d, (_, _, t_label, s_label) in enumerate(directions):
-            r = results[k + d][orders.index(order)]
-            rows.append(SweepRow(
-                param=float(value), source=s_label, target=t_label, raw=r.raw.value,
-                surrogate_mean=r.surrogate_mean, surrogate_std=r.surrogate_std,
-                effective=r.effective, n_windows=r.raw.n_windows,
-            ))
-        n_windows = rows[-1].n_windows
+        k, i = 2 * histories.index(h), orders.index(order)
+        rows += [(float(value), results[k][i]), (float(value), results[k + 1][i])]
+        n_windows = results[k][i].raw.n_windows
         if n_windows < min_windows:
             warnings.warn(
                 f"{param_name}={value} leaves only {n_windows} windows "
@@ -279,12 +260,18 @@ _SWEEP_FIELDS = ("source", "target", "raw", "surrogate_mean", "surrogate_std",
                  "effective", "n_windows")
 
 
+def _sweep_fields(r: EffectiveResult) -> tuple:
+    """The values of `_SWEEP_FIELDS` for one result."""
+    return (r.raw.source, r.raw.target, r.raw.value, r.surrogate_mean, r.surrogate_std,
+            r.effective, r.raw.n_windows)
+
+
 def _sweep_rows(table: SweepTable) -> list:
     rows = [[table.param_name, *_SWEEP_FIELDS]]
-    for r in table.rows:
-        param = _fmt(r.param) if table.param_name == "q" else int(r.param)
-        rows.append([param, r.source, r.target, _fmt(r.raw), _fmt(r.surrogate_mean),
-                     _fmt(r.surrogate_std), _fmt(r.effective), r.n_windows])
+    for value, r in table.rows:
+        source, target, *bits, n_windows = _sweep_fields(r)
+        param = _fmt(value) if table.param_name == "q" else int(value)
+        rows.append([param, source, target, *map(_fmt, bits), n_windows])
     return rows
 
 
@@ -293,8 +280,8 @@ def _sweep_payload(table: SweepTable) -> dict:
         "kind": f"{table.param_name}_sweep",
         "params": table.params,
         "rows": [
-            {table.param_name: r.param, **{f: getattr(r, f) for f in _SWEEP_FIELDS}}
-            for r in table.rows
+            {table.param_name: value, **dict(zip(_SWEEP_FIELDS, _sweep_fields(r)))}
+            for value, r in table.rows
         ],
     }
 
@@ -440,4 +427,7 @@ def parse_matrix_csv(path) -> FlowMatrix:
         raise ValidationError(
             f"{path}: data row {len(rows)} ({labels[len(rows) - 1]!r}) is missing"
         )
-    return FlowMatrix(labels=labels, values=values, params={})
+    try:
+        return FlowMatrix(labels=labels, values=values, params={})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

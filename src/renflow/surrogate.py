@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,34 +31,32 @@ from .transfer import (
     renyi_transfer_entropy,
 )
 
-SURROGATE_METHODS = ("permutation", "block-permutation")
-
 
 @dataclass(frozen=True)
 class SurrogateSpec:
     """How to build the surrogate ensemble.
 
     `ensemble_size` 0 is the degenerate contract: no surrogates, the
-    effective value equals the raw one.  Block permutation shuffles
-    contiguous blocks of `block_length` symbols instead of single
-    symbols, preserving structure shorter than the block.
+    effective value equals the raw one.  Each surrogate puts the source's
+    contiguous blocks of `block_length` symbols in random order, preserving
+    structure shorter than a block; block length 1 is a plain permutation.
     """
 
-    method: str = "permutation"
     ensemble_size: int = 20
     rng_seed: int = 0
     block_length: int = 1
 
     def __post_init__(self):
-        if self.method not in SURROGATE_METHODS:
-            raise ValidationError(
-                f"surrogate method must be one of {SURROGATE_METHODS}, got {self.method!r}"
-            )
         if self.ensemble_size < 0:
             raise ValidationError("ensemble size must be non-negative")
         if self.block_length < 1:
             raise ValidationError("block length must be a positive integer")
         object.__setattr__(self, "rng_seed", int(self.rng_seed) & 0xFFFFFFFFFFFFFFFF)
+
+    @property
+    def method(self) -> str:
+        """Name of the shuffle in run records: "permutation" at block length 1."""
+        return "permutation" if self.block_length == 1 else "block-permutation"
 
 
 @dataclass(frozen=True)
@@ -80,30 +78,25 @@ class EffectiveResult:
 def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> SymbolSeries:
     """Shuffled copy of the source series for one ensemble replica.
 
-    Permutation draws a uniformly random reordering of the symbols;
-    block permutation reorders contiguous blocks (a shorter trailing
-    block is kept so the histogram is preserved exactly).  The same
-    (seed, replica_index) always yields the same surrogate.
+    The source's blocks of `spec.block_length` symbols are put in random
+    order; a shorter trailing block is kept so the histogram is preserved
+    exactly.  A block as long as the series would leave it unshuffled and
+    is refused.  The same (seed, replica_index) always yields the same
+    surrogate.
     """
     rng = np.random.default_rng([spec.rng_seed, int(replica_index)])
-    symbols = y.symbols
-    if spec.method == "permutation" or len(y) <= 1:
-        shuffled = rng.permutation(symbols)
-    else:
-        block = spec.block_length
-        starts = np.arange(0, symbols.size, block)
-        order = rng.permutation(starts.size)
-        shuffled = np.concatenate(
-            [symbols[starts[i] : starts[i] + block] for i in order]
+    block, n = spec.block_length, len(y)
+    if block == 1:
+        shuffled = rng.permutation(y.symbols)  # the block rule at B = 1, drawn faster
+    elif block >= n:
+        raise ValidationError(
+            f"surrogate block of {block} symbols cannot shuffle series {y.label or 'Y'!r} "
+            f"of length {n}"
         )
-    return SymbolSeries(
-        symbols=shuffled,
-        alphabet_size=y.alphabet_size,
-        label=f"{y.label or 'Y'}~surrogate{replica_index}",
-        block_size=y.block_size,
-        bin_mode=y.bin_mode,
-        bin_edges=y.bin_edges,
-    )
+    else:
+        index = (rng.permutation(-(-n // block))[:, None] * block + np.arange(block)).ravel()
+        shuffled = y.symbols[index[index < n]]
+    return replace(y, symbols=shuffled, label=f"{y.label or 'Y'}~surrogate{replica_index}")
 
 
 def effective_transfer_entropies(

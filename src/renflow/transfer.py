@@ -68,7 +68,12 @@ class TransferResult:
     target_alphabet: int
     source_alphabet: int
     n_windows: int
-    direction: str
+    source: str
+    target: str
+
+    @property
+    def direction(self) -> str:
+        return f"{self.source}->{self.target}"
 
 
 @dataclass
@@ -296,7 +301,8 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
         target_alphabet=w.target_alphabet,
         source_alphabet=w.source_alphabet,
         n_windows=total,
-        direction=w.direction,
+        source=w.source_label,
+        target=w.target_label,
     )
 
 

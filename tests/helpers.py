@@ -199,6 +199,20 @@ def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = Fa
     return (math.log2(num) - math.log2(den)) / (1.0 - q)
 
 
+# -- per-block reference loop for surrogates ----------------------------------
+
+def reference_block_shuffle(
+    symbols: np.ndarray, block_length: int, seed: int, replica: int
+) -> np.ndarray:
+    """The source's blocks of `block_length` symbols, a shorter trailing block
+    included, concatenated in the order of one permutation of the block
+    indices drawn from the replica's stream."""
+    rng = np.random.default_rng([seed, replica])
+    starts = np.arange(0, symbols.size, block_length)
+    order = rng.permutation(starts.size)
+    return np.concatenate([symbols[starts[i] : starts[i] + block_length] for i in order])
+
+
 # -- per-cell reference loop for the run planner --------------------------------
 
 def reference_effective(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spec) -> tuple:

@@ -4,6 +4,9 @@ import argparse
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ DATA = {
     "--alphabet", "--block", "--bins", "--log-returns", "--pre-symbolized",
 }
 PAIR = ["--source", "A", "--target", "B"]
-ENSEMBLE = {"--surrogates", "--surrogate-method", "--surrogate-block", "--seed"}
+ENSEMBLE = {"--surrogates", "--surrogate-block", "--seed"}
 PROCESS = {"--spec", "--preset", "--preset-alphabet", "--preset-fidelity"}
 TABLE, IMAGE = ["csv", "json"], ["csv", "json", "svg"]
+MATRIX_HEADER = "target\\source,A,B"
+README = Path(__file__).resolve().parents[1] / "README.md"
 TE_SYNTH = [
     "te", "--data", "@synth.csv", "--timestamp-column", "t", "--source", "y", "--target", "x",
     "--alphabet", "3", "--surrogates", "2",
@@ -181,13 +186,22 @@ class TestTe:
         (["matrix", "--labels", "A,A,B"], "column 'A' is named more than once"),
         (["te", *PAIR, "--tz-offset", "AA=60"], "no 'AA' value column to offset"),
         (["matrix", "--tz-offset", "A=60", "--tz-offset", "AA=60"], "no 'AA' value column"),
-    ], ids=["te-same-column", "matrix-repeated-label", "te-offset", "matrix-offset"])
+        (["te", "--source", "timestamp", "--target", "A"], "no 'timestamp' value column"),
+    ], ids=["te-same-column", "matrix-repeated-label", "te-offset", "matrix-offset",
+            "te-timestamp"])
     def test_column_selection_errors_are_reported(self, price_csv, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         assert main([*argv, "--data", str(price_csv), "--surrogates", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+    def test_surrogate_block_as_long_as_series_is_reported(self, synth_csv, capsys):
+        argv = [str(synth_csv) if a == "@synth.csv" else a for a in TE_SYNTH]
+        assert main([*argv, "--surrogate-block", "8000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "surrogate block of 8000 symbols cannot shuffle series 'y' of length 8000" in err
 
     def test_unwritable_output_is_reported(self, synth_csv, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -244,6 +258,12 @@ class TestSymbolizeCommand:
         ])
         assert code == 0
         assert {row[0] for row in read_csv_rows(out)[1:]} == {"S&P,500"}
+
+    def test_log_returns_of_a_single_block_are_reported(self, price_csv, capsys):
+        code = main(["symbolize", "--data", str(price_csv), "--block", "6000", "--log-returns"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "log returns need at least two samples" in err
 
 
 class TestMatrixAndNetflow:
@@ -303,20 +323,33 @@ class TestMatrixAndNetflow:
         manifest = json.loads((tmp_path / "flow.manifest.json").read_text())
         assert manifest["parameters"]["labels"] == ["C", "A"]
 
-    @pytest.mark.parametrize("rows, message", [
-        (["A,,0.1", "B,0.2,", "C,0.3,0.4"], "data row 3 ('C')"),
-        (["A,,0.1,0.5", "B,0.2,"], "data row 1 ('A')"),
-        (["A,,abc", "B,0.2,"], "data row 1 ('A') holds a cell that is not a number"),
-        (["A,,0.1"], "data row 2 ('B') is missing"),
-        (["A,", "B,0.2,"], "data row 1 ('A') has 2 cells, not 3"),
-    ], ids=["extra-row", "long-row", "non-numeric-cell", "missing-row", "short-row"])
-    def test_netflow_rejects_malformed_matrix(self, tmp_path, capsys, rows, message):
+    @pytest.mark.parametrize("lines, message", [
+        ([MATRIX_HEADER, "A,,0.1", "B,0.2,", "C,0.3,0.4"], "data row 3 ('C')"),
+        ([MATRIX_HEADER, "A,,0.1,0.5", "B,0.2,"], "data row 1 ('A')"),
+        ([MATRIX_HEADER, "A,,abc", "B,0.2,"], "data row 1 ('A') holds a cell that is not a number"),
+        ([MATRIX_HEADER, "A,,0.1"], "data row 2 ('B') is missing"),
+        ([MATRIX_HEADER, "A,", "B,0.2,"], "data row 1 ('A') has 2 cells, not 3"),
+        (["target\\source,A,A", "A,,0.1", "A,0.2,"], "flow matrix label 'A' is repeated"),
+        ([], "empty matrix file"),
+    ], ids=["extra-row", "long-row", "non-numeric-cell", "missing-row", "short-row",
+            "repeated-label", "empty-file"])
+    def test_netflow_rejects_malformed_matrix(self, tmp_path, capsys, lines, message):
         path = tmp_path / "flow.csv"
-        path.write_text("\n".join(["target\\source,A,B", *rows]) + "\n", encoding="utf-8")
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         code = main(["netflow", "--from-matrix", str(path), "--out", str(tmp_path / "net.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and message in err
+
+    def test_blank_column_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        rows = "".join(f"{t},{100 + t},{50 - t},\n" for t in range(40))
+        path.write_text("timestamp,A,B,C\n" + rows, encoding="utf-8")
+        out = tmp_path / "flow.csv"
+        assert main(["matrix", "--data", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "column 'C' has no parseable rows" in err
+        assert not out.exists()
 
     def test_matrix_reproducible_bytes(self, price_csv, tmp_path):
         args = [
@@ -375,21 +408,26 @@ class TestMatrixAndNetflow:
 
 
 class TestNumberOptions:
-    @pytest.mark.parametrize("command, option, value", [
-        ("sweep-q", "--q-grid", "1,x"),
-        ("sweep-m", "--m-grid", "1,x"),
-        ("te", "--tz-offset", "A=x"),
-    ], ids=["q-grid", "m-grid", "tz-offset"])
-    def test_bad_value_is_a_usage_error(self, price_csv, tmp_path, capsys, command, option, value):
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-q", *PAIR, "--q-grid", "1,x"],
+         "argument --q-grid: expected comma-separated float values, got '1,x'"),
+        (["sweep-m", *PAIR, "--m-grid", "1,x"],
+         "argument --m-grid: expected comma-separated int values, got '1,x'"),
+        (["te", *PAIR, "--tz-offset", "A=x"],
+         "argument --tz-offset: expected LABEL=MINUTES, got 'A=x'"),
+        (["te", *PAIR, "--tz-offset", "A=1", "--tz-offset", "A=0"],
+         "argument --tz-offset: column 'A' is offset more than once"),
+        (["symbolize", "--labels", ""], "argument --labels: expected at least one label, got ''"),
+    ], ids=["q-grid", "m-grid", "tz-offset", "tz-offset-twice", "empty-labels"])
+    def test_bad_value_is_a_usage_error(self, price_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exit_info:
-            main([
-                command, "--data", str(price_csv), "--source", "A", "--target", "B",
-                option, value, "--surrogates", "1", "--out", str(tmp_path / "out.csv"),
-            ])
+            main([*argv, "--data", str(price_csv), "--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {option}" in err and repr(value) in err
+        assert message in err
         assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCommandLineSurface:
@@ -429,8 +467,6 @@ class TestCommandLineSurface:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        ([*TE_SYNTH, "--surrogate-block", "3"],
-         "argument --surrogate-block: has no effect without --surrogate-method block-permutation"),
         ([*TE_SYNTH, "--pre-symbolized", "--block", "2"],
          "argument --block: has no effect with --pre-symbolized"),
         ([*TE_SYNTH, "--pre-symbolized", "--bins", "quantile"],
@@ -447,7 +483,7 @@ class TestCommandLineSurface:
          "argument --preset-fidelity: has no effect without --preset noisy-copy"),
         (["gen-synth", "--length", "10", "--preset", "independent", "--preset-fidelity", "0.5"],
          "argument --preset-fidelity: has no effect without --preset noisy-copy"),
-    ], ids=["surrogate-block", "block", "bins", "log-returns", "spec-and-preset",
+    ], ids=["block", "bins", "log-returns", "spec-and-preset",
             "spec-alphabet", "spec-fidelity", "copy-fidelity", "independent-fidelity"])
     def test_inert_option_is_a_usage_error(self, synth_csv, tmp_path, capsys, argv, message):
         from renflow import noisy_copy_spec
@@ -462,12 +498,27 @@ class TestCommandLineSurface:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["--surrogate-method", "block-permutation", "--surrogate-block", "3"],
+        ["--surrogate-block", "3"],
         ["--pre-symbolized", "--block", "1", "--bins", "width", "--surrogate-block", "1"],
     ], ids=["block-permutation", "defaults"])
     def test_acting_options_are_accepted(self, synth_csv, capsys, argv):
         argv = [str(synth_csv) if a == "@synth.csv" else a for a in [*TE_SYNTH, *argv]]
         assert main(argv) == 0
+
+
+    def test_readme_examples_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.startswith("renflow ")]
+        assert len(commands) == 9
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+
+    def test_surrogate_method_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*TE_SYNTH, "--surrogate-method", "permutation"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --surrogate-method permutation" in capsys.readouterr().err
 
 
 class TestSweeps:

@@ -65,6 +65,11 @@ class TestLoadCsv:
         with pytest.raises(MalformedHeaderError):
             load_csv(path, value_columns=["B"])
 
+    def test_timestamp_column_rejected_as_value_column(self, tmp_path):
+        path = write(tmp_path, "p.csv", "t,A\n1,2.0\n2,3.0\n")
+        with pytest.raises(MalformedHeaderError, match="no 't' value column in header"):
+            load_csv(path, timestamp_column="t", value_columns=["t", "A"])
+
     @pytest.mark.parametrize("header, columns", [
         ("timestamp,A,B", ["A", "B", "A"]),
         ("timestamp,A,A", None),

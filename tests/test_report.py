@@ -44,7 +44,6 @@ ORDERS = (0.5, 1.0, 1.5, 3.0)
 
 surrogate_specs = st.builds(
     SurrogateSpec,
-    method=st.sampled_from(("permutation", "block-permutation")),
     ensemble_size=st.sampled_from((0, 1, 5)),
     rng_seed=st.integers(0, 2**32 - 1),
     block_length=st.integers(1, 7),
@@ -65,8 +64,8 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 def row_tuples(table) -> list[tuple]:
-    return [(r.param, r.source, r.target, r.raw, r.surrogate_mean, r.surrogate_std,
-             r.effective, r.n_windows) for r in table.rows]
+    return [(value, r.raw.source, r.raw.target, r.raw.value, r.surrogate_mean, r.surrogate_std,
+             r.effective, r.raw.n_windows) for value, r in table.rows]
 
 
 def example_matrix() -> FlowMatrix:
@@ -186,10 +185,10 @@ class TestQSweep:
     def test_copy_process_constant_raw_across_orders(self):
         x, y = generate(copy_spec(3), 50_000, seed=7)
         table = q_sweep(x, y, H11, (0.5, 1.0, 1.5), FAST)
-        forward = [r for r in table.rows if r.source == "Y"]
+        forward = [r for _, r in table.rows if r.raw.source == "Y"]
         assert len(forward) == 3
         for row in forward:
-            assert row.raw == pytest.approx(math.log2(3), abs=0.02)
+            assert row.raw.value == pytest.approx(math.log2(3), abs=0.02)
 
     def test_q1_row_matches_independent_shannon_run(self):
         from renflow import effective_transfer_entropy
@@ -198,9 +197,15 @@ class TestQSweep:
         x = iid_symbol_series(rng, 20_000, 3, label="X")
         y = iid_symbol_series(rng, 20_000, 3, label="Y")
         table = q_sweep(x, y, H11, (0.5, 1.0), FAST)
-        row = next(r for r in table.rows if r.param == 1.0 and r.source == "Y")
+        row = next(r for q, r in table.rows if q == 1.0 and r.raw.source == "Y")
         again = effective_transfer_entropy(x, y, H11, 1.0, FAST)
         assert row.effective == pytest.approx(again.effective, abs=1e-10)
+
+    def test_unlabeled_pair_rows_name_x_and_y(self):
+        rng = np.random.default_rng(16)
+        x, y = iid_symbol_series(rng, 200, 2), iid_symbol_series(rng, 200, 2)
+        table = q_sweep(x, y, H11, (1.0,), SurrogateSpec(ensemble_size=0))
+        assert [r.raw.direction for _, r in table.rows] == ["Y->X", "X->Y"]
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
         calls = count_calls(monkeypatch, "count_words")
@@ -230,7 +235,7 @@ class TestQSweep:
         x = iid_symbol_series(rng, 30_000, 3, label="X")
         y = iid_symbol_series(rng, 30_000, 3, label="Y")
         table = q_sweep(x, y, H11, (0.5, 1.0, 1.5), SurrogateSpec(ensemble_size=10, rng_seed=1))
-        for row in table.rows:
+        for _, row in table.rows:
             assert abs(row.effective) <= 0.01
 
 
@@ -238,19 +243,19 @@ class TestMSweep:
     def test_copy_process_plateau_from_m1(self):
         x, y = generate(copy_spec(3), 30_000, seed=10)
         table = m_sweep(x, y, (1, 2), 1.0, FAST)
-        forward = {int(r.param): r for r in table.rows if r.source == "Y"}
-        assert forward[1].raw == pytest.approx(math.log2(3), abs=0.05)
-        assert forward[2].raw == pytest.approx(math.log2(3), abs=0.05)
+        forward = {int(m): r.raw for m, r in table.rows if r.raw.source == "Y"}
+        assert forward[1].value == pytest.approx(math.log2(3), abs=0.05)
+        assert forward[2].value == pytest.approx(math.log2(3), abs=0.05)
 
     def test_order_two_chain_rises_then_plateaus(self):
         rng = np.random.default_rng(11)
         x, y = lag2_xor_series(rng, 150_000, flip_probability=0.25)
         table = m_sweep(x, y, (1, 2, 3), 1.5, SurrogateSpec(ensemble_size=5, rng_seed=2))
-        forward = {int(r.param): r for r in table.rows if r.source == "Y"}
+        forward = {int(m): r.raw for m, r in table.rows if r.raw.source == "Y"}
         exact_plateau = lag2_xor_exact_te(1.5, 0.25, m=2)
-        assert forward[1].raw < forward[2].raw
-        assert forward[2].raw == pytest.approx(exact_plateau, abs=0.02)
-        assert abs(forward[2].raw - forward[3].raw) <= 0.02
+        assert forward[1].value < forward[2].value
+        assert forward[2].value == pytest.approx(exact_plateau, abs=0.02)
+        assert abs(forward[2].value - forward[3].value) <= 0.02
 
     def test_enumeration_oracle_matches_closed_form(self):
         words = lag2_xor_word_distribution(1, 4)

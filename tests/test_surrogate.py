@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import iid_symbol_series
+from helpers import iid_symbol_series, reference_block_shuffle
 from renflow import (
     HistorySpec,
     SurrogateSpec,
@@ -33,7 +35,7 @@ class TestMakeSurrogate:
     def test_block_permutation_histogram_preserved(self):
         rng = np.random.default_rng(0)
         y = iid_symbol_series(rng, 103, 3, label="y")  # trailing partial block
-        spec = SurrogateSpec(method="block-permutation", block_length=10, rng_seed=1)
+        spec = SurrogateSpec(block_length=10, rng_seed=1)
         out = make_surrogate(y, spec, 0)
         np.testing.assert_array_equal(
             np.bincount(out.symbols, minlength=3),
@@ -62,9 +64,31 @@ class TestMakeSurrogate:
         out = make_surrogate(y, SurrogateSpec(rng_seed=0), 0)
         np.testing.assert_array_equal(out.symbols, [1])
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError):
-            SurrogateSpec(method="fourier")
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 300), st.integers(0, 2**32 - 1), st.integers(0, 50))
+    def test_equals_per_block_reference_loop(self, data, length, seed, replica):
+        block = data.draw(st.integers(1, min(7, length - 1)), label="block")
+        y = iid_symbol_series(np.random.default_rng(seed), length, 3, label="y")
+        spec = SurrogateSpec(rng_seed=seed, block_length=block)
+        out = make_surrogate(y, spec, replica)
+        np.testing.assert_array_equal(
+            out.symbols, reference_block_shuffle(y.symbols, block, seed, replica)
+        )
+        if block == 1:
+            plain = np.random.default_rng([seed, replica]).permutation(y.symbols)
+            np.testing.assert_array_equal(out.symbols, plain)
+        assert out.label == f"y~surrogate{replica}"
+        assert (out.alphabet_size, out.block_size) == (y.alphabet_size, y.block_size)
+
+    @pytest.mark.parametrize("block, method", [(1, "permutation"), (2, "block-permutation")])
+    def test_method_names_the_block_rule(self, block, method):
+        assert SurrogateSpec(block_length=block).method == method
+
+    @pytest.mark.parametrize("block", [50, 51, 1000])
+    def test_block_as_long_as_series_rejected(self, block):
+        y = SymbolSeries(np.arange(50) % 3, 3, label="y")
+        with pytest.raises(ValidationError, match="cannot shuffle series 'y' of length 50"):
+            make_surrogate(y, SurrogateSpec(block_length=block), 0)
 
     def test_negative_ensemble_rejected(self):
         with pytest.raises(ValidationError):
