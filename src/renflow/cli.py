@@ -365,6 +365,7 @@ _INERT = (
     ("--log-returns", False, "with --pre-symbolized", lambda a: a.pre_symbolized),
     ("--preset-alphabet", 3, "without --preset", lambda a: a.preset is None),
     ("--preset-fidelity", 0.75, "without --preset noisy-copy", lambda a: a.preset != "noisy-copy"),
+    ("--surrogate-block", 1, "with --surrogates 0", lambda a: a.surrogates == 0),
 )
 
 

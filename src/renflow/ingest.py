@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +70,13 @@ def load_csv(
     columns to clock offsets in minutes ahead of the reference clock;
     offsets are subtracted so all output timestamps share the reference
     clock.  Repeated labels and offsets for other labels are rejected.
+
+    The header is read with `csv`.  The body has two parse paths: numpy's
+    C reader (`np.loadtxt`) takes the whole body at once, and where numpy
+    raises or warns on any cell, or the file holds a character that
+    `csv`, `int()` or `float()` read differently from numpy, a per-cell
+    loop reads it row by row with `csv`, `int()` and `float()`.  The
+    output does not depend on which path ran.
     """
     path = Path(path)
     offsets = tz_offsets or {}
@@ -93,33 +102,74 @@ def load_csv(
         for label in offsets:
             if label not in file_labels:
                 raise MalformedHeaderError(f"{path}: no {label!r} value column to offset")
-        col_idx = {label: header.index(label) for label in labels}
-
-        stamps: dict[str, list[int]] = {label: [] for label in labels}
-        values: dict[str, list[float]] = {label: [] for label in labels}
-        columns = [(stamps[label], values[label], col_idx[label]) for label in labels]
-        for row in reader:
-            try:
-                ts = int(row[ts_idx])
-            except (ValueError, IndexError):
-                continue
-            for label_stamps, label_values, idx in columns:
-                try:
-                    value = float(row[idx])
-                except (ValueError, IndexError):
-                    continue
-                if math.isfinite(value):
-                    label_stamps.append(ts)
-                    label_values.append(value)
+        body = fh.read()
+    value_idx = [header.index(label) for label in labels]
+    columns = _parse_table(body, ts_idx, value_idx)
+    if columns is None:
+        columns = _parse_rows(body, ts_idx, value_idx)
 
     series = []
-    for label in labels:
-        if not stamps[label]:
+    for label, (stamps, values) in zip(labels, columns):
+        if not len(stamps):
             raise ValidationError(f"{path}: column {label!r} has no parseable rows")
         offset_seconds = 60 * int(offsets.get(label, 0))
-        timestamps = np.asarray(stamps[label], dtype=np.int64) - offset_seconds
-        series.append(RawSeries(label=label, timestamps=timestamps, values=values[label]))
+        timestamps = np.asarray(stamps, dtype=np.int64) - offset_seconds
+        series.append(RawSeries(label=label, timestamps=timestamps, values=values))
     return series
+
+
+def _parse_table(body: str, ts_idx: int, value_idx: list[int]):
+    """(timestamps, values) per value column by numpy's C reader, or None
+    where it might read a cell differently from `_parse_rows`.
+
+    A quote or a lone carriage return changes how `csv` splits a row,
+    `int()`/`float()` refuse padding by the separators U+001C..U+001F that
+    numpy strips, and `csv` refuses a field longer than its size limit.
+    A blank cell is read as nan, which the finite mask then omits like any
+    non-finite cell.
+    """
+    text = body.replace("\r\n", "\n") if "\r" in body else body
+    if any(char in text for char in '"\r\x1c\x1d\x1e\x1f'):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    for i in [i for i, line in enumerate(lines) if ",," in line or line[-1:] == ","]:
+        lines[i] = ",".join(cell or "nan" for cell in lines[i].split(","))
+    row = [("", np.int64)] + [("", np.float64)] * len(value_idx)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=row, delimiter=",", comments=None,
+                usecols=[ts_idx, *value_idx], ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    stamps, *values = (table[name] for name in table.dtype.names)
+    keeps = [np.isfinite(column) for column in values]
+    return [(stamps[keep], column[keep]) for keep, column in zip(keeps, values)]
+
+
+def _parse_rows(body: str, ts_idx: int, value_idx: list[int]):
+    """(timestamps, values) per value column, one `csv` row and one cell at
+    a time: a row without an integer timestamp is skipped, and a cell that
+    `float()` refuses or reads as non-finite is omitted from its column."""
+    columns = [([], [], idx) for idx in value_idx]
+    for row in csv.reader(io.StringIO(body, newline="")):
+        try:
+            ts = int(row[ts_idx])
+        except (ValueError, IndexError):
+            continue
+        for label_stamps, label_values, idx in columns:
+            try:
+                value = float(row[idx])
+            except (ValueError, IndexError):
+                continue
+            if math.isfinite(value):
+                label_stamps.append(ts)
+                label_values.append(value)
+    return [(label_stamps, label_values) for label_stamps, label_values, _ in columns]
 
 
 def align_many(series: list[RawSeries]) -> list[RawSeries]:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from renflow import (
     HistorySpec,
+    MalformedHeaderError,
+    RawSeries,
     SymbolSeries,
+    ValidationError,
     WordDistribution,
     count_words,
     make_surrogate,
@@ -248,3 +253,67 @@ def reference_sweep_rows(x: SymbolSeries, y: SymbolSeries, settings, spec) -> li
         for value, h, q in settings
         for target, source in ((x, y), (y, x))
     ]
+
+
+# -- per-cell reference loop for CSV ingest ------------------------------------
+
+def reference_load_csv(
+    path,
+    timestamp_column: str = "timestamp",
+    value_columns: list[str] | None = None,
+    tz_offsets: dict[str, int] | None = None,
+) -> list[RawSeries]:
+    """The per-cell loop `load_csv` ran on every file before it parsed with
+    numpy's C reader: one `csv` row at a time, `int()` on the timestamp
+    and `float()` on each selected cell."""
+    path = Path(path)
+    offsets = tz_offsets or {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedHeaderError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if timestamp_column not in header:
+            raise MalformedHeaderError(
+                f"{path}: no {timestamp_column!r} column in header {header}"
+            )
+        ts_idx = header.index(timestamp_column)
+        file_labels = [h for i, h in enumerate(header) if i != ts_idx]
+        labels = value_columns if value_columns is not None else file_labels
+        for label in labels:
+            if label not in file_labels:
+                raise MalformedHeaderError(f"{path}: no {label!r} value column in header")
+            if labels.count(label) > 1:
+                raise ValidationError(f"{path}: column {label!r} is named more than once")
+        for label in offsets:
+            if label not in file_labels:
+                raise MalformedHeaderError(f"{path}: no {label!r} value column to offset")
+        col_idx = {label: header.index(label) for label in labels}
+
+        stamps: dict[str, list[int]] = {label: [] for label in labels}
+        values: dict[str, list[float]] = {label: [] for label in labels}
+        columns = [(stamps[label], values[label], col_idx[label]) for label in labels]
+        for row in reader:
+            try:
+                ts = int(row[ts_idx])
+            except (ValueError, IndexError):
+                continue
+            for label_stamps, label_values, idx in columns:
+                try:
+                    value = float(row[idx])
+                except (ValueError, IndexError):
+                    continue
+                if math.isfinite(value):
+                    label_stamps.append(ts)
+                    label_values.append(value)
+
+    series = []
+    for label in labels:
+        if not stamps[label]:
+            raise ValidationError(f"{path}: column {label!r} has no parseable rows")
+        offset_seconds = 60 * int(offsets.get(label, 0))
+        timestamps = np.asarray(stamps[label], dtype=np.int64) - offset_seconds
+        series.append(RawSeries(label=label, timestamps=timestamps, values=values[label]))
+    return series

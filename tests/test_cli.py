@@ -483,8 +483,11 @@ class TestCommandLineSurface:
          "argument --preset-fidelity: has no effect without --preset noisy-copy"),
         (["gen-synth", "--length", "10", "--preset", "independent", "--preset-fidelity", "0.5"],
          "argument --preset-fidelity: has no effect without --preset noisy-copy"),
+        ([*TE_SYNTH, "--surrogates", "0", "--surrogate-block", "400"],
+         "argument --surrogate-block: has no effect with --surrogates 0"),
     ], ids=["block", "bins", "log-returns", "spec-and-preset",
-            "spec-alphabet", "spec-fidelity", "copy-fidelity", "independent-fidelity"])
+            "spec-alphabet", "spec-fidelity", "copy-fidelity", "independent-fidelity",
+            "surrogates-zero"])
     def test_inert_option_is_a_usage_error(self, synth_csv, tmp_path, capsys, argv, message):
         from renflow import noisy_copy_spec
 

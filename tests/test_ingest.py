@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_load_csv
 from renflow import (
     MalformedHeaderError,
     NonAscendingTimestampsError,
     RawSeries,
     ValidationError,
     align_many,
+    ingest,
     load_csv,
 )
 
@@ -118,6 +122,125 @@ class TestLoadCsv:
             assert a.label == b.label
             np.testing.assert_array_equal(a.timestamps, b.timestamps)
             np.testing.assert_array_equal(a.values, b.values)
+
+
+def outcome(load, path, value_columns=None):
+    """Labels and the bytes of every series, or the error's type and message."""
+    try:
+        series = load(path, value_columns=value_columns)
+    except Exception as exc:  # compared between the two loaders, not handled
+        return type(exc), str(exc)
+    return [(s.label, s.timestamps.tobytes(), s.values.tobytes()) for s in series]
+
+
+def finite_float_reprs():
+    return st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+        ["0.0", "-0.0", "5e-324", "2.2250738585072014e-308", "1e308", "-1.7976931348623157e+308"]
+    )
+
+
+# cells that numpy and `float()` read alike, and what numpy refuses or reads otherwise
+READ_ALIKE = [
+    "", "nan", "inf", "-Infinity", " 1.5 ", "\t-2\t", "1.5\x0c", "1.5\x0b", "\x85 2.5",
+    "2.5\u2028", "\xa01", "+7", "1e3", "5.0", ".5",
+]
+ODD_CELLS = [
+    "oops", "1_000", "2.0#x", '"3.5"', '"4,5"', "\x1c1", "1\x1f", "1\r2", "1.5\x00", "٣",
+    "0x10", " ",
+]
+ODD_ROWS = ["short", "spaces", "odd-stamp"]
+STAMP_FORMS = ["{}", " {} ", "+{}", "0{}", "\t{}"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, value columns) of a small price file: rows of increasing integer
+    stamps and finite float reprs, cells that numpy reads like `float()`, long
+    and blank rows, and LF or CRLF line endings.  Most files add one odd cell
+    or one odd kind of row (short, whitespace-only or with a bad stamp)."""
+    odd = draw(st.none() | st.sampled_from(ODD_CELLS + ODD_ROWS))
+    cells = finite_float_reprs() | st.sampled_from(READ_ALIKE)
+    if odd in ODD_CELLS:
+        cells |= st.just(odd)
+    n_values = draw(st.integers(1, 3))
+    labels = [f"V{k}" for k in range(n_values)]
+    ts_at = draw(st.integers(0, n_values))
+    header = labels[:ts_at] + ["timestamp"] + labels[ts_at:]
+    kinds = ["row"] * 6 + ["long", "blank"] + ([odd] if odd in ODD_ROWS else [])
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", " \t "])))
+            continue
+        row = [draw(cells) for _ in labels]
+        if kind == "odd-stamp":
+            stamp = draw(st.sampled_from(READ_ALIKE + ODD_CELLS + [str(2**63)]))
+        else:
+            stamp = draw(st.sampled_from(STAMP_FORMS)).format(10 * i)
+        row.insert(ts_at, stamp)
+        if kind == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif kind == "long":
+            row += draw(st.lists(cells, min_size=1, max_size=2))
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    columns = draw(st.none() | st.permutations(labels).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: list(order[:k]))))
+    return text, columns
+
+
+class TestParsePaths:
+    """`load_csv` parses with numpy's C reader and falls back to the per-cell
+    loop; whichever path runs, the result is the loop's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_files())
+    @example(("timestamp,V0,V1,V2\n10,\"4,5\",1.0,2.0\n", ["V2"]))  # a quote moves V2
+    @example(("timestamp,V0\n10,\x1c1\n20,2.0\n", None))  # float() refuses U+001C
+    @example(("timestamp,V0,V1\n10,1.0," + "1" * 131073 + "\n", ["V0"]))  # csv's field limit
+    def test_equals_the_per_cell_loop(self, tmp_path_factory, case):
+        text, columns = case
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, path, columns) == outcome(reference_load_csv, path, columns)
+
+    def test_large_timestamps_survive_exactly(self, tmp_path):
+        path = write(tmp_path, "p.csv", f"timestamp,A\n{2**53 + 1},1.0\n{2**62},2.0\n")
+        (series,) = load_csv(path)
+        assert series.timestamps.tolist() == [2**53 + 1, 2**62]
+
+    def test_float_timestamp_drops_its_row(self, tmp_path):
+        path = write(tmp_path, "p.csv", "timestamp,A\n1,1.0\n5.0,2.0\n7,3.0\n")
+        (series,) = load_csv(path)
+        assert series.timestamps.tolist() == [1, 7]
+        assert series.values.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_cells_stay_on_the_fast_path(self, tmp_path, monkeypatch, newline):
+        def refuse(*args):
+            raise AssertionError("the per-cell loop ran")
+
+        monkeypatch.setattr(ingest, "_parse_rows", refuse)
+        rows = ["timestamp,A,B,C", "1,1.0,,", "2,,2.0,3.0", "3,,,", "4,4.0,4.5,", "5,5.0,5.5,6.0", ""]
+        a, b, c = load_csv(write(tmp_path, "p.csv", newline.join(rows)))
+        assert a.timestamps.tolist() == [1, 4, 5] and b.timestamps.tolist() == [2, 4, 5]
+        assert c.values.tolist() == [3.0, 6.0]
+
+    @pytest.mark.parametrize("cell", ['"2.0"', "oops"])
+    def test_odd_cell_takes_the_per_cell_loop(self, tmp_path, monkeypatch, cell):
+        calls, parse_rows = [], ingest._parse_rows
+
+        def counted(*args):
+            calls.append(args)
+            return parse_rows(*args)
+
+        monkeypatch.setattr(ingest, "_parse_rows", counted)
+        path = write(tmp_path, "p.csv", f"timestamp,A\n1,1.0\n2,{cell}\n3,3.0\n")
+        (series,) = load_csv(path)
+        assert len(calls) == 1
+        assert series.timestamps.tolist() == ([1, 2, 3] if cell.startswith('"') else [1, 3])
 
 
 class TestAlign:
