@@ -18,8 +18,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import ValidationError
-from .ingest import align_many, load_csv, sha256_file
+from .errors import ConvergenceError, ValidationError
+from .ingest import align_many, load_csv, reading, sha256_file
 from .report import (
     emit,
     m_sweep,
@@ -240,7 +240,9 @@ _PRESETS = {
 
 def _load_process_spec(args) -> CoupledMarkovSpec:
     if args.spec:
-        return CoupledMarkovSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+        with reading(args.spec):
+            text = Path(args.spec).read_text(encoding="utf-8")
+        return CoupledMarkovSpec.from_json(text)
     if args.preset:
         return _PRESETS[args.preset](args)
     raise ValidationError("provide --spec FILE or --preset NAME")
@@ -366,6 +368,7 @@ _INERT = (
     ("--preset-alphabet", 3, "without --preset", lambda a: a.preset is None),
     ("--preset-fidelity", 0.75, "without --preset noisy-copy", lambda a: a.preset != "noisy-copy"),
     ("--surrogate-block", 1, "with --surrogates 0", lambda a: a.surrogates == 0),
+    ("--seed", 0, "with --surrogates 0", lambda a: vars(a).get("surrogates") == 0),
 )
 
 
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
             parser.error(f"argument {option}: has no effect {why}")
     try:
         args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -57,9 +57,6 @@ class RenyiOrder:
     def coerce(cls, value: "RenyiOrder | float") -> "RenyiOrder":
         return value if isinstance(value, cls) else cls(float(value))
 
-    def __float__(self) -> float:
-        return self.q
-
 
 def _as_prob_array(values, ndim=None) -> np.ndarray:
     arr = np.asarray(values, dtype=float)

@@ -15,6 +15,7 @@ import hashlib
 import io
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +81,7 @@ def load_csv(
     """
     path = Path(path)
     offsets = tz_offsets or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, reading(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -106,16 +107,34 @@ def load_csv(
     value_idx = [header.index(label) for label in labels]
     columns = _parse_table(body, ts_idx, value_idx)
     if columns is None:
-        columns = _parse_rows(body, ts_idx, value_idx)
+        with reading(path):
+            columns = _parse_rows(body, ts_idx, value_idx)
 
     series = []
     for label, (stamps, values) in zip(labels, columns):
         if not len(stamps):
             raise ValidationError(f"{path}: column {label!r} has no parseable rows")
         offset_seconds = 60 * int(offsets.get(label, 0))
-        timestamps = np.asarray(stamps, dtype=np.int64) - offset_seconds
+        try:
+            timestamps = np.asarray(stamps, dtype=np.int64) - offset_seconds
+        except OverflowError:
+            message = f"{path}: a timestamp in column {label!r} overflows int64"
+            raise ValidationError(message) from None
         series.append(RawSeries(label=label, timestamps=timestamps, values=values))
     return series
+
+
+@contextmanager
+def reading(path):
+    """Report a file that is not UTF-8 text, or that `csv` refuses, as a
+    ValidationError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_table(body: str, ts_idx: int, value_idx: list[int]):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .infocore import RenyiOrder
+from .ingest import reading
 from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
 from .symbolize import SymbolSeries
 from .transfer import HistorySpec
@@ -147,9 +148,7 @@ def pairwise_matrix(
         "m": h.m,
         "l": h.l,
         "alphabet_sizes": [s.alphabet_size for s in series],
-        "surrogate_method": spec.method,
-        "surrogate_ensemble": spec.ensemble_size,
-        "surrogate_seed": spec.rng_seed,
+        **spec.record,
         "n_samples": len(series[0]),
     }
     return FlowMatrix(labels=labels, values=values, params=params)
@@ -205,10 +204,8 @@ def q_sweep(
     No monotonicity in q is assumed or implied; the table is the
     deliverable and any structure in it is for the reader to judge.
     """
-    params = {"m": h.m, "l": h.l, "surrogate_method": spec.method,
-              "surrogate_ensemble": spec.ensemble_size, "surrogate_seed": spec.rng_seed}
     settings = ((order.q, h, order) for order in map(RenyiOrder.coerce, q_grid))
-    return _sweep(x, y, "q", settings, spec, params)
+    return _sweep(x, y, "q", settings, spec, {"m": h.m, "l": h.l, **spec.record})
 
 
 def m_sweep(
@@ -226,10 +223,8 @@ def m_sweep(
     falls below `min_windows`.
     """
     order = RenyiOrder.coerce(q)
-    params = {"q": order.q, "surrogate_method": spec.method,
-              "surrogate_ensemble": spec.ensemble_size, "surrogate_seed": spec.rng_seed}
     settings = ((m, HistorySpec(m, m), order) for m in map(int, m_grid))
-    return _sweep(x, y, "m", settings, spec, params, min_windows)
+    return _sweep(x, y, "m", settings, spec, {"q": order.q, **spec.record}, min_windows)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -407,7 +402,7 @@ def emit(obj, path, fmt: str = "csv") -> Path | None:
 
 def parse_matrix_csv(path) -> FlowMatrix:
     """Read back a matrix CSV produced by `emit` (blank diagonal = NaN)."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, reading(path):
         rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")

@@ -58,6 +58,12 @@ class SurrogateSpec:
         """Name of the shuffle in run records: "permutation" at block length 1."""
         return "permutation" if self.block_length == 1 else "block-permutation"
 
+    @property
+    def record(self) -> dict:
+        """The ensemble's keys in matrix and sweep run records."""
+        return {"surrogate_method": self.method, "surrogate_ensemble": self.ensemble_size,
+                "surrogate_seed": self.rng_seed}
+
 
 @dataclass(frozen=True)
 class EffectiveResult:
@@ -66,13 +72,11 @@ class EffectiveResult:
     raw: TransferResult
     surrogate_mean: float
     surrogate_std: float
-    effective: float
     spec: SurrogateSpec
 
-    def __post_init__(self):
-        expected = self.raw.value - self.surrogate_mean
-        if self.effective != expected:
-            raise ValidationError("effective value must equal raw minus surrogate mean")
+    @property
+    def effective(self) -> float:
+        return self.raw.value - self.surrogate_mean
 
 
 def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> SymbolSeries:
@@ -141,8 +145,7 @@ def _effective(raw: TransferResult, values: list[float], spec: SurrogateSpec) ->
     n = len(values)
     mean = math.fsum(values) / n if n else 0.0
     std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-    return EffectiveResult(raw=raw, surrogate_mean=mean, surrogate_std=std,
-                           effective=raw.value - mean, spec=spec)
+    return EffectiveResult(raw=raw, surrogate_mean=mean, surrogate_std=std, spec=spec)
 
 
 def effective_transfer_entropy(

@@ -8,7 +8,6 @@ separate steps so one binning can be reused across series or processes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +43,6 @@ class BinningSpec:
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ValidationError(f"bin edges must be strictly ascending, got {edges}")
         object.__setattr__(self, "edges", edges)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mode": self.mode, "alphabet_size": self.alphabet_size, "edges": list(self.edges)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinningSpec":
-        raw = json.loads(text)
-        return cls(raw["mode"], int(raw["alphabet_size"]), tuple(raw["edges"]))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .symbolize import SymbolSeries
 _ROW_TOL = 1e-12
 _POWER_TOL = 1e-14
 _POWER_MAX_ITER = 10**6
+_SPEC_KEYS = ("alphabet_size", "source_transition", "target_transition")
 
 
 def _float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -50,14 +51,12 @@ class CoupledMarkovSpec:
     source_transition[y, y']    = P(y_{t+1} = y' | y_t = y)
     target_transition[x, y, x'] = P(x_{t+1} = x' | x_t = x, y_t = y)
 
-    Initial distributions default to uniform.
+    Generated series start from uniformly drawn symbols.
     """
 
     alphabet_size: int
     source_transition: np.ndarray
     target_transition: np.ndarray
-    initial_source: np.ndarray | None = None
-    initial_target: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.alphabet_size
@@ -65,57 +64,34 @@ class CoupledMarkovSpec:
             raise ValidationError("alphabet size must be at least 2")
         a = _float_array(self.source_transition, (n, n), "source_transition")
         b = _float_array(self.target_transition, (n, n, n), "target_transition")
-        _check_stochastic(a, "source_transition")
-        _check_stochastic(b, "target_transition")
-        init_y = self._init_vector(self.initial_source, n, "initial_source")
-        init_x = self._init_vector(self.initial_target, n, "initial_target")
-        for name, arr in (("source_transition", a), ("target_transition", b),
-                          ("initial_source", init_y), ("initial_target", init_x)):
-            arr = arr.copy()
+        for name, arr in (("source_transition", a), ("target_transition", b)):
+            arr = _check_stochastic(arr, name).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @staticmethod
-    def _init_vector(value, n: int, name: str) -> np.ndarray:
-        if value is None:
-            return np.full(n, 1.0 / n)
-        return _check_stochastic(_float_array(value, (n,), name), name)
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alphabet_size": self.alphabet_size,
-                "source_transition": self.source_transition.tolist(),
-                "target_transition": self.target_transition.tolist(),
-                "initial_source": self.initial_source.tolist(),
-                "initial_target": self.initial_target.tolist(),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({name: getattr(self, name) for name in _SPEC_KEYS},
+                          default=np.ndarray.tolist, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CoupledMarkovSpec":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
             raise ValidationError(f"process spec is not JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValidationError(f"process spec must be a JSON object, got {type(raw).__name__}")
-        try:
-            alphabet_size = raw["alphabet_size"]
-            if not isinstance(alphabet_size, int):
-                raise ValidationError(
-                    f"process spec alphabet_size must be an integer, got {alphabet_size!r}"
-                )
-            return cls(
-                alphabet_size=alphabet_size,
-                source_transition=raw["source_transition"],
-                target_transition=raw["target_transition"],
-                initial_source=raw.get("initial_source"),
-                initial_target=raw.get("initial_target"),
+        for key in raw:
+            if key not in _SPEC_KEYS:
+                raise ValidationError(f"process spec has an unknown key {key!r}")
+        for key in _SPEC_KEYS:
+            if key not in raw:
+                raise ValidationError(f"process spec has no {key!r} key")
+        if not isinstance(raw["alphabet_size"], int):
+            raise ValidationError(
+                f"process spec alphabet_size must be an integer, got {raw['alphabet_size']!r}"
             )
-        except KeyError as exc:
-            raise ValidationError(f"process spec has no {exc.args[0]!r} key") from None
+        return cls(**raw)
 
 
 def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
@@ -161,8 +137,7 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     # faster on scalars than on numpy indexing.
     cum_a = np.cumsum(spec.source_transition, axis=1).tolist()
     cum_b = np.cumsum(spec.target_transition, axis=2).tolist()
-    cum_init_y = np.cumsum(spec.initial_source).tolist()
-    cum_init_x = np.cumsum(spec.initial_target).tolist()
+    cum_init = np.cumsum(np.full(n, 1.0 / n)).tolist()
 
     def draw(cum_row, u):
         for idx in range(n - 1):
@@ -173,7 +148,7 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     xs = np.empty(length, dtype=np.int64)
     ys = np.empty(length, dtype=np.int64)
     ux, uy = uniforms[0].tolist(), uniforms[1].tolist()
-    x, y = draw(cum_init_x, ux[0]), draw(cum_init_y, uy[0])
+    x, y = draw(cum_init, ux[0]), draw(cum_init, uy[0])
     xs[0], ys[0] = x, y
     for t in range(1, length):
         x, y = draw(cum_b[x][y], ux[t]), draw(cum_a[y], uy[t])

@@ -65,8 +65,6 @@ class TransferResult:
     q: float
     m: int
     l: int
-    target_alphabet: int
-    source_alphabet: int
     n_windows: int
     source: str
     target: str
@@ -122,10 +120,6 @@ class WordDistribution:
     @property
     def n_windows(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def direction(self) -> str:
-        return f"{self.source_label}->{self.target_label}"
 
     @classmethod
     def from_counts(
@@ -298,8 +292,6 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
         q=1.0 if order.is_shannon else order.q,
         m=w.m,
         l=w.l,
-        target_alphabet=w.target_alphabet,
-        source_alphabet=w.source_alphabet,
         n_windows=total,
         source=w.source_label,
         target=w.target_label,

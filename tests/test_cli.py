@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from renflow import synth
 from renflow.cli import build_parser, main
 
 
@@ -24,6 +25,8 @@ PROCESS = {"--spec", "--preset", "--preset-alphabet", "--preset-fidelity"}
 TABLE, IMAGE = ["csv", "json"], ["csv", "json", "svg"]
 MATRIX_HEADER = "target\\source,A,B"
 README = Path(__file__).resolve().parents[1] / "README.md"
+HALF_TARGET = "[[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]"
+HALF_SPEC = '"alphabet_size": 2, "source_transition": [[0.5, 0.5], [0.5, 0.5]]'
 TE_SYNTH = [
     "te", "--data", "@synth.csv", "--timestamp-column", "t", "--source", "y", "--target", "x",
     "--alphabet", "3", "--surrogates", "2",
@@ -110,22 +113,52 @@ class TestGenSynthAndOracle:
     @pytest.mark.parametrize("text, message", [
         ('{"alphabet_size": 2}', "'source_transition'"),
         ("alphabet_size: 2", "not JSON"),
+        ('{"alphabet_size": ' + "9" * 5000 + "}", "not JSON: Exceeds the limit"),
         ("[1, 2]", "must be a JSON object"),
         ('{"alphabet_size": null, "source_transition": [], "target_transition": []}',
          "alphabet_size must be an integer"),
         ('{"alphabet_size": 2, "source_transition": [["a", "b"], [0.5, 0.5]], '
          '"target_transition": []}', "source_transition must be an array of numbers"),
-        ('{"alphabet_size": 2, "source_transition": [[0.5, 0.5], [0.5, 0.5]], '
-         '"target_transition": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]], '
-         '"initial_source": [null, 1.0]}', "initial_source must contain finite"),
-    ], ids=["missing-key", "not-json", "not-an-object", "null-alphabet", "non-numeric-cell",
-            "null-initial"])
+        ('{"alphabet_size": 2, "source_transition": [[null, 1.0], [0.5, 0.5]], '
+         f'"target_transition": {HALF_TARGET}}}', "source_transition must contain finite"),
+        (f'{{{HALF_SPEC}, "initial_source": [0.5, 0.5]}}', "unknown key 'initial_source'"),
+        (f'{{{HALF_SPEC}, "target_transiton": {HALF_TARGET}}}', "unknown key 'target_transiton'"),
+    ], ids=["missing-key", "not-json", "huge-integer", "not-an-object", "null-alphabet",
+            "non-numeric-cell", "null-cell", "initial-key", "misspelled-key"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
         assert main(["oracle", "--spec", str(spec_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_gen_synth_spec_equals_its_preset(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"alphabet_size": 3, "source_transition": [[1 / 3] * 3] * 3,
+                        "target_transition": [[[0.75 if u == y else 0.125 for u in range(3)]
+                                               for y in range(3)]] * 3}),
+            encoding="utf-8",
+        )
+        outs = [tmp_path / "spec.csv", tmp_path / "preset.csv"]
+        for source, out in zip([["--spec", str(spec_path)], ["--preset", "noisy-copy"]], outs):
+            assert main(["gen-synth", *source, "--length", "2000", "--seed", "5",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_oracle_on_a_chain_that_does_not_converge_is_reported(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(synth, "_POWER_MAX_ITER", 100)
+        spec_path = tmp_path / "periodic.json"
+        spec_path.write_text(json.dumps({
+            "alphabet_size": 3,
+            "source_transition": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            "target_transition": [[[1 / 3] * 3] * 3] * 3,
+        }), encoding="utf-8")
+        assert main(["oracle", "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "power iteration did not converge" in err
 
 
 class TestTe:
@@ -485,9 +518,11 @@ class TestCommandLineSurface:
          "argument --preset-fidelity: has no effect without --preset noisy-copy"),
         ([*TE_SYNTH, "--surrogates", "0", "--surrogate-block", "400"],
          "argument --surrogate-block: has no effect with --surrogates 0"),
+        ([*TE_SYNTH, "--surrogates", "0", "--seed", "3"],
+         "argument --seed: has no effect with --surrogates 0"),
     ], ids=["block", "bins", "log-returns", "spec-and-preset",
             "spec-alphabet", "spec-fidelity", "copy-fidelity", "independent-fidelity",
-            "surrogates-zero"])
+            "surrogates-zero", "seed-surrogates-zero"])
     def test_inert_option_is_a_usage_error(self, synth_csv, tmp_path, capsys, argv, message):
         from renflow import noisy_copy_spec
 
@@ -508,6 +543,27 @@ class TestCommandLineSurface:
         argv = [str(synth_csv) if a == "@synth.csv" else a for a in [*TE_SYNTH, *argv]]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("option, content, message", [
+        ("--data", b"timestamp,A,B\n1,1.5,\xe92.5\n", "not UTF-8 text (byte 0xe9)"),
+        ("--data", b"timestamp,A,B\n1,1.5," + b"1" * 140_000 + b"\n",
+         "field larger than field limit (131072)"),
+        ("--data", b"timestamp,A,B\n1,1.5,2.5\n9223372036854775808,1.5,2.5\n",
+         "a timestamp in column 'B' overflows int64"),
+        ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB,\xe9,\n", "not UTF-8 text (byte 0xe9)"),
+        ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB," + b"1" * 140_000 + b",\n",
+         "field larger than field limit (131072)"),
+        ("--spec", b'{"alphabet_size": "\xe9"}', "not UTF-8 text (byte 0xe9)"),
+    ], ids=["data-latin1", "data-long-cell", "data-int64-overflow", "matrix-latin1",
+            "matrix-long-cell", "spec-latin1"])
+    def test_unreadable_file_is_reported(self, tmp_path, capsys, option, content, message):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        command = {"--data": ["te", *PAIR, "--surrogates", "0"],
+                   "--from-matrix": ["netflow", "--out", str(tmp_path / "net.csv")],
+                   "--spec": ["oracle"]}[option]
+        assert main([*command, option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}: {message}" in err
 
     def test_readme_examples_parse(self):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

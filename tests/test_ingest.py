@@ -1,5 +1,7 @@
 """CSV loading, clock normalization, and timestamp alignment."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,18 +195,24 @@ def csv_files(draw):
 
 class TestParsePaths:
     """`load_csv` parses with numpy's C reader and falls back to the per-cell
-    loop; whichever path runs, the result is the loop's."""
+    loop; whichever path runs, the result is the loop's, except that the
+    loop's `csv` and int64 overflow failures are ValidationErrors naming the file."""
 
     @settings(max_examples=150, deadline=None)
     @given(csv_files())
     @example(("timestamp,V0,V1,V2\n10,\"4,5\",1.0,2.0\n", ["V2"]))  # a quote moves V2
     @example(("timestamp,V0\n10,\x1c1\n20,2.0\n", None))  # float() refuses U+001C
     @example(("timestamp,V0,V1\n10,1.0," + "1" * 131073 + "\n", ["V0"]))  # csv's field limit
+    @example(("timestamp,V0\n10,1.0\n9223372036854775808,2.0\n", None))  # past int64
     def test_equals_the_per_cell_loop(self, tmp_path_factory, case):
         text, columns = case
         path = tmp_path_factory.mktemp("csv") / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert outcome(load_csv, path, columns) == outcome(reference_load_csv, path, columns)
+        got, expected = outcome(load_csv, path, columns), outcome(reference_load_csv, path, columns)
+        if isinstance(expected, tuple) and expected[0] in (csv.Error, OverflowError):
+            assert got[0] is ValidationError and got[1].startswith(f"{path}: ")
+        else:
+            assert got == expected
 
     def test_large_timestamps_survive_exactly(self, tmp_path):
         path = write(tmp_path, "p.csv", f"timestamp,A\n{2**53 + 1},1.0\n{2**62},2.0\n")

@@ -80,11 +80,6 @@ class TestFitBins:
         with pytest.raises(ValidationError):
             fit_bins([1.0, 2.0, 3.0], mode="kmeans", alphabet_size=3)
 
-    def test_spec_json_round_trip(self):
-        spec = fit_bins(np.linspace(0, 9, 40), mode="quantile", alphabet_size=5)
-        again = BinningSpec.from_json(spec.to_json())
-        assert again == spec
-
     def test_edges_must_ascend(self):
         with pytest.raises(ValidationError):
             BinningSpec("width", 3, (2.0, 1.0))

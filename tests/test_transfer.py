@@ -198,7 +198,7 @@ class TestWordDistribution:
         x = iid_symbol_series(rng, 30, 2, label="DAX")
         y = iid_symbol_series(rng, 30, 2, label="SP500")
         words = count_words(x, y, HistorySpec(1, 1))
-        assert words.direction == "SP500->DAX"
+        assert renyi_transfer_entropy(words, 1.0).direction == "SP500->DAX"
 
 
 class TestShannonTransferEntropy:
