@@ -71,7 +71,6 @@ from .transfer import (
     WordDistribution,
     count_words,
     renyi_transfer_entropy,
-    shannon_transfer_entropy,
 )
 
 __all__ = [
@@ -123,7 +122,6 @@ __all__ = [
     "q_sweep",
     "render",
     "renyi_transfer_entropy",
-    "shannon_transfer_entropy",
     "stationary_joint",
     "symbolize",
 ]

@@ -126,7 +126,7 @@ def _manifest(args, command: str, parameters: dict, timings: dict | None = None)
     return payload
 
 
-def _effective_payload(result) -> dict:
+def _effective_payload(result, spec: SurrogateSpec) -> dict:
     return {
         "direction": result.raw.direction,
         "q": result.raw.q,
@@ -137,9 +137,9 @@ def _effective_payload(result) -> dict:
         "surrogate_mean_bits": result.surrogate_mean,
         "surrogate_std_bits": result.surrogate_std,
         "effective_bits": result.effective,
-        "surrogate_method": result.spec.method,
-        "surrogate_ensemble": result.spec.ensemble_size,
-        "seed": result.spec.rng_seed,
+        "surrogate_method": spec.method,
+        "surrogate_ensemble": spec.ensemble_size,
+        "seed": spec.rng_seed,
     }
 
 
@@ -176,8 +176,9 @@ def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
 def _cmd_te(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
-    result = effective_transfer_entropy(target, source, h, args.q, _surrogate_spec(args))
-    emit(_effective_payload(result), args.out, "json")
+    spec = _surrogate_spec(args)
+    result = effective_transfer_entropy(target, source, h, args.q, spec)
+    emit(_effective_payload(result, spec), args.out, "json")
 
 
 def _cmd_matrix(args) -> None:

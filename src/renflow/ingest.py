@@ -27,6 +27,8 @@ from .errors import (
     ValidationError,
 )
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class RawSeries:
@@ -43,7 +45,7 @@ class RawSeries:
             raise ValidationError(f"series {self.label!r} is empty")
         if ts.size != vals.size:
             raise ValidationError(f"series {self.label!r}: timestamp/value lengths differ")
-        if np.any(np.diff(ts) <= 0):
+        if np.any(ts[1:] <= ts[:-1]):  # np.diff would wrap across the int64 range
             raise NonAscendingTimestampsError(
                 f"series {self.label!r}: timestamps must be strictly ascending"
             )
@@ -114,12 +116,27 @@ def load_csv(
     for label, (stamps, values) in zip(labels, columns):
         if not len(stamps):
             raise ValidationError(f"{path}: column {label!r} has no parseable rows")
-        offset_seconds = 60 * int(offsets.get(label, 0))
         try:
-            timestamps = np.asarray(stamps, dtype=np.int64) - offset_seconds
+            timestamps = np.asarray(stamps, dtype=np.int64)
         except OverflowError:
             message = f"{path}: a timestamp in column {label!r} overflows int64"
             raise ValidationError(message) from None
+        minutes = int(offsets.get(label, 0))
+        if minutes:
+            # numpy's int64 arithmetic wraps, so check the range in Python ints first
+            seconds = 60 * minutes
+            if not _INT64.min <= seconds <= _INT64.max:
+                raise ValidationError(
+                    f"{path}: the clock offset of column {label!r}, {minutes} minutes, "
+                    "overflows int64 seconds"
+                )
+            if (int(timestamps.min()) - seconds < _INT64.min
+                    or int(timestamps.max()) - seconds > _INT64.max):
+                raise ValidationError(
+                    f"{path}: a timestamp in column {label!r} overflows int64 "
+                    f"after its clock offset of {minutes} minutes"
+                )
+            timestamps = timestamps - seconds
         series.append(RawSeries(label=label, timestamps=timestamps, values=values))
     return series
 

@@ -19,6 +19,7 @@ import html
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -290,6 +291,8 @@ def _lerp_color(a: tuple, b: tuple, t: float) -> str:
 _LOW = (59, 76, 192)    # blue end of the diverging scale
 _HIGH = (180, 4, 38)    # red end
 _WHITE = (255, 255, 255)
+# Characters outside XML 1.0's Char production, which no escape can carry.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
@@ -307,6 +310,9 @@ def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
 
 
 def _matrix_svg(matrix, diverging: bool) -> str:
+    for label in matrix.labels:
+        if _NOT_XML.search(label):
+            raise ValidationError(f"label {label!r} holds a character that SVG cannot carry")
     labels = [html.escape(label, quote=False) for label in matrix.labels]
     n = len(labels)
     cell = 42

@@ -67,12 +67,29 @@ class SurrogateSpec:
 
 @dataclass(frozen=True)
 class EffectiveResult:
-    """Raw transfer entropy, surrogate statistics, and their difference."""
+    """Raw transfer entropy and the transfer entropy of each surrogate replica.
+
+    `replicas` holds the surrogate values in replica order; the ensemble
+    statistics and the effective value are computed from them.
+    """
 
     raw: TransferResult
-    surrogate_mean: float
-    surrogate_std: float
-    spec: SurrogateSpec
+    replicas: tuple[float, ...]
+
+    @property
+    def surrogate_mean(self) -> float:
+        """Ensemble mean, 0.0 without replicas."""
+        n = len(self.replicas)
+        return math.fsum(self.replicas) / n if n else 0.0
+
+    @property
+    def surrogate_std(self) -> float:
+        """Sample standard deviation over the ensemble, 0.0 for fewer than two replicas."""
+        n = len(self.replicas)
+        if n < 2:
+            return 0.0
+        mean = self.surrogate_mean
+        return math.sqrt(math.fsum((v - mean) ** 2 for v in self.replicas) / (n - 1))
 
     @property
     def effective(self) -> float:
@@ -107,14 +124,17 @@ def effective_transfer_entropies(
     jobs, orders, spec: SurrogateSpec, timing_sink: list | None = None
 ) -> list[list[EffectiveResult]]:
     """Effective transfer entropy of each (target, source, history) job at each
-    order; `result[k][i]` is `jobs[k]` at `orders[i]`.
+    order; `result[k][i]` is `jobs[k]` at `orders[i]`, and its `replicas`
+    are the job's surrogate values at that order, one per replica in order.
 
     The raw pairs come first, then the replicas in order: each replica
     shuffles every distinct source once and counts each job once, and all
-    orders are evaluated from that one word table.  A failing job is named
-    as `pair S->T`.  A list passed as `timing_sink` receives each job's
-    seconds of counting and evaluation over the raw pair and every replica;
-    the shuffles are shared by the jobs of a source and charged to none.
+    orders are evaluated from that one word table.  A job's values depend
+    only on the job, the order and `spec`, never on the other jobs or
+    their place in the list.  A failing job is named as `pair S->T`.  A
+    list passed as `timing_sink` receives each job's seconds of counting
+    and evaluation over the raw pair and every replica; the shuffles are
+    shared by the jobs of a source and charged to none.
     """
     orders = [RenyiOrder.coerce(q) for q in orders]
     sources = {id(y): y for _, y, _ in jobs}
@@ -136,16 +156,10 @@ def effective_transfer_entropies(
     if timing_sink is not None:
         timing_sink.extend(seconds)
     return [
-        [_effective(raw, [values[i] for values in replicas], spec) for i, raw in enumerate(first)]
+        [EffectiveResult(raw, tuple(values[i] for values in replicas))
+         for i, raw in enumerate(first)]
         for first, *replicas in runs
     ]
-
-
-def _effective(raw: TransferResult, values: list[float], spec: SurrogateSpec) -> EffectiveResult:
-    n = len(values)
-    mean = math.fsum(values) / n if n else 0.0
-    std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-    return EffectiveResult(raw=raw, surrogate_mean=mean, surrogate_std=std, spec=spec)
 
 
 def effective_transfer_entropy(
@@ -153,8 +167,9 @@ def effective_transfer_entropy(
 ) -> EffectiveResult:
     """Raw transfer entropy from y to x minus the surrogate-ensemble mean.
 
-    The surrogate standard deviation (sample std over the ensemble, 0.0
-    for fewer than two replicas) is reported alongside so callers can
-    judge whether an effective value clears the noise floor.
+    The result keeps every replica's value, so callers can judge whether
+    an effective value clears the noise floor, for example by the
+    surrogate standard deviation (sample std over the ensemble, 0.0 for
+    fewer than two replicas).
     """
     return effective_transfer_entropies([(x, y, h)], [q], spec)[0][0]

@@ -22,6 +22,7 @@ from .symbolize import SymbolSeries
 _ROW_TOL = 1e-12
 _POWER_TOL = 1e-14
 _POWER_MAX_ITER = 10**6
+_MAX_CELLS = 2**24  # largest transition array a preset or the oracle allocates
 _SPEC_KEYS = ("alphabet_size", "source_transition", "target_transition")
 
 
@@ -33,6 +34,17 @@ def _float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
+
+
+def _check_alphabet(n: int, power: int) -> None:
+    """Refuse alphabet n below 2, or before allocating an array of n**power
+    cells past _MAX_CELLS."""
+    if n < 2:
+        raise ValidationError("alphabet size must be at least 2")
+    if n**power > _MAX_CELLS:
+        raise ValidationError(
+            f"alphabet {n} needs {n}**{power} cells, past the limit of {_MAX_CELLS}"
+        )
 
 
 def _check_stochastic(arr: np.ndarray, name: str) -> np.ndarray:
@@ -102,8 +114,7 @@ def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
 def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMarkovSpec:
     """x_{t+1} copies y_t with probability `fidelity`, else errs uniformly."""
     n = alphabet_size
-    if n < 2:
-        raise ValidationError("alphabet size must be at least 2")
+    _check_alphabet(n, 3)
     if not 0.0 < fidelity <= 1.0:
         raise ValidationError("fidelity must lie in (0, 1]")
     a = np.full((n, n), 1.0 / n)
@@ -116,6 +127,7 @@ def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMa
 def independent_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
     """Zero coupling: both chains are i.i.d. uniform."""
     n = alphabet_size
+    _check_alphabet(n, 3)
     a = np.full((n, n), 1.0 / n)
     b = np.broadcast_to(np.full(n, 1.0 / n), (n, n, n)).copy()
     return CoupledMarkovSpec(n, a, b)
@@ -164,9 +176,11 @@ def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
 
     Power iteration from the uniform distribution; stops when successive
     iterates differ by less than 1e-14 in max norm, errors out after
-    10^6 iterations (reducible or periodic chain).
+    10^6 iterations (reducible or periodic chain).  The pair transition
+    matrix has n**4 cells, so an alphabet past 2**24 of them is refused.
     """
     n = spec.alphabet_size
+    _check_alphabet(n, 4)
     # P[(x, y), (x', y')] = B[x, y, x'] * A[y, y']
     transition = np.einsum("xyu,yv->xyuv", spec.target_transition, spec.source_transition)
     transition = transition.reshape(n * n, n * n)

@@ -303,8 +303,3 @@ def _conditional_renyi(probs: np.ndarray, condition: np.ndarray, q: float) -> fl
     of each; the marginal of w sums its groups in ascending x'."""
     marginal = np.bincount(condition, weights=probs)
     return (math.log2(_power_sum(probs, q)) - math.log2(_power_sum(marginal, q))) / (1.0 - q)
-
-
-def shannon_transfer_entropy(w: WordDistribution) -> TransferResult:
-    """Shannon transfer entropy of a word distribution, in bits."""
-    return renyi_transfer_entropy(w, 1.0)

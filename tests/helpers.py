@@ -146,12 +146,7 @@ def lag2_xor_word_distribution(flip_numerator: int = 1, flip_denominator: int = 
 
 def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     """Convenience: count words and return the order-q transfer entropy value."""
-    from renflow import shannon_transfer_entropy
-
-    words = count_words(x, y, HistorySpec(m, l))
-    if abs(q - 1.0) < 1e-9:
-        return shannon_transfer_entropy(words).value
-    return renyi_transfer_entropy(words, q).value
+    return renyi_transfer_entropy(count_words(x, y, HistorySpec(m, l)), q).value
 
 
 def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = False) -> float:
@@ -221,8 +216,9 @@ def reference_block_shuffle(
 # -- per-cell reference loop for the run planner --------------------------------
 
 def reference_effective(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spec) -> tuple:
-    """(raw, surrogate mean, surrogate std, effective, windows) of one pair at
-    one order, counting the raw pair and then every replica on its own."""
+    """(raw, surrogate mean, surrogate std, effective, windows, replica values)
+    of one pair at one order, counting the raw pair and then every replica
+    on its own."""
     raw = renyi_transfer_entropy(count_words(x, y, h), q)
     values = [
         renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), q).value
@@ -232,7 +228,7 @@ def reference_effective(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spe
     std = 0.0
     if len(values) > 1:
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
-    return raw.value, mean, std, raw.value - mean, raw.n_windows
+    return raw.value, mean, std, raw.value - mean, raw.n_windows, tuple(values)
 
 
 def reference_matrix(series: list[SymbolSeries], h: HistorySpec, q, spec) -> np.ndarray:
@@ -249,7 +245,8 @@ def reference_sweep_rows(x: SymbolSeries, y: SymbolSeries, settings, spec) -> li
     """Sweep rows (param, source, target, raw, mean, std, effective, windows)
     for (param, history, order) settings, Y -> X first in each."""
     return [
-        (float(value), source.label, target.label, *reference_effective(target, source, h, q, spec))
+        (float(value), source.label, target.label,
+         *reference_effective(target, source, h, q, spec)[:5])
         for value, h, q in settings
         for target, source in ((x, y), (y, x))
     ]

@@ -36,7 +36,6 @@ from renflow import (
     noisy_copy_spec,
     pairwise_matrix,
     renyi_transfer_entropy,
-    shannon_transfer_entropy,
 )
 from renflow.cli import main as cli_main
 
@@ -80,7 +79,7 @@ def test_criterion_2_continuity_at_shannon_order():
     worst = 0.0
     for _ in range(100):
         words = random_word_distribution(rng)
-        shannon = shannon_transfer_entropy(words).value
+        shannon = renyi_transfer_entropy(words, 1.0).value
         for q in (1.0 + 1e-4, 1.0 - 1e-4):
             delta = abs(renyi_transfer_entropy(words, q).value - shannon)
             worst = max(worst, delta)
@@ -113,11 +112,11 @@ def test_criterion_4_copy_process_exactness():
         {(yn, (y,), (x,)): 1 for yn in range(3) for y in range(3) for x in range(3)},
         3, 3, 1, 1,
     )
-    assert abs(shannon_transfer_entropy(forward).value - LOG2_3) < 1e-12
+    assert abs(renyi_transfer_entropy(forward, 1.0).value - LOG2_3) < 1e-12
     for q in (0.5, 0.8, 1.0, 1.5):
         assert abs(renyi_transfer_entropy(forward, q).value - LOG2_3) < 1e-12
         assert abs(renyi_transfer_entropy(reverse, q).value) < 1e-12
-    assert abs(shannon_transfer_entropy(reverse).value) < 1e-12
+    assert abs(renyi_transfer_entropy(reverse, 1.0).value) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     report(4, elapsed, 1, "analytic copy process: STE = RTE = log2(3), reverse = 0")
@@ -132,7 +131,7 @@ def test_criterion_5_oracle_convergence():
     hand = 1.0 + 0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)
     assert abs(exact - hand) <= 1e-12
     x, y = generate(spec, 10**6, seed=2024)
-    estimated = shannon_transfer_entropy(count_words(x, y, HistorySpec(1, 1))).value
+    estimated = renyi_transfer_entropy(count_words(x, y, HistorySpec(1, 1)), 1.0).value
     assert abs(estimated - exact) <= 5e-3
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -146,6 +146,20 @@ class TestGenSynthAndOracle:
                          "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("command, alphabet, message", [
+        (["oracle", "--preset", "copy"], "10000000", "alphabet 10000000 needs 10000000**3 cells"),
+        (["oracle", "--preset", "independent"], "65", "alphabet 65 needs 65**4 cells"),
+        (["gen-synth", "--preset", "noisy-copy", "--length", "10"], "10000000",
+         "alphabet 10000000 needs 10000000**3 cells"),
+        (["oracle", "--preset", "independent"], "0", "alphabet size must be at least 2"),
+    ], ids=["oracle-preset", "oracle-chain", "gen-synth-preset", "oracle-empty"])
+    def test_oversized_alphabet_is_reported(self, tmp_path, capsys, command, alphabet, message):
+        out = tmp_path / "out"
+        assert main([*command, "--preset-alphabet", alphabet, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_oracle_on_a_chain_that_does_not_converge_is_reported(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -409,6 +423,32 @@ class TestMatrixAndNetflow:
         ])
         assert code == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("command", ["matrix", "netflow"])
+    def test_svg_label_xml_cannot_carry_is_reported(self, tmp_path, capsys, command):
+        out = tmp_path / "flow.svg"
+        if command == "matrix":
+            path = tmp_path / "prices.csv"
+            rows = "".join(f"{t},{100 + t % 7},{50 - t % 5}\n" for t in range(60))
+            path.write_text("timestamp,A\x01x,B\n" + rows, encoding="utf-8")
+            argv = ["matrix", "--data", str(path), "--surrogates", "2"]
+        else:
+            path = tmp_path / "flow.csv"
+            path.write_text("target\\source,A\x01x,B\nA\x01x,,0.1\nB,0.2,\n", encoding="utf-8")
+            argv = ["netflow", "--from-matrix", str(path)]
+        assert main([*argv, "--out", str(out), "--format", "svg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label 'A\\x01x' holds a character" in err
+        assert not out.exists()
+
+    def test_tz_offset_past_int64_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,A,B\n-9223372036854775800,1.0,2.0\n0,1.5,2.5\n",
+                        encoding="utf-8")
+        code = main(["te", *PAIR, "--data", str(path), "--surrogates", "0", "--tz-offset", "A=60"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: a timestamp in column 'A' overflows int64")
 
     def test_matrix_timings_flag_records_pairs(self, price_csv, tmp_path):
         out = tmp_path / "flow.csv"

@@ -106,6 +106,26 @@ class TestLoadCsv:
         (series,) = load_csv(path, tz_offsets={"CET": 60})
         np.testing.assert_array_equal(series.timestamps, [0, 3600])
 
+    @pytest.mark.parametrize("stamp, minutes, message", [
+        (-9223372036854775800, 60, "overflows int64 after its clock offset of 60 minutes"),
+        (9223372036854775800, -60, "overflows int64 after its clock offset of -60 minutes"),
+        (0, 2**63, f"clock offset of column 'A', {2**63} minutes, overflows int64 seconds"),
+        (0, -(2**63), f"clock offset of column 'A', {-(2**63)} minutes, overflows int64 seconds"),
+    ], ids=["below-min", "above-max", "offset-past-max", "offset-past-min"])
+    def test_tz_offset_past_int64_rejected(self, tmp_path, stamp, minutes, message):
+        path = write(tmp_path, "p.csv", f"timestamp,B,A\n{stamp},1.0,2.0\n{stamp + 1},1.5,2.5\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, tz_offsets={"A": minutes})
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+        assert "column 'A'" in str(info.value)
+
+    def test_tz_offset_to_the_int64_limits_kept(self, tmp_path):
+        low, high = -(2**63), 2**63 - 1
+        path = write(tmp_path, "p.csv", f"timestamp,A,B\n{low + 60},1.0,2.0\n{high - 60},1.5,2.5\n")
+        a, b = load_csv(path, tz_offsets={"A": 1, "B": -1})
+        assert a.timestamps.tolist() == [low, high - 120]
+        assert b.timestamps.tolist() == [low + 120, high]
+
     def test_load_serialize_load_idempotent(self, tmp_path):
         path = write(
             tmp_path, "p.csv",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -337,6 +338,21 @@ class TestEmission:
         document = minidom.parseString(render(matrix, "svg"))
         texts = {t.firstChild.data for t in document.getElementsByTagName("text")}
         assert {"S&P500", "<DAX>"} <= texts
+
+    @pytest.mark.parametrize("label", ["A\x01x", "\x00", "B\x1f", "C\ufffe", "D\uffff"])
+    def test_svg_refuses_labels_xml_cannot_carry(self, label):
+        values = np.array([[np.nan, 0.5], [0.2, np.nan]])
+        matrix = FlowMatrix(labels=("S&P500", label), values=values)
+        with pytest.raises(ValidationError, match=re.escape(f"label {label!r} holds a")):
+            render(matrix, "svg")
+
+    def test_svg_keeps_tab_and_newlines_in_labels(self):
+        from xml.dom import minidom
+
+        values = np.array([[np.nan, 0.5], [0.2, np.nan]])
+        matrix = FlowMatrix(labels=("A\tB", "C\u00e9\U0001d400"), values=values)
+        document = minidom.parseString(render(matrix, "svg"))
+        assert len(document.getElementsByTagName("text")) == 7
 
     def test_csv_round_trip_of_label_with_comma(self, tmp_path):
         values = np.array([[np.nan, 0.5], [0.25, np.nan]])

@@ -1,14 +1,17 @@
 """Surrogate generation and effective transfer entropy."""
 
 import math
+from dataclasses import fields
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iid_symbol_series, reference_block_shuffle
+from helpers import iid_symbol_series, reference_block_shuffle, reference_effective
 from renflow import (
+    EffectiveResult,
     HistorySpec,
     SurrogateSpec,
     SymbolSeries,
@@ -18,6 +21,7 @@ from renflow import (
     generate,
     make_surrogate,
 )
+from renflow.surrogate import effective_transfer_entropies
 
 H11 = HistorySpec(1, 1)
 
@@ -157,3 +161,52 @@ class TestEffectiveTransferEntropy:
             spec = SurrogateSpec(ensemble_size=10, rng_seed=trial)
             effectives.append(effective_transfer_entropy(x, y, H11, 1.0, spec).effective)
         assert abs(np.mean(effectives)) <= 0.005
+
+
+class TestRunPlanner:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(2, 4), min_size=2, max_size=3),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=2),
+        st.lists(st.sampled_from((0.5, 1.0, 1.5, 3.0)), min_size=1, max_size=3),
+        st.integers(30, 200), st.integers(0, 4), st.integers(1, 7), st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_replicas_equal_reference_loop(
+        self, alphabets, histories, orders, length, ensemble, block, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        series = [iid_symbol_series(rng, length, n, label=f"S{i}") for i, n in enumerate(alphabets)]
+        jobs = [(series[i], series[j], HistorySpec(m, l))
+                for i, j in permutations(range(len(series)), 2) for m, l in histories]
+        spec = SurrogateSpec(ensemble_size=ensemble, rng_seed=seed, block_length=block)
+        results = effective_transfer_entropies(jobs, orders, spec)
+        assert len(results) == len(jobs)
+        for (x, y, h), row in zip(jobs, results):
+            assert len(row) == len(orders)
+            for q, result in zip(orders, row):
+                raw, *_, replicas = reference_effective(x, y, h, q, spec)
+                assert result.raw.value == raw
+                assert result.replicas == replicas
+                assert len(result.replicas) == spec.ensemble_size
+        # no dependence on the order or the batching of the jobs
+        assert effective_transfer_entropies(jobs[::-1], orders, spec) == results[::-1]
+        cut = data.draw(st.integers(0, len(jobs)), label="cut")
+        split = (effective_transfer_entropies(jobs[:cut], orders, spec)
+                 + effective_transfer_entropies(jobs[cut:], orders, spec))
+        assert split == results
+
+    def test_result_keeps_raw_and_replicas_only(self):
+        assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas"]
+
+    def test_statistics_derive_from_replicas(self):
+        rng = np.random.default_rng(9)
+        x = iid_symbol_series(rng, 400, 3, label="x")
+        y = iid_symbol_series(rng, 400, 3, label="y")
+        result = effective_transfer_entropy(x, y, H11, 1.0, SurrogateSpec(ensemble_size=4))
+        values = result.replicas
+        mean = math.fsum(values) / 4
+        assert result.surrogate_mean == mean
+        assert result.surrogate_std == math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 3)
+        one = EffectiveResult(result.raw, values[:1])
+        assert (one.surrogate_mean, one.surrogate_std) == (values[0], 0.0)

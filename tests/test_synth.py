@@ -52,6 +52,20 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="at least 2"):
             make(1)
 
+    @pytest.mark.parametrize("make", [copy_spec, noisy_copy_spec, independent_spec])
+    def test_oversized_preset_alphabet_rejected(self, make):
+        # refused by the n**3 cell count before any array is allocated
+        with pytest.raises(ValidationError, match="alphabet 10000000 needs 10000000\\*\\*3 cells"):
+            make(10**7)
+
+    def test_oversized_oracle_alphabet_rejected(self):
+        # the preset's 65**3 cells pass; the pair chain's 65**4 do not
+        spec = independent_spec(65)
+        with pytest.raises(ValidationError, match="alphabet 65 needs 65\\*\\*4 cells"):
+            stationary_joint(spec)
+        with pytest.raises(ValidationError, match="alphabet 65 needs 65\\*\\*4 cells"):
+            exact_transfer_entropy(spec, 1.0)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         spec = random_spec(rng)

@@ -19,7 +19,6 @@ from renflow import (
     WordDistribution,
     count_words,
     renyi_transfer_entropy,
-    shannon_transfer_entropy,
 )
 
 LOG2_3 = math.log2(3)
@@ -70,7 +69,7 @@ class TestCountWords:
         words = count_words(x, y, HistorySpec(1, 1))
         x_words = {xw for (_, xw, _), _ in words.items()}
         assert x_words == {(2,)}
-        assert shannon_transfer_entropy(words).value == pytest.approx(0.0, abs=1e-15)
+        assert renyi_transfer_entropy(words, 1.0).value == pytest.approx(0.0, abs=1e-15)
 
     def test_window_count_formula(self):
         rng = np.random.default_rng(0)
@@ -99,7 +98,7 @@ class TestCountWords:
         words = count_words(x, y, HistorySpec(1, 2))
         assert words.target_alphabet == 2
         assert words.source_alphabet == 4
-        assert shannon_transfer_entropy(words).value <= 0.02
+        assert renyi_transfer_entropy(words, 1.0).value <= 0.02
         for (x_next, xw, yw), _ in words.items():
             assert 0 <= x_next < 2
             assert all(0 <= s < 2 for s in xw)
@@ -121,8 +120,8 @@ class TestCountWords:
         assert smoothed.n_windows == plain.n_windows + 8
         # smoothing pulls the estimate toward independence
         assert (
-            shannon_transfer_entropy(smoothed).value
-            <= shannon_transfer_entropy(plain).value
+            renyi_transfer_entropy(smoothed, 1.0).value
+            <= renyi_transfer_entropy(plain, 1.0).value
         )
 
     def test_pseudo_count_rejects_large_word_space(self):
@@ -203,25 +202,25 @@ class TestWordDistribution:
 
 class TestShannonTransferEntropy:
     def test_copy_process_exact(self):
-        value = shannon_transfer_entropy(copy_process_words()).value
+        value = renyi_transfer_entropy(copy_process_words(), 1.0).value
         assert value == pytest.approx(LOG2_3, abs=1e-12)
 
     def test_copy_process_reverse_is_zero(self):
-        value = shannon_transfer_entropy(copy_process_reverse_words()).value
+        value = renyi_transfer_entropy(copy_process_reverse_words(), 1.0).value
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_series_near_zero(self):
         rng = np.random.default_rng(5)
         x = iid_symbol_series(rng, 100_000, 3)
         y = iid_symbol_series(rng, 100_000, 3)
-        value = shannon_transfer_entropy(count_words(x, y, HistorySpec(1, 1))).value
+        value = renyi_transfer_entropy(count_words(x, y, HistorySpec(1, 1)), 1.0).value
         assert 0.0 <= value <= 0.01
 
     def test_non_negative_on_random_words(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             words = random_word_distribution(rng)
-            assert shannon_transfer_entropy(words).value >= -1e-12
+            assert renyi_transfer_entropy(words, 1.0).value >= -1e-12
 
     def test_zero_exactly_for_conditionally_independent_joint(self):
         # p(x', xw, yw) = p(x'|xw) p(xw, yw): the source word adds nothing
@@ -232,14 +231,14 @@ class TestShannonTransferEntropy:
             for x_next, c in enumerate(conditional[xw]):
                 counts[(x_next, (xw,), (yw,))] = c * w
         words = WordDistribution.from_counts(counts, 2, 2, 1, 1)
-        assert shannon_transfer_entropy(words).value == pytest.approx(0.0, abs=1e-12)
+        assert renyi_transfer_entropy(words, 1.0).value == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_for_coupled_joint(self):
         words = copy_process_words()
-        assert shannon_transfer_entropy(words).value > 1.0
+        assert renyi_transfer_entropy(words, 1.0).value > 1.0
 
     def test_result_metadata(self):
-        result = shannon_transfer_entropy(copy_process_words())
+        result = renyi_transfer_entropy(copy_process_words(), 1.0)
         assert result.q == 1.0
         assert (result.m, result.l) == (1, 1)
         assert result.n_windows == 9
@@ -261,14 +260,15 @@ class TestRenyiTransferEntropy:
         rng = np.random.default_rng(7)
         for _ in range(100):
             words = random_word_distribution(rng)
-            renyi = renyi_transfer_entropy(words, 1.0).value
-            assert renyi == shannon_transfer_entropy(words).value
+            shannon = renyi_transfer_entropy(words, 1.0).value
+            for q in (1, 1.0 - 1e-10, 1.0 + 1e-10):  # inside the Shannon window
+                assert renyi_transfer_entropy(words, q).value == shannon
 
     def test_continuity_just_off_q1(self):
         rng = np.random.default_rng(8)
         words = random_word_distribution(rng)
         near = renyi_transfer_entropy(words, 1.0 + 1e-10).value
-        shannon = shannon_transfer_entropy(words).value
+        shannon = renyi_transfer_entropy(words, 1.0).value
         assert near == pytest.approx(shannon, abs=1e-6)
 
     @pytest.mark.parametrize("q", (0.5, 2.0))
