@@ -67,7 +67,6 @@ from .synth import (
 )
 from .transfer import (
     HistorySpec,
-    TransferResult,
     WordDistribution,
     count_words,
     renyi_transfer_entropy,
@@ -91,7 +90,6 @@ __all__ = [
     "SurrogateSpec",
     "SweepTable",
     "SymbolSeries",
-    "TransferResult",
     "ValidationError",
     "WordDistribution",
     "align_many",

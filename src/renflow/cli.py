@@ -20,7 +20,9 @@ from pathlib import Path
 from . import __version__
 from .errors import ConvergenceError, ValidationError
 from .ingest import align_many, load_csv, reading, sha256_file
+from .infocore import RenyiOrder
 from .report import (
+    check_svg_labels,
     emit,
     m_sweep,
     net_flow,
@@ -126,23 +128,6 @@ def _manifest(args, command: str, parameters: dict, timings: dict | None = None)
     return payload
 
 
-def _effective_payload(result, spec: SurrogateSpec) -> dict:
-    return {
-        "direction": result.raw.direction,
-        "q": result.raw.q,
-        "m": result.raw.m,
-        "l": result.raw.l,
-        "n_windows": result.raw.n_windows,
-        "raw_bits": result.raw.value,
-        "surrogate_mean_bits": result.surrogate_mean,
-        "surrogate_std_bits": result.surrogate_std,
-        "effective_bits": result.effective,
-        "surrogate_method": spec.method,
-        "surrogate_ensemble": spec.ensemble_size,
-        "seed": spec.rng_seed,
-    }
-
-
 # -- subcommand implementations -----------------------------------------------
 
 def _cmd_symbolize(args) -> None:
@@ -176,14 +161,31 @@ def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
 def _cmd_te(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
+    order = RenyiOrder.coerce(args.q)
     spec = _surrogate_spec(args)
-    result = effective_transfer_entropy(target, source, h, args.q, spec)
-    emit(_effective_payload(result, spec), args.out, "json")
+    result = effective_transfer_entropy(target, source, h, order, spec)
+    payload = {
+        "direction": f"{source.label}->{target.label}",
+        "q": 1.0 if order.is_shannon else order.q,
+        "m": h.m,
+        "l": h.l,
+        "n_windows": result.n_windows,
+        "raw_bits": result.raw,
+        "surrogate_mean_bits": result.surrogate_mean,
+        "surrogate_std_bits": result.surrogate_std,
+        "effective_bits": result.effective,
+        "surrogate_method": spec.method,
+        "surrogate_ensemble": spec.ensemble_size,
+        "seed": spec.rng_seed,
+    }
+    emit(payload, args.out, "json")
 
 
 def _cmd_matrix(args) -> None:
     started = time.perf_counter()
     symbols, info = _load_aligned_symbols(args, args.labels)
+    if args.format == "svg":
+        check_svg_labels(s.label for s in symbols)
     h = HistorySpec(args.m, args.l)
     spec = _surrogate_spec(args)
     timing_sink = {} if args.timings else None

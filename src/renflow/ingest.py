@@ -72,7 +72,8 @@ def load_csv(
     omitted from that column's series only.  `tz_offsets` maps value
     columns to clock offsets in minutes ahead of the reference clock;
     offsets are subtracted so all output timestamps share the reference
-    clock.  Repeated labels and offsets for other labels are rejected.
+    clock.  Blank or repeated labels and offsets for other labels are
+    rejected.
 
     The header is read with `csv`.  The body has two parse paths: numpy's
     C reader (`np.loadtxt`) takes the whole body at once, and where numpy
@@ -100,6 +101,11 @@ def load_csv(
         for label in labels:
             if label not in file_labels:
                 raise MalformedHeaderError(f"{path}: no {label!r} value column in header")
+            if not label:
+                raise MalformedHeaderError(
+                    f"{path}: the value column at header position {header.index(label) + 1} "
+                    "has a blank label"
+                )
             if labels.count(label) > 1:
                 raise ValidationError(f"{path}: column {label!r} is named more than once")
         for label in offsets:

@@ -22,7 +22,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +98,11 @@ class NetFlowMatrix:
 @dataclass(frozen=True)
 class SweepTable:
     """Rows of a q- or m-sweep over one ordered pair: a (parameter value,
-    result) pair for Y -> X, then one for X -> Y, at each value."""
+    source label, target label, result) row for Y -> X, then one for
+    X -> Y, at each value."""
 
     param_name: str
-    rows: tuple[tuple[float, EffectiveResult], ...]
+    rows: tuple[tuple[float, str, str, EffectiveResult], ...]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -167,10 +168,11 @@ def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
     """Rows in both directions for every (value, history, order) setting,
     from one planner call over the distinct histories and orders.
 
-    A FiniteSampleWarning is raised whenever a setting leaves fewer than
+    Rows name an unlabeled target "X" and an unlabeled source "Y".  A
+    FiniteSampleWarning is raised whenever a setting leaves fewer than
     `min_windows` windows.
     """
-    x, y = (s if s.label else replace(s, label=name) for s, name in ((x, "X"), (y, "Y")))
+    x_label, y_label = x.label or "X", y.label or "Y"
     settings = list(settings)
     histories = list(dict.fromkeys(h for _, h, _ in settings))
     orders = list(dict.fromkeys(order for _, _, order in settings))
@@ -181,8 +183,9 @@ def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
     rows = []
     for value, h, order in settings:
         k, i = 2 * histories.index(h), orders.index(order)
-        rows += [(float(value), results[k][i]), (float(value), results[k + 1][i])]
-        n_windows = results[k][i].raw.n_windows
+        rows += [(float(value), y_label, x_label, results[k][i]),
+                 (float(value), x_label, y_label, results[k + 1][i])]
+        n_windows = results[k][i].n_windows
         if n_windows < min_windows:
             warnings.warn(
                 f"{param_name}={value} leaves only {n_windows} windows "
@@ -256,16 +259,15 @@ _SWEEP_FIELDS = ("source", "target", "raw", "surrogate_mean", "surrogate_std",
                  "effective", "n_windows")
 
 
-def _sweep_fields(r: EffectiveResult) -> tuple:
-    """The values of `_SWEEP_FIELDS` for one result."""
-    return (r.raw.source, r.raw.target, r.raw.value, r.surrogate_mean, r.surrogate_std,
-            r.effective, r.raw.n_windows)
+def _sweep_fields(source: str, target: str, r: EffectiveResult) -> tuple:
+    """The values of `_SWEEP_FIELDS` for one row."""
+    return (source, target, r.raw, r.surrogate_mean, r.surrogate_std, r.effective, r.n_windows)
 
 
 def _sweep_rows(table: SweepTable) -> list:
     rows = [[table.param_name, *_SWEEP_FIELDS]]
-    for value, r in table.rows:
-        source, target, *bits, n_windows = _sweep_fields(r)
+    for value, *row in table.rows:
+        source, target, *bits, n_windows = _sweep_fields(*row)
         param = _fmt(value) if table.param_name == "q" else int(value)
         rows.append([param, source, target, *map(_fmt, bits), n_windows])
     return rows
@@ -276,8 +278,8 @@ def _sweep_payload(table: SweepTable) -> dict:
         "kind": f"{table.param_name}_sweep",
         "params": table.params,
         "rows": [
-            {table.param_name: value, **dict(zip(_SWEEP_FIELDS, _sweep_fields(r)))}
-            for value, r in table.rows
+            {table.param_name: value, **dict(zip(_SWEEP_FIELDS, _sweep_fields(*row)))}
+            for value, *row in table.rows
         ],
     }
 
@@ -309,10 +311,15 @@ def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
     return _lerp_color(_WHITE, _HIGH, (value - lo) / span)
 
 
-def _matrix_svg(matrix, diverging: bool) -> str:
-    for label in matrix.labels:
+def check_svg_labels(labels) -> None:
+    """Refuse a label holding a character that XML 1.0, and so SVG, cannot carry."""
+    for label in labels:
         if _NOT_XML.search(label):
             raise ValidationError(f"label {label!r} holds a character that SVG cannot carry")
+
+
+def _matrix_svg(matrix, diverging: bool) -> str:
+    check_svg_labels(matrix.labels)
     labels = [html.escape(label, quote=False) for label in matrix.labels]
     n = len(labels)
     cell = 42

@@ -24,12 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .infocore import RenyiOrder
 from .symbolize import SymbolSeries
-from .transfer import (
-    HistorySpec,
-    TransferResult,
-    count_words,
-    renyi_transfer_entropy,
-)
+from .transfer import HistorySpec, count_words, renyi_transfer_entropy
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,16 @@ class SurrogateSpec:
 
 @dataclass(frozen=True)
 class EffectiveResult:
-    """Raw transfer entropy and the transfer entropy of each surrogate replica.
+    """Raw transfer entropy and the transfer entropy of each surrogate replica,
+    in bits, and the raw pair's window count.
 
     `replicas` holds the surrogate values in replica order; the ensemble
     statistics and the effective value are computed from them.
     """
 
-    raw: TransferResult
+    raw: float
     replicas: tuple[float, ...]
+    n_windows: int
 
     @property
     def surrogate_mean(self) -> float:
@@ -93,11 +90,12 @@ class EffectiveResult:
 
     @property
     def effective(self) -> float:
-        return self.raw.value - self.surrogate_mean
+        return self.raw - self.surrogate_mean
 
 
 def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> SymbolSeries:
-    """Shuffled copy of the source series for one ensemble replica.
+    """Shuffled copy of the source series for one ensemble replica, under
+    the source's label.
 
     The source's blocks of `spec.block_length` symbols are put in random
     order; a shorter trailing block is kept so the histogram is preserved
@@ -107,17 +105,13 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     """
     rng = np.random.default_rng([spec.rng_seed, int(replica_index)])
     block, n = spec.block_length, len(y)
-    if block == 1:
-        shuffled = rng.permutation(y.symbols)  # the block rule at B = 1, drawn faster
-    elif block >= n:
+    if block > 1 and block >= n:
         raise ValidationError(
             f"surrogate block of {block} symbols cannot shuffle series {y.label or 'Y'!r} "
             f"of length {n}"
         )
-    else:
-        index = (rng.permutation(-(-n // block))[:, None] * block + np.arange(block)).ravel()
-        shuffled = y.symbols[index[index < n]]
-    return replace(y, symbols=shuffled, label=f"{y.label or 'Y'}~surrogate{replica_index}")
+    index = (rng.permutation(-(-n // block))[:, None] * block + np.arange(block)).ravel()
+    return replace(y, symbols=y.symbols[index[index < n]])
 
 
 def effective_transfer_entropies(
@@ -138,7 +132,8 @@ def effective_transfer_entropies(
     """
     orders = [RenyiOrder.coerce(q) for q in orders]
     sources = {id(y): y for _, y, _ in jobs}
-    runs = [[] for _ in jobs]  # per job: the raw results, then each replica's values
+    runs = [[] for _ in jobs]  # per job: the raw values, then each replica's values
+    n_windows = [0] * len(jobs)
     seconds = [0.0] * len(jobs)
     for replica in [None, *range(spec.ensemble_size)]:
         if replica is not None:
@@ -147,18 +142,19 @@ def effective_transfer_entropies(
             started = time.perf_counter()
             try:
                 words = count_words(x, y if replica is None else shuffled[id(y)], h)
-                results = [renyi_transfer_entropy(words, order) for order in orders]
+                runs[k].append([renyi_transfer_entropy(words, order) for order in orders])
             except ValidationError as exc:
                 pair = f"{y.label or 'Y'}->{x.label or 'X'}"
                 raise ValidationError(f"pair {pair} failed: {exc}") from exc
             seconds[k] += time.perf_counter() - started
-            runs[k].append(results if replica is None else [r.value for r in results])
+            if replica is None:
+                n_windows[k] = words.n_windows
     if timing_sink is not None:
         timing_sink.extend(seconds)
     return [
-        [EffectiveResult(raw, tuple(values[i] for values in replicas))
+        [EffectiveResult(raw, tuple(values[i] for values in replicas), windows)
          for i, raw in enumerate(first)]
-        for first, *replicas in runs
+        for (first, *replicas), windows in zip(runs, n_windows)
     ]
 
 

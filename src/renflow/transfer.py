@@ -57,23 +57,6 @@ class HistorySpec:
             raise ValidationError(f"history lengths must be >= 1, got m={self.m}, l={self.l}")
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """A single transfer entropy value with the parameters that produced it."""
-
-    value: float
-    q: float
-    m: int
-    l: int
-    n_windows: int
-    source: str
-    target: str
-
-    @property
-    def direction(self) -> str:
-        return f"{self.source}->{self.target}"
-
-
 @dataclass
 class WordDistribution:
     """Empirical counts of (next target symbol, target word, source word).
@@ -90,8 +73,6 @@ class WordDistribution:
     source_alphabet: int
     m: int
     l: int
-    target_label: str = "X"
-    source_label: str = "Y"
 
     def __post_init__(self):
         codes = np.array(self.codes, dtype=np.int64)
@@ -129,8 +110,6 @@ class WordDistribution:
         source_alphabet: int,
         m: int,
         l: int,
-        target_label: str = "X",
-        source_label: str = "Y",
     ) -> "WordDistribution":
         """Build from an explicit {(x_next, x_word, y_word): count} map.
 
@@ -159,8 +138,6 @@ class WordDistribution:
             source_alphabet=source_alphabet,
             m=m,
             l=l,
-            target_label=target_label,
-            source_label=source_label,
         )
 
     def items(self):
@@ -256,12 +233,10 @@ def count_words(
         source_alphabet=y.alphabet_size,
         m=h.m,
         l=h.l,
-        target_label=x.label or "X",
-        source_label=y.label or "Y",
     )
 
 
-def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
+def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     """Order-q transfer entropy S_q(X'|XW) - S_q(X'|XW,YW), in bits.
 
     Both conditional entropies come from the grouped word counts.  At
@@ -282,20 +257,10 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> TransferResult:
             - np.log2(both_counts[both_inv])
             - np.log2(fx_counts[fx_inv])
         )
-        value = math.fsum(((w.counts / total) * log_ratio).tolist())
-    else:
-        xh_of_fx = np.arange(fx_counts.size) // w.target_alphabet
-        target_only = _conditional_renyi(fx_counts / total, xh_of_fx, order.q)
-        value = target_only - _conditional_renyi(w.counts / total, both_inv, order.q)
-    return TransferResult(
-        value=value,
-        q=1.0 if order.is_shannon else order.q,
-        m=w.m,
-        l=w.l,
-        n_windows=total,
-        source=w.source_label,
-        target=w.target_label,
-    )
+        return math.fsum(((w.counts / total) * log_ratio).tolist())
+    xh_of_fx = np.arange(fx_counts.size) // w.target_alphabet
+    target_only = _conditional_renyi(fx_counts / total, xh_of_fx, order.q)
+    return target_only - _conditional_renyi(w.counts / total, both_inv, order.q)
 
 
 def _conditional_renyi(probs: np.ndarray, condition: np.ndarray, q: float) -> float:

@@ -146,7 +146,7 @@ def lag2_xor_word_distribution(flip_numerator: int = 1, flip_denominator: int = 
 
 def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     """Convenience: count words and return the order-q transfer entropy value."""
-    return renyi_transfer_entropy(count_words(x, y, HistorySpec(m, l)), q).value
+    return renyi_transfer_entropy(count_words(x, y, HistorySpec(m, l)), q)
 
 
 def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = False) -> float:
@@ -219,16 +219,17 @@ def reference_effective(x: SymbolSeries, y: SymbolSeries, h: HistorySpec, q, spe
     """(raw, surrogate mean, surrogate std, effective, windows, replica values)
     of one pair at one order, counting the raw pair and then every replica
     on its own."""
-    raw = renyi_transfer_entropy(count_words(x, y, h), q)
+    words = count_words(x, y, h)
+    raw = renyi_transfer_entropy(words, q)
     values = [
-        renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), q).value
+        renyi_transfer_entropy(count_words(x, make_surrogate(y, spec, replica), h), q)
         for replica in range(spec.ensemble_size)
     ]
     mean = math.fsum(values) / len(values) if values else 0.0
     std = 0.0
     if len(values) > 1:
         std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
-    return raw.value, mean, std, raw.value - mean, raw.n_windows, tuple(values)
+    return raw, mean, std, raw - mean, words.n_windows, tuple(values)
 
 
 def reference_matrix(series: list[SymbolSeries], h: HistorySpec, q, spec) -> np.ndarray:

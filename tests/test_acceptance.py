@@ -79,9 +79,9 @@ def test_criterion_2_continuity_at_shannon_order():
     worst = 0.0
     for _ in range(100):
         words = random_word_distribution(rng)
-        shannon = renyi_transfer_entropy(words, 1.0).value
+        shannon = renyi_transfer_entropy(words, 1.0)
         for q in (1.0 + 1e-4, 1.0 - 1e-4):
-            delta = abs(renyi_transfer_entropy(words, q).value - shannon)
+            delta = abs(renyi_transfer_entropy(words, q) - shannon)
             worst = max(worst, delta)
             assert delta <= 1e-3
     elapsed = time.perf_counter() - started
@@ -112,11 +112,11 @@ def test_criterion_4_copy_process_exactness():
         {(yn, (y,), (x,)): 1 for yn in range(3) for y in range(3) for x in range(3)},
         3, 3, 1, 1,
     )
-    assert abs(renyi_transfer_entropy(forward, 1.0).value - LOG2_3) < 1e-12
+    assert abs(renyi_transfer_entropy(forward, 1.0) - LOG2_3) < 1e-12
     for q in (0.5, 0.8, 1.0, 1.5):
-        assert abs(renyi_transfer_entropy(forward, q).value - LOG2_3) < 1e-12
-        assert abs(renyi_transfer_entropy(reverse, q).value) < 1e-12
-    assert abs(renyi_transfer_entropy(reverse, 1.0).value) < 1e-12
+        assert abs(renyi_transfer_entropy(forward, q) - LOG2_3) < 1e-12
+        assert abs(renyi_transfer_entropy(reverse, q)) < 1e-12
+    assert abs(renyi_transfer_entropy(reverse, 1.0)) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     report(4, elapsed, 1, "analytic copy process: STE = RTE = log2(3), reverse = 0")
@@ -131,7 +131,7 @@ def test_criterion_5_oracle_convergence():
     hand = 1.0 + 0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)
     assert abs(exact - hand) <= 1e-12
     x, y = generate(spec, 10**6, seed=2024)
-    estimated = renyi_transfer_entropy(count_words(x, y, HistorySpec(1, 1)), 1.0).value
+    estimated = renyi_transfer_entropy(count_words(x, y, HistorySpec(1, 1)), 1.0)
     assert abs(estimated - exact) <= 5e-3
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -164,7 +164,7 @@ def test_criterion_7_memory_plateau():
     # exact order-2 ground truth, confirmed against the enumeration oracle
     oracle_words = lag2_xor_word_distribution(1, 4)
     plateau = lag2_xor_exact_te(q, flip, m=2)
-    assert abs(renyi_transfer_entropy(oracle_words, q).value - plateau) <= 1e-12
+    assert abs(renyi_transfer_entropy(oracle_words, q) - plateau) <= 1e-12
 
     rng = np.random.default_rng(9000)
     x, y = lag2_xor_series(rng, 50_000, flip)
@@ -172,7 +172,7 @@ def test_criterion_7_memory_plateau():
     for m in (1, 2, 3):
         spec = SurrogateSpec(ensemble_size=20, rng_seed=0)
         results[m] = effective_transfer_entropy(x, y, HistorySpec(m, m), q, spec)
-    rte = {m: r.raw.value for m, r in results.items()}
+    rte = {m: r.raw for m, r in results.items()}
     assert rte[1] < rte[2]
     # noise band: the full surrogate TE magnitude at the finer partition
     band = results[3].surrogate_mean + 3 * results[3].surrogate_std

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import renflow.surrogate
 from renflow import synth
 from renflow.cli import build_parser, main
 
@@ -210,6 +211,27 @@ class TestTe:
         ])
         assert code == 2
         assert "q=300" in capsys.readouterr().err
+
+    def test_order_within_the_shannon_window_is_written_as_one(self, synth_csv, capsys):
+        argv = [str(synth_csv) if a == "@synth.csv" else a for a in TE_SYNTH]
+        payloads = []
+        for q in ("1", "1.0000000005"):
+            assert main([*argv, "--q", q]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1]["q"] == 1.0
+        assert payloads[1] == payloads[0]
+
+    @pytest.mark.parametrize("argv", [["te", "--source", "", "--target", "Y"], ["matrix"]],
+                             ids=["te", "matrix"])
+    def test_blank_value_label_is_reported(self, tmp_path, capsys, argv):
+        path = tmp_path / "blank.csv"
+        rows = "".join(f"{t},{100 + t % 7},{50 - t % 5}\n" for t in range(60))
+        path.write_text("timestamp,,Y\n" + rows, encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([*argv, "--data", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: the value column at header position 2 has a blank label\n"
+        assert not out.exists()
 
     def test_missing_file_is_reported(self, capsys, tmp_path):
         code = main([
@@ -440,6 +462,19 @@ class TestMatrixAndNetflow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "label 'A\\x01x' holds a character" in err
         assert not out.exists()
+
+    def test_svg_label_is_checked_before_any_estimate(self, tmp_path, capsys, monkeypatch):
+        calls, count_words = [], renflow.surrogate.count_words
+        monkeypatch.setattr(renflow.surrogate, "count_words",
+                            lambda *a: calls.append(a) or count_words(*a))
+        path = tmp_path / "prices.csv"
+        rows = "".join(f"{t},{100 + t % 7},{50 - t % 5}\n" for t in range(60))
+        path.write_text("timestamp,A\x01x,B\n" + rows, encoding="utf-8")
+        out = tmp_path / "flow.svg"
+        argv = ["matrix", "--data", str(path), "--out", str(out), "--format", "svg"]
+        assert main(argv) == 2
+        assert "label 'A\\x01x' holds a character" in capsys.readouterr().err
+        assert calls == []
 
     def test_tz_offset_past_int64_is_reported(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"

@@ -85,6 +85,22 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="column 'A' is named more than once"):
             load_csv(path, value_columns=columns)
 
+    @pytest.mark.parametrize("header, columns, position", [
+        ("timestamp,,B", None, 2),
+        ("A,timestamp, ", ["A", ""], 3),
+    ], ids=["all-columns", "selected-whitespace"])
+    def test_blank_label_rejected(self, tmp_path, header, columns, position):
+        path = write(tmp_path, "p.csv", f"{header}\n1,2.0,3.0\n2,2.5,3.5\n")
+        with pytest.raises(MalformedHeaderError) as info:
+            load_csv(path, value_columns=columns)
+        message = f"{path}: the value column at header position {position} has a blank label"
+        assert str(info.value) == message
+
+    def test_blank_label_of_an_unselected_column_allowed(self, tmp_path):
+        path = write(tmp_path, "p.csv", "timestamp,,B\n1,2.0,3.0\n2,2.5,3.5\n")
+        (series,) = load_csv(path, value_columns=["B"])
+        assert (series.label, series.values.tolist()) == ("B", [3.0, 3.5])
+
     @pytest.mark.parametrize("label", ["AA", "timestamp"])
     def test_offset_for_unknown_column_rejected(self, tmp_path, label):
         path = write(tmp_path, "p.csv", "timestamp,A,B\n1,2.0,3.0\n")

@@ -1,6 +1,15 @@
-"""The public namespace: every exported name resolves."""
+"""The public namespace: every exported name resolves, and the README's
+library example runs."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
 
 import renflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
@@ -13,3 +22,17 @@ def test_star_import():
     namespace = {}
     exec("from renflow import *", namespace)
     assert set(renflow.__all__) <= set(namespace)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    rng = np.random.default_rng(3)
+    prices = 100 + np.cumsum(rng.normal(0, 1.0, size=(2, 4000)), axis=1)
+    np.savetxt(tmp_path / "a.txt", prices[0])
+    np.savetxt(tmp_path / "b.txt", prices[1])
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    bits, windows, replicas = capsys.readouterr().out.splitlines()
+    assert len([float(v) for v in bits.split()]) == 3
+    assert int(windows) == 398
+    assert len(ast.literal_eval(replicas)) == 20

@@ -81,7 +81,7 @@ class TestMakeSurrogate:
         if block == 1:
             plain = np.random.default_rng([seed, replica]).permutation(y.symbols)
             np.testing.assert_array_equal(out.symbols, plain)
-        assert out.label == f"y~surrogate{replica}"
+        assert out.label == y.label
         assert (out.alphabet_size, out.block_size) == (y.alphabet_size, y.block_size)
 
     @pytest.mark.parametrize("block, method", [(1, "permutation"), (2, "block-permutation")])
@@ -105,7 +105,7 @@ class TestEffectiveTransferEntropy:
         x = iid_symbol_series(rng, 5000, 3, label="x")
         y = iid_symbol_series(rng, 5000, 3, label="y")
         result = effective_transfer_entropy(x, y, H11, 1.0, SurrogateSpec(ensemble_size=0))
-        assert result.effective == result.raw.value
+        assert result.effective == result.raw
         assert result.surrogate_mean == 0.0
         assert result.surrogate_std == 0.0
 
@@ -130,7 +130,7 @@ class TestEffectiveTransferEntropy:
         x, _ = generate(copy_spec(3), 10_000, seed=17)
         spec = SurrogateSpec(ensemble_size=20, rng_seed=19)
         result = effective_transfer_entropy(x, x, H11, 0.8, spec)
-        assert result.raw.value == pytest.approx(0.0, abs=1e-12)
+        assert result.raw == pytest.approx(0.0, abs=1e-12)
         assert abs(result.effective) <= 0.01
 
     def test_bit_reproducible_under_seed(self):
@@ -140,7 +140,7 @@ class TestEffectiveTransferEntropy:
         spec = SurrogateSpec(ensemble_size=10, rng_seed=21)
         a = effective_transfer_entropy(x, y, H11, 1.5, spec)
         b = effective_transfer_entropy(x, y, H11, 1.5, spec)
-        assert a.raw.value == b.raw.value
+        assert a.raw == b.raw
         assert a.surrogate_mean == b.surrogate_mean
         assert a.surrogate_std == b.surrogate_std
         assert a.effective == b.effective
@@ -150,7 +150,7 @@ class TestEffectiveTransferEntropy:
         x = iid_symbol_series(rng, 2000, 2, label="x")
         y = iid_symbol_series(rng, 2000, 2, label="y")
         result = effective_transfer_entropy(x, y, H11, 1.0, SurrogateSpec(ensemble_size=5))
-        assert result.effective == result.raw.value - result.surrogate_mean
+        assert result.effective == result.raw - result.surrogate_mean
 
     def test_null_calibration_over_trials(self):
         rng = np.random.default_rng(8)
@@ -185,9 +185,10 @@ class TestRunPlanner:
         for (x, y, h), row in zip(jobs, results):
             assert len(row) == len(orders)
             for q, result in zip(orders, row):
-                raw, *_, replicas = reference_effective(x, y, h, q, spec)
-                assert result.raw.value == raw
+                raw, *_, windows, replicas = reference_effective(x, y, h, q, spec)
+                assert result.raw == raw
                 assert result.replicas == replicas
+                assert result.n_windows == windows
                 assert len(result.replicas) == spec.ensemble_size
         # no dependence on the order or the batching of the jobs
         assert effective_transfer_entropies(jobs[::-1], orders, spec) == results[::-1]
@@ -196,8 +197,8 @@ class TestRunPlanner:
                  + effective_transfer_entropies(jobs[cut:], orders, spec))
         assert split == results
 
-    def test_result_keeps_raw_and_replicas_only(self):
-        assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas"]
+    def test_result_fields_are_raw_replicas_and_windows(self):
+        assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas", "n_windows"]
 
     def test_statistics_derive_from_replicas(self):
         rng = np.random.default_rng(9)
@@ -208,5 +209,5 @@ class TestRunPlanner:
         mean = math.fsum(values) / 4
         assert result.surrogate_mean == mean
         assert result.surrogate_std == math.sqrt(math.fsum((v - mean) ** 2 for v in values) / 3)
-        one = EffectiveResult(result.raw, values[:1])
+        one = EffectiveResult(result.raw, values[:1], result.n_windows)
         assert (one.surrogate_mean, one.surrogate_std) == (values[0], 0.0)
