@@ -19,7 +19,6 @@ from .errors import (
 from .infocore import (
     DiscreteDistribution,
     JointDistribution,
-    RenyiOrder,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -86,7 +85,6 @@ __all__ = [
     "NetFlowMatrix",
     "NonAscendingTimestampsError",
     "RawSeries",
-    "RenyiOrder",
     "SurrogateSpec",
     "SweepTable",
     "SymbolSeries",

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConvergenceError, ValidationError
 from .ingest import align_many, load_csv, reading, sha256_file
-from .infocore import RenyiOrder
+from .infocore import _order
 from .report import (
     check_svg_labels,
     emit,
@@ -161,12 +161,12 @@ def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
 def _cmd_te(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
-    order = RenyiOrder.coerce(args.q)
+    q = _order(args.q)
     spec = _surrogate_spec(args)
-    result = effective_transfer_entropy(target, source, h, order, spec)
+    result = effective_transfer_entropy(target, source, h, q, spec)
     payload = {
         "direction": f"{source.label}->{target.label}",
-        "q": 1.0 if order.is_shannon else order.q,
+        "q": q,
         "m": h.m,
         "l": h.l,
         "n_windows": result.n_windows,
@@ -176,6 +176,7 @@ def _cmd_te(args) -> None:
         "effective_bits": result.effective,
         "surrogate_method": spec.method,
         "surrogate_ensemble": spec.ensemble_size,
+        "surrogate_block": spec.block_length,
         "seed": spec.rng_seed,
     }
     emit(payload, args.out, "json")
@@ -187,9 +188,10 @@ def _cmd_matrix(args) -> None:
     if args.format == "svg":
         check_svg_labels(s.label for s in symbols)
     h = HistorySpec(args.m, args.l)
+    q = _order(args.q)
     spec = _surrogate_spec(args)
     timing_sink = {} if args.timings else None
-    matrix = pairwise_matrix(symbols, h, args.q, spec, timing_sink)
+    matrix = pairwise_matrix(symbols, h, q, spec, timing_sink)
     out = emit(matrix, args.out, args.format)
     params = {
         "labels": list(matrix.labels),
@@ -200,10 +202,12 @@ def _cmd_matrix(args) -> None:
         "pre_symbolized": args.pre_symbolized,
         "m": args.m,
         "l": args.l,
-        "q": args.q,
+        "q": q,
         "surrogates": args.surrogates,
         "surrogate_method": spec.method,
+        "surrogate_block": spec.block_length,
         "seed": args.seed,
+        "timestamp_column": args.timestamp_column,
         "output": out.name,
         "alignment": info,
     }
@@ -260,8 +264,9 @@ def _cmd_gen_synth(args) -> None:
 
 def _cmd_oracle(args) -> None:
     spec = _load_process_spec(args)
-    value = exact_transfer_entropy(spec, args.q)
-    payload = {"direction": "source->target", "q": args.q, "m": 1, "l": 1,
+    q = _order(args.q)
+    value = exact_transfer_entropy(spec, q)
+    payload = {"direction": "source->target", "q": q, "m": 1, "l": 1,
                "transfer_entropy_bits": value}
     emit(payload, args.out, "json")
 

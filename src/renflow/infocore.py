@@ -32,30 +32,19 @@ from .errors import ValidationError
 # than this are rejected, never silently renormalized.
 PROB_TOL = 1e-12
 
-# |q - 1| below this routes to the closed-form Shannon expressions
-# instead of evaluating the 1/(1-q) prefactor.
+# |q - 1| below this is the Shannon order q = 1, evaluated by the
+# closed-form Shannon expressions instead of the 1/(1-q) prefactor.
 SHANNON_WINDOW = 1e-9
 
 
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Order q of the Renyi entropy family; q = 1 selects Shannon."""
-
-    q: float
-
-    def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q) or q <= 0.0:
-            raise ValidationError(f"Renyi order must be a positive real, got {self.q!r}")
-        object.__setattr__(self, "q", q)
-
-    @property
-    def is_shannon(self) -> bool:
-        return abs(self.q - 1.0) < SHANNON_WINDOW
-
-    @classmethod
-    def coerce(cls, value: "RenyiOrder | float") -> "RenyiOrder":
-        return value if isinstance(value, cls) else cls(float(value))
+def _order(q) -> float:
+    """Renyi order q as a float, checked positive and finite; exactly 1.0
+    (Shannon) within SHANNON_WINDOW of 1, so every caller evaluates and
+    records an order in that window as q = 1."""
+    value = float(q)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValidationError(f"Renyi order must be a positive real, got {q!r}")
+    return 1.0 if abs(value - 1.0) < SHANNON_WINDOW else value
 
 
 def _as_prob_array(values, ndim=None) -> np.ndarray:
@@ -147,17 +136,17 @@ def entropy(dist, q) -> float:
     dist : DiscreteDistribution or array-like
         Probability vector (or tensor: any valid joint is accepted and
         treated as a distribution over its flattened cells).
-    q : RenyiOrder or float
-        Positive order; values within 1e-9 of 1 use the Shannon branch.
+    q : float
+        Positive order; values within 1e-9 of 1 are q = 1, the Shannon branch.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     if isinstance(dist, JointDistribution):
         probs = dist.probs
     else:
         probs = DiscreteDistribution.coerce(dist).probs
-    if order.is_shannon:
+    if q == 1.0:
         return _shannon_bits(probs)
-    return math.log2(_power_sum(probs, order.q)) / (1.0 - order.q)
+    return math.log2(_power_sum(probs, q)) / (1.0 - q)
 
 
 def escort(dist, q) -> DiscreteDistribution:
@@ -166,12 +155,12 @@ def escort(dist, q) -> DiscreteDistribution:
     Raising to q > 1 emphasizes probable symbols, q < 1 emphasizes rare
     ones; q = 1 returns the input unchanged.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     d = DiscreteDistribution.coerce(dist)
-    if order.is_shannon:
+    if q == 1.0:
         return d
-    powered = np.where(d.probs > 0.0, np.power(d.probs, order.q), 0.0)
-    return DiscreteDistribution(powered / _power_sum(d.probs, order.q))
+    powered = np.where(d.probs > 0.0, np.power(d.probs, q), 0.0)
+    return DiscreteDistribution(powered / _power_sum(d.probs, q))
 
 
 def conditional_entropy(joint, q) -> float:
@@ -185,16 +174,16 @@ def conditional_entropy(joint, q) -> float:
     the Shannon identity H(X | Y) = H(X, Y) - H(Y) so that the chain
     rule is an arithmetic identity there too.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     j = JointDistribution.coerce(joint)
     if j.probs.ndim != 2:
         raise ValidationError("conditional_entropy expects a two-variable joint")
     cond_marginal = j.probs.sum(axis=0)
-    if order.is_shannon:
+    if q == 1.0:
         return _shannon_bits(j.probs) - _shannon_bits(cond_marginal)
-    num = _power_sum(j.probs, order.q)
-    den = _power_sum(cond_marginal, order.q)
-    return (math.log2(num) - math.log2(den)) / (1.0 - order.q)
+    num = _power_sum(j.probs, q)
+    den = _power_sum(cond_marginal, q)
+    return (math.log2(num) - math.log2(den)) / (1.0 - q)
 
 
 def mutual_information(joint, q) -> float:
@@ -204,14 +193,14 @@ def mutual_information(joint, q) -> float:
     orders it can be negative, signalling that conditioning reweights
     the distribution against the sector that order emphasizes.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     j = JointDistribution.coerce(joint)
     if j.probs.ndim != 2:
         raise ValidationError("mutual_information expects a two-variable joint")
     return (
-        entropy(j.marginal(0), order)
-        + entropy(j.marginal(1), order)
-        - entropy(j, order)
+        entropy(j.marginal(0), q)
+        + entropy(j.marginal(1), q)
+        - entropy(j, q)
     )
 
 
@@ -222,14 +211,14 @@ def conditional_mutual_information(joint, q) -> float:
     conditioning one.  Evaluates S_q(X | Z) - S_q(X | Y, Z) with the
     pair (Y, Z) flattened into a single conditioning variable.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     j = JointDistribution.coerce(joint)
     if j.probs.ndim != 3:
         raise ValidationError("conditional_mutual_information expects a three-variable joint")
     nx = j.probs.shape[0]
     joint_xz = j.probs.sum(axis=1)
     joint_x_yz = j.probs.reshape(nx, -1)
-    return conditional_entropy(joint_xz, order) - conditional_entropy(joint_x_yz, order)
+    return conditional_entropy(joint_xz, q) - conditional_entropy(joint_x_yz, q)
 
 
 def entropy_gain(prior, posterior, q) -> float:
@@ -240,11 +229,11 @@ def entropy_gain(prior, posterior, q) -> float:
     zero or positive, because the two orders price the head and tail of
     the distribution differently.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     before = DiscreteDistribution.coerce(prior)
     after = DiscreteDistribution.coerce(posterior)
     if before.size != after.size:
         raise ValidationError(
             f"prior and posterior lengths differ ({before.size} vs {after.size})"
         )
-    return entropy(before, order) - entropy(after, order)
+    return entropy(before, q) - entropy(after, q)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .infocore import RenyiOrder
+from .infocore import _order
 from .ingest import reading
 from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
 from .symbolize import SymbolSeries
@@ -131,12 +131,12 @@ def pairwise_matrix(
     labels = tuple(s.label or f"series{i}" for i, s in enumerate(series))
     if len(set(labels)) != len(labels):
         raise ValidationError(f"series labels must be unique, got {labels}")
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     n = len(series)
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]  # (target, source)
     seconds = [] if timing_sink is not None else None
     results = effective_transfer_entropies(
-        [(series[i], series[j], h) for i, j in cells], [order], spec, seconds
+        [(series[i], series[j], h) for i, j in cells], [q], spec, seconds
     )
     values = np.full((n, n), np.nan)
     for (i, j), (result,) in zip(cells, results):
@@ -146,7 +146,7 @@ def pairwise_matrix(
             (f"{labels[j]}->{labels[i]}", t) for (i, j), t in zip(cells, seconds)
         )
     params = {
-        "q": order.q,
+        "q": q,
         "m": h.m,
         "l": h.l,
         "alphabet_sizes": [s.alphabet_size for s in series],
@@ -175,14 +175,14 @@ def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
     x_label, y_label = x.label or "X", y.label or "Y"
     settings = list(settings)
     histories = list(dict.fromkeys(h for _, h, _ in settings))
-    orders = list(dict.fromkeys(order for _, _, order in settings))
+    orders = list(dict.fromkeys(q for _, _, q in settings))
     results = effective_transfer_entropies(
         [(target, source, h) for h in histories for target, source in ((x, y), (y, x))],
         orders, spec,
     )
     rows = []
-    for value, h, order in settings:
-        k, i = 2 * histories.index(h), orders.index(order)
+    for value, h, q in settings:
+        k, i = 2 * histories.index(h), orders.index(q)
         rows += [(float(value), y_label, x_label, results[k][i]),
                  (float(value), x_label, y_label, results[k + 1][i])]
         n_windows = results[k][i].n_windows
@@ -208,7 +208,7 @@ def q_sweep(
     No monotonicity in q is assumed or implied; the table is the
     deliverable and any structure in it is for the reader to judge.
     """
-    settings = ((order.q, h, order) for order in map(RenyiOrder.coerce, q_grid))
+    settings = ((q, h, q) for q in map(_order, q_grid))
     return _sweep(x, y, "q", settings, spec, {"m": h.m, "l": h.l, **spec.record})
 
 
@@ -226,9 +226,9 @@ def m_sweep(
     the table; a FiniteSampleWarning is raised whenever the window count
     falls below `min_windows`.
     """
-    order = RenyiOrder.coerce(q)
-    settings = ((m, HistorySpec(m, m), order) for m in map(int, m_grid))
-    return _sweep(x, y, "m", settings, spec, {"q": order.q, **spec.record}, min_windows)
+    q = _order(q)
+    settings = ((m, HistorySpec(m, m), q) for m in map(int, m_grid))
+    return _sweep(x, y, "m", settings, spec, {"q": q, **spec.record}, min_windows)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .infocore import RenyiOrder
+from .infocore import _order
 from .symbolize import SymbolSeries
 from .transfer import HistorySpec, count_words, renyi_transfer_entropy
 
@@ -130,7 +130,7 @@ def effective_transfer_entropies(
     and evaluation over the raw pair and every replica; the shuffles are
     shared by the jobs of a source and charged to none.
     """
-    orders = [RenyiOrder.coerce(q) for q in orders]
+    orders = [_order(q) for q in orders]
     sources = {id(y): y for _, y, _ in jobs}
     runs = [[] for _ in jobs]  # per job: the raw values, then each replica's values
     n_windows = [0] * len(jobs)
@@ -142,7 +142,7 @@ def effective_transfer_entropies(
             started = time.perf_counter()
             try:
                 words = count_words(x, y if replica is None else shuffled[id(y)], h)
-                runs[k].append([renyi_transfer_entropy(words, order) for order in orders])
+                runs[k].append([renyi_transfer_entropy(words, q) for q in orders])
             except ValidationError as exc:
                 pair = f"{y.label or 'Y'}->{x.label or 'X'}"
                 raise ValidationError(f"pair {pair} failed: {exc}") from exc

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .infocore import RenyiOrder, _power_sum
+from .infocore import _order, _power_sum
 from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
@@ -151,12 +151,20 @@ class WordDistribution:
     @cached_property
     def _groups(self):
         """(Per-word run index, integer totals) of the (xw) and (xw, yw) runs of
-        the sorted codes, and of the (xw, x') cells at xw_run * target_alphabet + x'."""
+        the sorted codes, and (per-word cell index, integer totals, xw run of each
+        cell) of the (xw, x') cells, keyed xw_run * target_alphabet + x' in
+        ascending order.  The cells form a dense table when it has no more cells
+        than there are windows, and are the observed keys otherwise."""
         n_x = self.target_alphabet
         xh = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
         both = _runs(self.codes // n_x, self.counts)
         fx_inv = xh[0] * n_x + self.codes % n_x
-        return xh, both, (fx_inv, np.bincount(fx_inv, weights=self.counts).astype(np.int64))
+        if xh[1].size * n_x <= self.n_windows:
+            fx_keys = np.arange(xh[1].size * n_x)
+        else:
+            fx_keys, fx_inv = np.unique(fx_inv, return_inverse=True)
+        fx_counts = np.bincount(fx_inv, weights=self.counts, minlength=fx_keys.size)
+        return xh, both, (fx_inv, fx_counts.astype(np.int64), fx_keys // n_x)
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -247,10 +255,10 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     is the escort-averaged log2(sum p(x', w)^q / sum p(w)^q) / (1 - q),
     and the difference may be negative.
     """
-    order = RenyiOrder.coerce(q)
+    q = _order(q)
     total = w.n_windows
-    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts) = w._groups
-    if order.is_shannon:
+    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts, xh_of_fx) = w._groups
+    if q == 1.0:
         log_ratio = (
             np.log2(w.counts)
             + np.log2(xh_counts[xh_inv])
@@ -258,9 +266,8 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
             - np.log2(fx_counts[fx_inv])
         )
         return math.fsum(((w.counts / total) * log_ratio).tolist())
-    xh_of_fx = np.arange(fx_counts.size) // w.target_alphabet
-    target_only = _conditional_renyi(fx_counts / total, xh_of_fx, order.q)
-    return target_only - _conditional_renyi(w.counts / total, both_inv, order.q)
+    target_only = _conditional_renyi(fx_counts / total, xh_of_fx, q)
+    return target_only - _conditional_renyi(w.counts / total, both_inv, q)
 
 
 def _conditional_renyi(probs: np.ndarray, condition: np.ndarray, q: float) -> float:

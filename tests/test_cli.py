@@ -212,15 +212,6 @@ class TestTe:
         assert code == 2
         assert "q=300" in capsys.readouterr().err
 
-    def test_order_within_the_shannon_window_is_written_as_one(self, synth_csv, capsys):
-        argv = [str(synth_csv) if a == "@synth.csv" else a for a in TE_SYNTH]
-        payloads = []
-        for q in ("1", "1.0000000005"):
-            assert main([*argv, "--q", q]) == 0
-            payloads.append(json.loads(capsys.readouterr().out))
-        assert payloads[1]["q"] == 1.0
-        assert payloads[1] == payloads[0]
-
     @pytest.mark.parametrize("argv", [["te", "--source", "", "--target", "Y"], ["matrix"]],
                              ids=["te", "matrix"])
     def test_blank_value_label_is_reported(self, tmp_path, capsys, argv):
@@ -499,6 +490,18 @@ class TestMatrixAndNetflow:
         }
         assert manifest["timings"]["total_seconds"] > 0
 
+    def test_manifest_records_surrogate_block(self, price_csv, tmp_path):
+        parameters = []
+        for block in ("3", "7"):
+            out = tmp_path / block / "flow.csv"
+            assert main(["matrix", "--data", str(price_csv), "--surrogates", "2",
+                         "--surrogate-block", block, "--out", str(out)]) == 0
+            manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+            parameters.append(manifest["parameters"])
+        assert parameters[0] != parameters[1]
+        assert [p["surrogate_block"] for p in parameters] == [3, 7]
+        assert {p["timestamp_column"] for p in parameters} == {"timestamp"}
+
     def test_manifest_records_alignment_and_offsets(self, price_csv, tmp_path):
         out = tmp_path / "flow.csv"
         code = main([
@@ -653,6 +656,52 @@ class TestCommandLineSurface:
             main([*TE_SYNTH, "--surrogate-method", "permutation"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --surrogate-method permutation" in capsys.readouterr().err
+
+
+# Each command with its order option last, the two spellings of q = 1 it is
+# given, and the files it writes.
+SYNTH_DATA = ["--data", "@synth.csv", "--timestamp-column", "t", "--alphabet", "3",
+              "--pre-symbolized", "--surrogates", "2"]
+SHANNON_SPELLINGS = ("1", "1.0000000005")
+WINDOW_RUNS = {
+    "te": (["te", "--source", "y", "--target", "x", *SYNTH_DATA, "--q"], SHANNON_SPELLINGS,
+           ["out.json"]),
+    "oracle": (["oracle", "--preset", "noisy-copy", "--q"], SHANNON_SPELLINGS, ["out.json"]),
+    **{
+        f"matrix-{fmt}": (["matrix", *SYNTH_DATA, "--format", fmt, "--q"], SHANNON_SPELLINGS,
+                          [f"out.{fmt}", "out.manifest.json"])
+        for fmt in ("csv", "json")
+    },
+    "sweep-m": (["sweep-m", "--source", "y", "--target", "x", *SYNTH_DATA, "--m-grid", "1,2",
+                 "--format", "json", "--q"], SHANNON_SPELLINGS, ["out.json"]),
+    "sweep-q": (["sweep-q", "--source", "y", "--target", "x", *SYNTH_DATA, "--q-grid"],
+                ("1,1", "1,1.0000000005"), ["out.csv"]),
+}
+
+
+class TestShannonWindow:
+    """An order within 1e-9 of 1 is q = 1: evaluated and recorded as 1."""
+
+    @pytest.mark.parametrize("name", WINDOW_RUNS)
+    def test_window_order_writes_the_bytes_of_q_1(self, synth_csv, tmp_path, name):
+        argv, spellings, outputs = WINDOW_RUNS[name]
+        argv = [str(synth_csv) if a == "@synth.csv" else a for a in argv]
+        written = []
+        for k, q in enumerate(spellings):
+            out = tmp_path / str(k) / outputs[0]
+            assert main([*argv, q, "--out", str(out)]) == 0
+            written.append([(out.parent / file).read_bytes() for file in outputs])
+        assert written[1] == written[0]
+
+    def test_sweep_q_evaluates_a_window_order_once(self, synth_csv, tmp_path, monkeypatch):
+        orders, estimate = [], renflow.surrogate.renyi_transfer_entropy
+        monkeypatch.setattr(renflow.surrogate, "renyi_transfer_entropy",
+                            lambda words, q: orders.append(q) or estimate(words, q))
+        argv, _, _ = WINDOW_RUNS["sweep-q"]
+        argv = [str(synth_csv) if a == "@synth.csv" else a for a in argv]
+        assert main([*argv, "1,1.0000000005,2", "--out", str(tmp_path / "q.csv")]) == 0
+        # two directions, each a raw table and two replica tables
+        assert sorted(orders) == [1.0] * 6 + [2.0] * 6
 
 
 class TestSweeps:

@@ -1,5 +1,5 @@
-"""The public namespace: every exported name resolves, and the README's
-library example runs."""
+"""The public namespace: every exported name resolves, every module uses
+what it imports, and the README's library example runs."""
 
 import ast
 import re
@@ -10,6 +10,7 @@ import numpy as np
 import renflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(renflow.__file__).resolve().parent
 
 
 def test_all_names_resolve():
@@ -22,6 +23,26 @@ def test_star_import():
     namespace = {}
     exec("from renflow import *", namespace)
     assert set(renflow.__all__) <= set(namespace)
+
+
+def test_modules_use_every_name_they_import():
+    """A name left imported after the code that read it is gone is refused;
+    `__init__` imports to re-export and is not checked."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unused == []
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):

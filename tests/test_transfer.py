@@ -1,6 +1,7 @@
 """Word counting and both transfer entropy evaluations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,3 +300,19 @@ class TestRenyiTransferEntropy:
     def test_order_must_be_positive(self):
         with pytest.raises(ValidationError):
             renyi_transfer_entropy(copy_process_words(), -0.5)
+
+    def test_large_alphabet_groups_only_observed_cells(self):
+        # 2,998 windows over 5,000 symbols: a dense (xw, x') table would hold
+        # about 11 million cells, where about 3,000 are observed
+        rng = np.random.default_rng(5)
+        x, y = (iid_symbol_series(rng, 3000, 5000) for _ in range(2))
+        tracemalloc.start()
+        try:
+            words = count_words(x, y, HistorySpec(1, 1))
+            values = {q: renyi_transfer_entropy(words, q) for q in (0.5, 1.0, 2.0)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        for q, value in values.items():
+            assert value == pytest.approx(renyi_transfer_entropy_escort(words, q), abs=1e-12)
