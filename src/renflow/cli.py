@@ -188,10 +188,9 @@ def _cmd_matrix(args) -> None:
     if args.format == "svg":
         check_svg_labels(s.label for s in symbols)
     h = HistorySpec(args.m, args.l)
-    q = _order(args.q)
     spec = _surrogate_spec(args)
     timing_sink = {} if args.timings else None
-    matrix = pairwise_matrix(symbols, h, q, spec, timing_sink)
+    matrix = pairwise_matrix(symbols, h, args.q, spec, timing_sink)
     out = emit(matrix, args.out, args.format)
     params = {
         "labels": list(matrix.labels),
@@ -202,7 +201,7 @@ def _cmd_matrix(args) -> None:
         "pre_symbolized": args.pre_symbolized,
         "m": args.m,
         "l": args.l,
-        "q": q,
+        "q": matrix.params["q"],
         "surrogates": args.surrogates,
         "surrogate_method": spec.method,
         "surrogate_block": spec.block_length,

@@ -154,7 +154,8 @@ class WordDistribution:
         the sorted codes, and (per-word cell index, integer totals, xw run of each
         cell) of the (xw, x') cells, keyed xw_run * target_alphabet + x' in
         ascending order.  The cells form a dense table when it has no more cells
-        than there are windows, and are the observed keys otherwise."""
+        than there are windows, which skips a sort of the keys, and are the
+        observed keys otherwise, which bounds the table by the data."""
         n_x = self.target_alphabet
         xh = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
         both = _runs(self.codes // n_x, self.counts)

@@ -28,10 +28,10 @@ MATRIX_HEADER = "target\\source,A,B"
 README = Path(__file__).resolve().parents[1] / "README.md"
 HALF_TARGET = "[[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]"
 HALF_SPEC = '"alphabet_size": 2, "source_transition": [[0.5, 0.5], [0.5, 0.5]]'
-TE_SYNTH = [
-    "te", "--data", "@synth.csv", "--timestamp-column", "t", "--source", "y", "--target", "x",
-    "--alphabet", "3", "--surrogates", "2",
-]
+SYNTH_DATA = ["--data", "@synth.csv", "--timestamp-column", "t", "--alphabet", "3",
+              "--surrogates", "2"]
+SYNTH_PAIR = ["--source", "y", "--target", "x", *SYNTH_DATA]
+TE_SYNTH = ["te", *SYNTH_PAIR]
 
 
 @pytest.fixture
@@ -660,22 +660,18 @@ class TestCommandLineSurface:
 
 # Each command with its order option last, the two spellings of q = 1 it is
 # given, and the files it writes.
-SYNTH_DATA = ["--data", "@synth.csv", "--timestamp-column", "t", "--alphabet", "3",
-              "--pre-symbolized", "--surrogates", "2"]
 SHANNON_SPELLINGS = ("1", "1.0000000005")
 WINDOW_RUNS = {
-    "te": (["te", "--source", "y", "--target", "x", *SYNTH_DATA, "--q"], SHANNON_SPELLINGS,
-           ["out.json"]),
+    "te": ([*TE_SYNTH, "--q"], SHANNON_SPELLINGS, ["out.json"]),
     "oracle": (["oracle", "--preset", "noisy-copy", "--q"], SHANNON_SPELLINGS, ["out.json"]),
     **{
         f"matrix-{fmt}": (["matrix", *SYNTH_DATA, "--format", fmt, "--q"], SHANNON_SPELLINGS,
                           [f"out.{fmt}", "out.manifest.json"])
         for fmt in ("csv", "json")
     },
-    "sweep-m": (["sweep-m", "--source", "y", "--target", "x", *SYNTH_DATA, "--m-grid", "1,2",
-                 "--format", "json", "--q"], SHANNON_SPELLINGS, ["out.json"]),
-    "sweep-q": (["sweep-q", "--source", "y", "--target", "x", *SYNTH_DATA, "--q-grid"],
-                ("1,1", "1,1.0000000005"), ["out.csv"]),
+    "sweep-m": (["sweep-m", *SYNTH_PAIR, "--m-grid", "1,2", "--format", "json", "--q"],
+                SHANNON_SPELLINGS, ["out.json"]),
+    "sweep-q": (["sweep-q", *SYNTH_PAIR, "--q-grid"], ("1,1", "1,1.0000000005"), ["out.csv"]),
 }
 
 
