@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from pathlib import Path
@@ -386,6 +387,10 @@ def main(argv=None) -> int:
     for label in offset_labels:
         if offset_labels.count(label) > 1:
             parser.error(f"argument --tz-offset: column {label!r} is offset more than once")
+    for option in ("--data", "--from-matrix", "--spec"):
+        paths = (vars(args).get(option[2:].replace("-", "_")), args.out)
+        if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+            parser.error(f"argument --out: is the same file as {option}")
     for option, default, why, inert in _INERT:
         if vars(args).get(option[2:].replace("-", "_"), default) != default and inert(args):
             parser.error(f"argument {option}: has no effect {why}")

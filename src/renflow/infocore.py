@@ -181,9 +181,12 @@ def conditional_entropy(joint, q) -> float:
     cond_marginal = j.probs.sum(axis=0)
     if q == 1.0:
         return _shannon_bits(j.probs) - _shannon_bits(cond_marginal)
-    num = _power_sum(j.probs, q)
-    den = _power_sum(cond_marginal, q)
-    return (math.log2(num) - math.log2(den)) / (1.0 - q)
+    return _conditional_renyi(j.probs, cond_marginal, q)
+
+
+def _conditional_renyi(joint: np.ndarray, marginal: np.ndarray, q: float) -> float:
+    """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y)."""
+    return (math.log2(_power_sum(joint, q)) - math.log2(_power_sum(marginal, q))) / (1.0 - q)
 
 
 def mutual_information(joint, q) -> float:

@@ -72,8 +72,9 @@ def load_csv(
     omitted from that column's series only.  `tz_offsets` maps value
     columns to clock offsets in minutes ahead of the reference clock;
     offsets are subtracted so all output timestamps share the reference
-    clock.  Blank or repeated labels and offsets for other labels are
-    rejected.
+    clock.  A blank selected label, a selected label or the timestamp
+    column named at two header positions, a label selected twice, and an
+    offset for a column that is not read are rejected.
 
     The header is read with `csv`.  The body has two parse paths: numpy's
     C reader (`np.loadtxt`) takes the whole body at once, and where numpy
@@ -106,11 +107,19 @@ def load_csv(
                     f"{path}: the value column at header position {header.index(label) + 1} "
                     "has a blank label"
                 )
-            if labels.count(label) > 1:
-                raise ValidationError(f"{path}: column {label!r} is named more than once")
+        for name in (timestamp_column, *labels):
+            where = [i + 1 for i, cell in enumerate(header) if cell == name]
+            if len(where) > 1:
+                raise MalformedHeaderError(f"{path}: column {name!r} is named more than once, "
+                                           f"at header positions {where[0]} and {where[1]}")
+            if labels.count(name) > 1:
+                raise ValidationError(f"{path}: column {name!r} is named more than once")
         for label in offsets:
             if label not in file_labels:
                 raise MalformedHeaderError(f"{path}: no {label!r} value column to offset")
+            if label not in labels:
+                raise ValidationError(f"{path}: column {label!r} has a clock offset "
+                                      "but is not read")
         body = fh.read()
     value_idx = [header.index(label) for label in labels]
     columns = _parse_table(body, ts_idx, value_idx)

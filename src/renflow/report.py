@@ -396,8 +396,9 @@ def render(obj, fmt: str) -> str:
     raise ValidationError(f"cannot render {kind} as {fmt!r}")
 
 
-def _write(text: str, path) -> Path | None:
-    """Write `text` to `path`, creating its directory, or to stdout if path is None."""
+def emit(obj, path, fmt: str = "csv") -> Path | None:
+    """Write `render(obj, fmt)` to `path`, making its directory, or to stdout if None."""
+    text = render(obj, fmt)
     if path is None:
         sys.stdout.write(text)
         return None
@@ -406,11 +407,6 @@ def _write(text: str, path) -> Path | None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
-
-
-def emit(obj, path, fmt: str = "csv") -> Path | None:
-    """Write `render(obj, fmt)` to `path`, or to stdout if path is None."""
-    return _write(render(obj, fmt), path)
 
 
 def parse_matrix_csv(path) -> FlowMatrix:

@@ -11,6 +11,7 @@ processes the ground truth the estimator is verified against.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,28 +144,19 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
         raise ValidationError("generated series need length >= 2")
     n = spec.alphabet_size
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    uniforms = rng.random((2, length))
+    ux, uy = rng.random((2, length)).tolist()
 
     # Cumulative rows as plain Python lists: the sequential loop is much
-    # faster on scalars than on numpy indexing.
+    # faster on scalars than on numpy indexing.  A draw is the first symbol
+    # whose cumulative probability exceeds u, and the last symbol otherwise.
     cum_a = np.cumsum(spec.source_transition, axis=1).tolist()
     cum_b = np.cumsum(spec.target_transition, axis=2).tolist()
     cum_init = np.cumsum(np.full(n, 1.0 / n)).tolist()
-
-    def draw(cum_row, u):
-        for idx in range(n - 1):
-            if u < cum_row[idx]:
-                return idx
-        return n - 1
-
-    xs = np.empty(length, dtype=np.int64)
-    ys = np.empty(length, dtype=np.int64)
-    ux, uy = uniforms[0].tolist(), uniforms[1].tolist()
-    x, y = draw(cum_init, ux[0]), draw(cum_init, uy[0])
-    xs[0], ys[0] = x, y
+    last = n - 1
+    xs, ys = [bisect_right(cum_init, ux[0], 0, last)], [bisect_right(cum_init, uy[0], 0, last)]
     for t in range(1, length):
-        x, y = draw(cum_b[x][y], ux[t]), draw(cum_a[y], uy[t])
-        xs[t], ys[t] = x, y
+        xs.append(bisect_right(cum_b[xs[-1]][ys[-1]], ux[t], 0, last))
+        ys.append(bisect_right(cum_a[ys[-1]], uy[t], 0, last))
     return (
         SymbolSeries(symbols=xs, alphabet_size=n, label="X"),
         SymbolSeries(symbols=ys, alphabet_size=n, label="Y"),

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .infocore import _order, _power_sum
+from .infocore import _conditional_renyi, _order
 from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
@@ -215,13 +215,11 @@ def count_words(
             f"{n_possible} words is too many (limit {_PSEUDO_LIMIT})"
         )
 
-    x_view = np.lib.stride_tricks.sliding_window_view(x.symbols, h.m)
-    x_hist = x_view[start - h.m + 1 : start - h.m + 1 + n_windows]
-    y_view = np.lib.stride_tricks.sliding_window_view(y.symbols, h.l)
-    y_hist = y_view[start - h.l + 1 : start - h.l + 1 + n_windows]
-    x_next = x.symbols[start + 1 : start + 1 + n_windows]
+    # Digit columns x_{t-m+1..t}, y_{t-l+1..t} and x_{t+1}, each a slice of its series.
+    columns = [x.symbols[i : i + n_windows] for i in range(start - h.m + 1, start + 1)]
+    columns += [y.symbols[i : i + n_windows] for i in range(start - h.l + 1, start + 1)]
     full = np.zeros(n_windows, dtype=np.int64)
-    for radix, digit in zip(radices, (*x_hist.T, *y_hist.T, x_next)):
+    for radix, digit in zip(radices, (*columns, x.symbols[start + 1 :])):
         full *= radix
         full += digit
     if n_possible <= n_windows:
@@ -267,12 +265,7 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
             - np.log2(fx_counts[fx_inv])
         )
         return math.fsum(((w.counts / total) * log_ratio).tolist())
-    target_only = _conditional_renyi(fx_counts / total, xh_of_fx, q)
-    return target_only - _conditional_renyi(w.counts / total, both_inv, q)
-
-
-def _conditional_renyi(probs: np.ndarray, condition: np.ndarray, q: float) -> float:
-    """S_q(X' | W) from the (x', w) probabilities in code order and the w group
-    of each; the marginal of w sums its groups in ascending x'."""
-    marginal = np.bincount(condition, weights=probs)
-    return (math.log2(_power_sum(probs, q)) - math.log2(_power_sum(marginal, q))) / (1.0 - q)
+    # Each marginal adds the cells of its group in code order, that is in ascending x'.
+    fx_probs, probs = fx_counts / total, w.counts / total
+    target_only = _conditional_renyi(fx_probs, np.bincount(xh_of_fx, weights=fx_probs), q)
+    return target_only - _conditional_renyi(probs, np.bincount(both_inv, weights=probs), q)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from renflow import (
+    CoupledMarkovSpec,
     HistorySpec,
     MalformedHeaderError,
     RawSeries,
@@ -197,6 +198,31 @@ def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = Fa
             for (x_next, xw, _), c in words.items()
         )
     return (math.log2(num) - math.log2(den)) / (1.0 - q)
+
+
+# -- per-step reference loop for synthetic series -----------------------------
+
+def reference_generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[list, list]:
+    """(target, source) symbols of `synth.generate` drawn by a linear scan:
+    each draw is the first symbol whose cumulative probability exceeds its
+    uniform, and the last symbol when none does."""
+    n = spec.alphabet_size
+    ux, uy = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF).random((2, length)).tolist()
+    cum_a = np.cumsum(spec.source_transition, axis=1).tolist()
+    cum_b = np.cumsum(spec.target_transition, axis=2).tolist()
+    cum_init = np.cumsum(np.full(n, 1.0 / n)).tolist()
+
+    def draw(cum_row, u):
+        for idx in range(n - 1):
+            if u < cum_row[idx]:
+                return idx
+        return n - 1
+
+    xs, ys = [draw(cum_init, ux[0])], [draw(cum_init, uy[0])]
+    for t in range(1, length):
+        xs.append(draw(cum_b[xs[-1]][ys[-1]], ux[t]))
+        ys.append(draw(cum_a[ys[-1]], uy[t]))
+    return xs, ys
 
 
 # -- per-block reference loop for surrogates ----------------------------------

@@ -247,8 +247,11 @@ class TestTe:
         (["te", *PAIR, "--tz-offset", "AA=60"], "no 'AA' value column to offset"),
         (["matrix", "--tz-offset", "A=60", "--tz-offset", "AA=60"], "no 'AA' value column"),
         (["te", "--source", "timestamp", "--target", "A"], "no 'timestamp' value column"),
+        (["te", *PAIR, "--tz-offset", "C=60"], "column 'C' has a clock offset but is not read"),
+        (["matrix", "--labels", "A,B", "--tz-offset", "C=60"],
+         "column 'C' has a clock offset but is not read"),
     ], ids=["te-same-column", "matrix-repeated-label", "te-offset", "matrix-offset",
-            "te-timestamp"])
+            "te-timestamp", "te-offset-not-read", "matrix-offset-not-read"])
     def test_column_selection_errors_are_reported(self, price_csv, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         assert main([*argv, "--data", str(price_csv), "--surrogates", "1", "--out", str(out)]) == 2
@@ -409,6 +412,23 @@ class TestMatrixAndNetflow:
         assert main(["matrix", "--data", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "column 'C' has no parseable rows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, argv, name, positions", [
+        ("timestamp,A,timestamp,B", ["matrix"], "timestamp", (1, 3)),
+        ("timestamp,A,timestamp,B", ["symbolize", "--labels", "timestamp,A"], "timestamp", (1, 3)),
+        ("timestamp,A,A,B", ["matrix", "--labels", "A,B"], "A", (2, 3)),
+    ], ids=["matrix-timestamp", "symbolize-timestamp", "matrix-label"])
+    def test_name_at_two_header_positions_is_reported(self, tmp_path, capsys, header, argv,
+                                                      name, positions):
+        path = tmp_path / "prices.csv"
+        rows = "".join(f"{t},{100 + t % 7},{50 - t % 5},{t % 3}\n" for t in range(60))
+        path.write_text(f"{header}\n{rows}", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--data", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: column {name!r} is named more than once, "
+                              f"at header positions {positions[0]} and {positions[1]}")
         assert not out.exists()
 
     def test_matrix_reproducible_bytes(self, price_csv, tmp_path):
@@ -642,6 +662,29 @@ class TestCommandLineSurface:
         assert main([*command, option, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{path}: {message}" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["te", *PAIR], "--data"),
+        (["matrix"], "--data"),
+        (["netflow"], "--from-matrix"),
+        (["gen-synth", "--length", "10"], "--spec"),
+    ], ids=["te", "matrix", "netflow", "gen-synth"])
+    def test_out_naming_the_input_is_a_usage_error(self, tmp_path, capsys, argv, option):
+        content = {
+            "--data": "timestamp,A,B\n" + "".join(f"{t},{t % 7},{t % 5}\n" for t in range(40)),
+            "--from-matrix": "target\\source,A,B\nA,,0.1\nB,0.2,\n",
+            "--spec": f'{{{HALF_SPEC}, "target_transition": {HALF_TARGET}}}',
+        }[option]
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "input"
+        path.write_text(content, encoding="utf-8")
+        # another spelling of the same file
+        out = tmp_path / "sub" / ".." / "input"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, option, str(path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"argument --out: is the same file as {option}" in capsys.readouterr().err
+        assert path.read_text(encoding="utf-8") == content
 
     def test_readme_examples_parse(self):
         blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

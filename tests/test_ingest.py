@@ -85,6 +85,26 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="column 'A' is named more than once"):
             load_csv(path, value_columns=columns)
 
+    @pytest.mark.parametrize("header, columns, name, first, second", [
+        ("timestamp,A,timestamp,B", None, "timestamp", 1, 3),
+        ("timestamp,A,timestamp,B", ["A"], "timestamp", 1, 3),
+        ("timestamp,A,A,B", ["A", "B"], "A", 2, 3),
+        ("B,timestamp,A,B", None, "B", 1, 4),
+    ], ids=["timestamp-all", "timestamp-selected", "selected-label", "all-columns"])
+    def test_name_at_two_header_positions_rejected(self, tmp_path, header, columns, name, first,
+                                                   second):
+        path = write(tmp_path, "p.csv", f"{header}\n1,2.0,3.0,4.0\n2,2.5,3.5,4.5\n")
+        with pytest.raises(MalformedHeaderError) as info:
+            load_csv(path, value_columns=columns)
+        message = (f"{path}: column {name!r} is named more than once, "
+                   f"at header positions {first} and {second}")
+        assert str(info.value) == message
+
+    def test_repeated_name_of_an_unselected_column_allowed(self, tmp_path):
+        path = write(tmp_path, "p.csv", "timestamp,A,A,B\n1,2.0,3.0,4.0\n2,2.5,3.5,4.5\n")
+        (series,) = load_csv(path, value_columns=["B"])
+        assert (series.label, series.values.tolist()) == ("B", [4.0, 4.5])
+
     @pytest.mark.parametrize("header, columns, position", [
         ("timestamp,,B", None, 2),
         ("A,timestamp, ", ["A", ""], 3),
@@ -106,6 +126,12 @@ class TestLoadCsv:
         path = write(tmp_path, "p.csv", "timestamp,A,B\n1,2.0,3.0\n")
         with pytest.raises(MalformedHeaderError, match=f"no '{label}' value column to offset"):
             load_csv(path, tz_offsets={"A": 60, label: 60})
+
+    def test_offset_for_a_column_not_read_rejected(self, tmp_path):
+        path = write(tmp_path, "p.csv", "timestamp,A,B,C\n1,2.0,3.0,4.0\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, value_columns=["A", "B"], tz_offsets={"C": 60})
+        assert str(info.value) == f"{path}: column 'C' has a clock offset but is not read"
 
     def test_duplicate_timestamps_rejected(self, tmp_path):
         path = write(tmp_path, "p.csv", "timestamp,A\n1,2.0\n1,3.0\n")

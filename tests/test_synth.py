@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import estimate_te
+from helpers import estimate_te, reference_generate
 from renflow import (
     ConvergenceError,
     CoupledMarkovSpec,
@@ -113,6 +113,23 @@ class TestGenerate:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             generate(copy_spec(2), 1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_the_scanning_draw(self, n):
+        # A row with zero-probability cells repeats a cumulative value; each
+        # draw must still land on the scan's symbol.  One cell per row stays positive.
+        rng = np.random.default_rng(n)
+        rows, cols = np.indices((n, n))
+        for seed in range(20):
+            a, b = rng.random((n, n)), rng.random((n, n, n))
+            a[rng.random((n, n)) < 0.3] = 0.0
+            b[rng.random((n, n, n)) < 0.3] = 0.0
+            a[np.arange(n), rng.integers(0, n, n)] += 0.5
+            b[rows, cols, rng.integers(0, n, (n, n))] += 0.5
+            spec = CoupledMarkovSpec(n, a / a.sum(axis=1, keepdims=True),
+                                     b / b.sum(axis=2, keepdims=True))
+            x, y = generate(spec, 2000, seed)
+            assert (x.symbols.tolist(), y.symbols.tolist()) == reference_generate(spec, 2000, seed)
 
 
 class TestStationaryJoint:

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -91,6 +92,26 @@ class TestCountWords:
             codes, counts = np.unique(packed, return_counts=True)
             np.testing.assert_array_equal(words.codes, codes)
             np.testing.assert_array_equal(words.counts, counts)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 1199), st.integers(0, 2**32 - 1))
+    @example(nx=2, ny=2, m=1, l=1, windows=6, seed=0)  # 7 windows, 8 possible words: sorted
+    @example(nx=2, ny=2, m=1, l=1, windows=7, seed=0)  # 8 windows: dense
+    def test_equals_the_per_window_loop(self, nx, ny, m, l, windows, seed):
+        # Up to twice the code space in windows: both sides of the dense/sorted
+        # switch wherever the code space is small.
+        n_windows = 1 + windows % (2 * min(nx ** (m + 1) * ny**l, 600))
+        start = max(m, l)
+        length = start + 1 + n_windows
+        rng = np.random.default_rng(seed)
+        x, y = iid_symbol_series(rng, length, nx), iid_symbol_series(rng, length, ny)
+        xs, ys = x.symbols.tolist(), y.symbols.tolist()
+        expected = Counter(
+            (xs[t + 1], tuple(xs[t - m + 1 : t + 1]), tuple(ys[t - l + 1 : t + 1]))
+            for t in range(start, length - 1)
+        )
+        assert dict(count_words(x, y, HistorySpec(m, l)).items()) == dict(expected)
 
     def test_mixed_alphabet_sizes(self):
         rng = np.random.default_rng(1)
