@@ -83,8 +83,7 @@ def _load_aligned_symbols(args, labels: list[str] | None):
         tz_offsets=offsets,
     )
     loaded_lengths = {s.label: len(s) for s in raw}
-    if len(raw) > 1:
-        raw = align_many(raw)
+    raw = align_many(raw)
     info = {
         "tz_offsets_minutes": offsets,
         "loaded_rows": loaded_lengths,
@@ -117,16 +116,9 @@ def _surrogate_spec(args) -> SurrogateSpec:
     )
 
 
-def _manifest(args, command: str, parameters: dict, timings: dict | None = None) -> dict:
-    payload = {
-        "command": command,
-        "version": __version__,
-        "input": {"path": str(args.data), "sha256": sha256_file(args.data)},
-        "parameters": parameters,
-    }
-    if timings is not None:
-        payload["timings"] = timings
-    return payload
+def _same_file(a, b) -> bool:
+    """Whether two given paths name one existing file, under any spelling."""
+    return all((a, b)) and all(map(os.path.exists, (a, b))) and os.path.samefile(a, b)
 
 
 # -- subcommand implementations -----------------------------------------------
@@ -185,6 +177,9 @@ def _cmd_te(args) -> None:
 
 def _cmd_matrix(args) -> None:
     started = time.perf_counter()
+    manifest_path = Path(args.out).with_suffix(".manifest.json")
+    if _same_file(args.data, manifest_path):
+        raise ValidationError(f"argument --data: is the same file as the run manifest {manifest_path}")
     symbols, info = _load_aligned_symbols(args, args.labels)
     if args.format == "svg":
         check_svg_labels(s.label for s in symbols)
@@ -211,11 +206,16 @@ def _cmd_matrix(args) -> None:
         "output": out.name,
         "alignment": info,
     }
-    timings = None
+    seconds = time.perf_counter() - started
+    manifest = {
+        "command": "matrix",
+        "version": __version__,
+        "input": {"path": str(args.data), "sha256": sha256_file(args.data)},
+        "parameters": params,
+    }
     if args.timings:
-        timings = {"total_seconds": time.perf_counter() - started, "pairs": timing_sink}
-    manifest = _manifest(args, "matrix", params, timings)
-    emit(manifest, Path(args.out).with_suffix(".manifest.json"), "json")
+        manifest["timings"] = {"total_seconds": seconds, "pairs": timing_sink}
+    emit(manifest, manifest_path, "json")
 
 
 def _cmd_netflow(args) -> None:
@@ -388,8 +388,7 @@ def main(argv=None) -> int:
         if offset_labels.count(label) > 1:
             parser.error(f"argument --tz-offset: column {label!r} is offset more than once")
     for option in ("--data", "--from-matrix", "--spec"):
-        paths = (vars(args).get(option[2:].replace("-", "_")), args.out)
-        if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+        if _same_file(vars(args).get(option[2:].replace("-", "_")), args.out):
             parser.error(f"argument --out: is the same file as {option}")
     for option, default, why, inert in _INERT:
         if vars(args).get(option[2:].replace("-", "_"), default) != default and inert(args):

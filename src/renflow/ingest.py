@@ -230,8 +230,8 @@ def align_many(series: list[RawSeries]) -> list[RawSeries]:
     treated as contiguous downstream, which is the usual approximation
     when gaps (closed hours, holidays) are cut out.
     """
-    if len(series) < 2:
-        raise ValidationError("need at least two series to align")
+    if not series:
+        raise ValidationError("need at least one series to align")
     common = series[0].timestamps
     for s in series[1:]:
         common = np.intersect1d(common, s.timestamps, assume_unique=True)

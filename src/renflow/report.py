@@ -22,7 +22,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,32 @@ class FiniteSampleWarning(UserWarning):
     """Window count has dropped into the unreliable finite-sample regime."""
 
 
+def _check_labels(labels, kind: str) -> tuple[str, ...]:
+    """The labels of a `kind` as a tuple: at least two, none repeated."""
+    labels = tuple(labels)
+    if len(labels) < 2:
+        raise ValidationError(f"a {kind} needs at least two labels, got {len(labels)}")
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValidationError(f"{kind} label {label!r} is repeated")
+    return labels
+
+
+def _freeze_grid(matrix, kind: str) -> np.ndarray:
+    """Check a matrix's labels and square float grid, finite off the diagonal, and store
+    them as a tuple and a read-only copy; return the copy for the caller's diagonal rule."""
+    labels = _check_labels(matrix.labels, kind)
+    values = np.array(matrix.values, dtype=float)
+    if values.shape != (len(labels), len(labels)):
+        raise ValidationError(f"{kind} shape {values.shape} does not match {len(labels)} labels")
+    if not np.all(np.isfinite(values[~np.eye(len(labels), dtype=bool)])):
+        raise ValidationError(f"{kind} off-diagonal entries must be finite")
+    values.flags.writeable = False
+    object.__setattr__(matrix, "labels", labels)
+    object.__setattr__(matrix, "values", values)
+    return values
+
+
 @dataclass(frozen=True)
 class FlowMatrix:
     """Square grid of effective transfer entropies between labelled series."""
@@ -50,26 +76,8 @@ class FlowMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        values = np.asarray(self.values, dtype=float)
-        if len(labels) < 2:
-            raise ValidationError("a flow matrix needs at least two labels")
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ValidationError(f"flow matrix label {label!r} is repeated")
-        if values.shape != (len(labels), len(labels)):
-            raise ValidationError(
-                f"matrix shape {values.shape} does not match {len(labels)} labels"
-            )
-        if not np.all(np.isnan(np.diag(values))):
+        if not np.all(np.isnan(np.diag(_freeze_grid(self, "flow matrix")))):
             raise ValidationError("diagonal entries are undefined and must be NaN")
-        off = ~np.eye(len(labels), dtype=bool)
-        if not np.all(np.isfinite(values[off])):
-            raise ValidationError("off-diagonal entries must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -81,18 +89,11 @@ class NetFlowMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(labels), len(labels)):
-            raise ValidationError("net flow matrix must be square over its labels")
-        if np.any(np.abs(values + values.T) > _ANTISYM_TOL):
-            raise ValidationError("net flow matrix must be antisymmetric")
+        values = _freeze_grid(self, "net flow matrix")
         if np.any(np.diag(values) != 0.0):
             raise ValidationError("net flow diagonal must be exactly zero")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
+        if np.any(np.abs(values + values.T) > _ANTISYM_TOL):
+            raise ValidationError("net flow matrix must be antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,14 @@ def pairwise_matrix(
     """Effective transfer entropy for every ordered pair of series.
 
     All series must have equal lengths (align upstream) and unique
-    labels.  A failure on any pair aborts the whole run with the pair
-    named in the error.  A dict passed as `timing_sink` receives each
-    directed pair's seconds of counting and evaluation over the raw pair
-    and every replica; the shared source shuffles are charged to no pair.
+    labels; an unlabeled series i is "series<i>" in the matrix, errors and
+    timings.  A failure on any pair aborts the run, naming the pair.  A
+    dict passed as `timing_sink` receives each directed pair's seconds of
+    counting and evaluation over the raw pair and every replica; the
+    shared source shuffles are charged to no pair.
     """
-    if len(series) < 2:
-        raise ValidationError("pairwise matrix needs at least two series")
-    labels = tuple(s.label or f"series{i}" for i, s in enumerate(series))
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"series labels must be unique, got {labels}")
+    labels = _check_labels((s.label or f"series{i}" for i, s in enumerate(series)), "flow matrix")
+    series = [replace(s, label=label) for s, label in zip(series, labels)]
     q = _order(q)
     n = len(series)
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]  # (target, source)
@@ -328,8 +327,7 @@ def _matrix_svg(matrix, diverging: bool) -> str:
     width = margin + n * cell + 20
     height = margin + n * cell + legend_h + 20
     finite = matrix.values[np.isfinite(matrix.values)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 0.0
+    lo, hi = float(finite.min()), float(finite.max())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="11">',

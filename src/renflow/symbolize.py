@@ -85,7 +85,7 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
 
     A trailing partial block is dropped rather than padded, so every
     output value averages exactly `block_size` inputs.  block_size = 1
-    is the identity.
+    is the identity, bit for bit.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -94,14 +94,14 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
         raise ValidationError("cannot block-average non-finite values")
     if block_size < 1:
         raise ValidationError("block size must be a positive integer")
-    if block_size == 1:
-        return arr.copy()
     n_blocks = arr.size // block_size
     if n_blocks == 0:
         raise ValidationError(
             f"series of length {arr.size} is shorter than one block of {block_size}"
         )
-    return arr[: n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
+    # Unlike np.mean, a sum from -0.0 (the exact additive identity) keeps -0.0.
+    blocks = arr[: n_blocks * block_size].reshape(n_blocks, block_size)
+    return blocks.sum(axis=1, initial=-0.0) / block_size
 
 
 def log_returns(values) -> np.ndarray:

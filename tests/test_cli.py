@@ -487,6 +487,22 @@ class TestMatrixAndNetflow:
         assert "label 'A\\x01x' holds a character" in capsys.readouterr().err
         assert calls == []
 
+    def test_data_naming_the_manifest_is_refused_before_any_estimate(
+        self, price_csv, tmp_path, capsys, monkeypatch
+    ):
+        calls, count_words = [], renflow.surrogate.count_words
+        monkeypatch.setattr(renflow.surrogate, "count_words",
+                            lambda *a: calls.append(a) or count_words(*a))
+        data = tmp_path / "flow.manifest.json"
+        data.write_bytes(price_csv.read_bytes())
+        out = tmp_path / "sub" / ".." / "flow.csv"
+        (tmp_path / "sub").mkdir()
+        assert main(["matrix", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --data: is the same file as the run manifest")
+        assert data.read_bytes() == price_csv.read_bytes()
+        assert calls == [] and not (tmp_path / "flow.csv").exists()
+
     def test_tz_offset_past_int64_is_reported(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"
         path.write_text("timestamp,A,B\n-9223372036854775800,1.0,2.0\n0,1.5,2.5\n",

@@ -356,6 +356,13 @@ class TestAlign:
         for s in out:
             np.testing.assert_array_equal(s.timestamps, [2, 4])
 
+    def test_one_series_is_its_own_join(self):
+        s = self.a([1, 5, 9], [3.0, -0.0, 2.5])
+        (out,) = align_many([s])
+        assert out.label == "A"
+        np.testing.assert_array_equal(out.timestamps, s.timestamps)
+        assert out.values.tobytes() == s.values.tobytes()
+
     def test_series_invariants(self):
         with pytest.raises(ValidationError):
             RawSeries(label="A", timestamps=np.array([1, 2]), values=np.array([1.0, np.inf]))

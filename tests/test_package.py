@@ -1,5 +1,6 @@
 """The public namespace: every exported name resolves, every module uses
-what it imports, and the README's library example runs."""
+what it imports and every private function it defines, and the README's
+library example runs."""
 
 import ast
 import re
@@ -43,6 +44,21 @@ def test_modules_use_every_name_they_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in read]
     assert unused == []
+
+
+def test_every_private_function_is_used():
+    """A private function or method that nothing in the package names any
+    more, such as a helper whose caller was folded away, is refused."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {
+        node.name for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert sorted(defined - named) == []
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):

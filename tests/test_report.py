@@ -97,6 +97,27 @@ class TestFlowMatrixTypes:
         with pytest.raises(ValidationError):
             NetFlowMatrix(labels=("A", "B"), values=bad)
 
+    @pytest.mark.parametrize("kind", (FlowMatrix, NetFlowMatrix))
+    @pytest.mark.parametrize("labels, spoil, message", [
+        (("A", "A"), None, "label 'A' is repeated"),
+        (("A",), None, "needs at least two labels, got 1"),
+        (("A", "B"), np.nan, "off-diagonal entries must be finite"),
+        (("A", "B"), np.inf, "off-diagonal entries must be finite"),
+        (("A", "B"), "columns", "shape (2, 3) does not match 2 labels"),
+    ], ids=["repeated-label", "one-label", "nan-cell", "inf-cell", "non-square"])
+    def test_both_matrix_types_refuse_a_bad_grid(self, kind, labels, spoil, message):
+        """Each grid is valid for its type but for the one fault named."""
+        n = len(labels) + (spoil == "columns")
+        values = np.triu(np.full((n, n), 0.1), 1)
+        values -= values.T
+        np.fill_diagonal(values, np.nan if kind is FlowMatrix else 0.0)
+        if spoil == "columns":
+            values = values[:-1]
+        elif spoil is not None:
+            values[0, 1], values[1, 0] = spoil, -spoil
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            kind(labels=labels, values=values)
+
 
 class TestPairwiseMatrix:
     def test_copy_pair_structure(self):
@@ -136,6 +157,12 @@ class TestPairwiseMatrix:
         ]
         with pytest.raises(ValidationError, match="pair"):
             pairwise_matrix(series, HistorySpec(3, 3), 1.0, FAST)
+
+    def test_unlabeled_failing_pair_named_as_printed(self):
+        rng = np.random.default_rng(5)
+        series = [iid_symbol_series(rng, n, 2) for n in (100, 100, 90)]
+        with pytest.raises(ValidationError, match=re.escape("pair series2->series0 failed")):
+            pairwise_matrix(series, H11, 1.0, FAST)
 
     def test_each_source_shuffled_once_per_replica(self, monkeypatch):
         calls = count_calls(monkeypatch, "make_surrogate")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renflow import (
@@ -44,10 +44,14 @@ class TestBlockCoarseGrain:
         with pytest.raises(ValidationError):
             block_coarse_grain([1.0, 2.0], 5)
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @example([-0.0, 0.0, -5e-324])
     @settings(max_examples=60, deadline=None)
     def test_identity_property(self, values):
-        np.testing.assert_array_equal(block_coarse_grain(values, 1), values)
+        """Bit for bit, the sign of a zero included."""
+        out = block_coarse_grain(values, 1)
+        assert np.array_equal(out, values)
+        assert np.signbit(out).tolist() == np.signbit(values).tolist()
 
 
 class TestFitBins:
