@@ -162,11 +162,7 @@ def _cmd_te(args) -> None:
         "q": q,
         "m": h.m,
         "l": h.l,
-        "n_windows": result.n_windows,
-        "raw_bits": result.raw,
-        "surrogate_mean_bits": result.surrogate_mean,
-        "surrogate_std_bits": result.surrogate_std,
-        "effective_bits": result.effective,
+        **{f"{k}_bits" if isinstance(v, float) else k: v for k, v in result.fields().items()},
         "surrogate_method": spec.method,
         "surrogate_ensemble": spec.ensemble_size,
         "surrogate_block": spec.block_length,
@@ -198,10 +194,10 @@ def _cmd_matrix(args) -> None:
         "m": args.m,
         "l": args.l,
         "q": matrix.params["q"],
-        "surrogates": args.surrogates,
+        "surrogates": spec.ensemble_size,
         "surrogate_method": spec.method,
         "surrogate_block": spec.block_length,
-        "seed": args.seed,
+        "seed": spec.rng_seed,
         "timestamp_column": args.timestamp_column,
         "output": out.name,
         "alignment": info,

@@ -69,15 +69,19 @@ def _freeze_grid(matrix, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowMatrix:
-    """Square grid of effective transfer entropies between labelled series."""
+    """Square grid of effective transfer entropies between labelled series, and the
+    `EffectiveResult` of each computed (target, source) cell; a parsed matrix has none."""
 
     labels: tuple[str, ...]
     values: np.ndarray
     params: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isnan(np.diag(_freeze_grid(self, "flow matrix")))):
             raise ValidationError("diagonal entries are undefined and must be NaN")
+        if any(self.values[cell] != r.effective for cell, r in self.results.items()):
+            raise ValidationError("flow matrix values differ from their results' effective values")
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,9 @@ def pairwise_matrix(
     results = effective_transfer_entropies(
         [(series[i], series[j], h) for i, j in cells], [q], spec, seconds
     )
+    results = {cell: result for cell, (result,) in zip(cells, results)}
     values = np.full((n, n), np.nan)
-    for (i, j), (result,) in zip(cells, results):
+    for (i, j), result in results.items():
         values[i, j] = result.effective
     if timing_sink is not None:
         timing_sink.update(
@@ -152,7 +157,7 @@ def pairwise_matrix(
         **spec.record,
         "n_samples": len(series[0]),
     }
-    return FlowMatrix(labels=labels, values=values, params=params)
+    return FlowMatrix(labels=labels, values=values, params=params, results=results)
 
 
 def net_flow(matrix: FlowMatrix) -> NetFlowMatrix:
@@ -254,21 +259,12 @@ def _matrix_payload(matrix) -> dict:
     }
 
 
-_SWEEP_FIELDS = ("source", "target", "raw", "surrogate_mean", "surrogate_std",
-                 "effective", "n_windows")
-
-
-def _sweep_fields(source: str, target: str, r: EffectiveResult) -> tuple:
-    """The values of `_SWEEP_FIELDS` for one row."""
-    return (source, target, r.raw, r.surrogate_mean, r.surrogate_std, r.effective, r.n_windows)
-
-
 def _sweep_rows(table: SweepTable) -> list:
-    rows = [[table.param_name, *_SWEEP_FIELDS]]
-    for value, *row in table.rows:
-        source, target, *bits, n_windows = _sweep_fields(*row)
+    rows = [[table.param_name, "source", "target", *EffectiveResult.FIELDS]]
+    for value, source, target, result in table.rows:
         param = _fmt(value) if table.param_name == "q" else int(value)
-        rows.append([param, source, target, *map(_fmt, bits), n_windows])
+        cells = (_fmt(v) if isinstance(v, float) else v for v in result.fields().values())
+        rows.append([param, source, target, *cells])
     return rows
 
 
@@ -277,8 +273,8 @@ def _sweep_payload(table: SweepTable) -> dict:
         "kind": f"{table.param_name}_sweep",
         "params": table.params,
         "rows": [
-            {table.param_name: value, **dict(zip(_SWEEP_FIELDS, _sweep_fields(*row)))}
-            for value, *row in table.rows
+            {table.param_name: value, "source": source, "target": target, **result.fields()}
+            for value, source, target, result in table.rows
         ],
     }
 

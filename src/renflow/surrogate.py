@@ -57,7 +57,7 @@ class SurrogateSpec:
     def record(self) -> dict:
         """The ensemble's keys in matrix and sweep run records."""
         return {"surrogate_method": self.method, "surrogate_ensemble": self.ensemble_size,
-                "surrogate_seed": self.rng_seed}
+                "surrogate_seed": self.rng_seed, "surrogate_block": self.block_length}
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,12 @@ class EffectiveResult:
     raw: float
     replicas: tuple[float, ...]
     n_windows: int
+
+    FIELDS = ("raw", "surrogate_mean", "surrogate_std", "effective", "n_windows")
+
+    def fields(self) -> dict:
+        """The record every writer prints, in `FIELDS` order: bits, then the window count."""
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     @property
     def surrogate_mean(self) -> float:

@@ -163,13 +163,25 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     )
 
 
+def _reaching(transition: np.ndarray, state: int) -> np.ndarray:
+    """Which states reach `state` over the nonzero entries of a transition matrix."""
+    reach = frontier = np.arange(len(transition)) == state
+    while frontier.any():
+        frontier = (transition @ frontier > 0) & ~reach
+        reach = reach | frontier
+    return reach
+
+
 def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
     """Stationary distribution pi(x, y) of the coupled pair chain.
 
-    Power iteration from the uniform distribution; stops when successive
-    iterates differ by less than 1e-14 in max norm, errors out after
-    10^6 iterations (reducible or periodic chain).  The pair transition
-    matrix has n**4 cells, so an alphabet past 2**24 of them is refused.
+    Power iteration of the lazy chain (P + I) / 2 from the uniform
+    distribution, which has P's stationary laws and settles on periodic
+    chains too: the step pi @ P is returned once it is within 1e-14 of
+    pi in max norm, and a chain not settled after 10^6 steps is an error.
+    A chain with more than one stationary law is refused.  The pair
+    transition matrix has n**4 cells, so an alphabet past 2**24 of them
+    is refused.
     """
     n = spec.alphabet_size
     _check_alphabet(n, 4)
@@ -178,14 +190,19 @@ def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
     transition = transition.reshape(n * n, n * n)
     pi = np.full(n * n, 1.0 / (n * n))
     for _ in range(_POWER_MAX_ITER):
-        nxt = pi @ transition
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < _POWER_TOL:
-            return nxt.reshape(n, n)
-        pi = nxt
-    raise ConvergenceError(
-        "power iteration did not converge; the coupled chain may be reducible or periodic"
-    )
+        step = pi @ transition
+        step /= step.sum()
+        if np.max(np.abs(step - pi)) < _POWER_TOL:
+            break
+        pi = (pi + step) / 2
+    else:
+        raise ConvergenceError(f"power iteration did not converge within {_POWER_MAX_ITER} steps")
+    # The most likely state lies in a closed class, and the law is unique
+    # exactly when every state can reach it.
+    if not _reaching(transition, int(np.argmax(step))).all():
+        raise ValidationError("the coupled chain has more than one closed class, "
+                              "so more than one stationary law")
+    return step.reshape(n, n)
 
 
 def exact_transfer_entropy(spec: CoupledMarkovSpec, q) -> float:

@@ -124,8 +124,11 @@ class TestGenSynthAndOracle:
          f'"target_transition": {HALF_TARGET}}}', "source_transition must contain finite"),
         (f'{{{HALF_SPEC}, "initial_source": [0.5, 0.5]}}', "unknown key 'initial_source'"),
         (f'{{{HALF_SPEC}, "target_transiton": {HALF_TARGET}}}', "unknown key 'target_transiton'"),
+        ('{"alphabet_size": 2, "source_transition": [[1.0, 0.0], [0.0, 1.0]], '
+         '"target_transition": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}',
+         "more than one closed class"),
     ], ids=["missing-key", "not-json", "huge-integer", "not-an-object", "null-alphabet",
-            "non-numeric-cell", "null-cell", "initial-key", "misspelled-key"])
+            "non-numeric-cell", "null-cell", "initial-key", "misspelled-key", "two-laws"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
@@ -164,7 +167,7 @@ class TestGenSynthAndOracle:
     def test_oracle_on_a_chain_that_does_not_converge_is_reported(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(synth, "_POWER_MAX_ITER", 100)
+        monkeypatch.setattr(synth, "_POWER_MAX_ITER", 3)
         spec_path = tmp_path / "periodic.json"
         spec_path.write_text(json.dumps({
             "alphabet_size": 3,
@@ -529,14 +532,29 @@ class TestMatrixAndNetflow:
     def test_manifest_records_surrogate_block(self, price_csv, tmp_path):
         parameters = []
         for block in ("3", "7"):
-            out = tmp_path / block / "flow.csv"
-            assert main(["matrix", "--data", str(price_csv), "--surrogates", "2",
-                         "--surrogate-block", block, "--out", str(out)]) == 0
+            ensemble = ["--data", str(price_csv), "--surrogates", "2", "--surrogate-block", block]
+            out = tmp_path / block / "flow.json"
+            assert main(["matrix", *ensemble, "--format", "json", "--out", str(out)]) == 0
             manifest = json.loads(out.with_suffix(".manifest.json").read_text())
             parameters.append(manifest["parameters"])
+            records = [json.loads(out.read_text())["params"]]
+            for command in ("sweep-q", "sweep-m"):
+                sweep = tmp_path / block / f"{command}.json"
+                assert main([command, *PAIR, *ensemble, "--format", "json",
+                             "--out", str(sweep)]) == 0
+                records.append(json.loads(sweep.read_text())["params"])
+            assert [r["surrogate_block"] for r in records] == [int(block)] * 3
         assert parameters[0] != parameters[1]
         assert [p["surrogate_block"] for p in parameters] == [3, 7]
         assert {p["timestamp_column"] for p in parameters} == {"timestamp"}
+
+    def test_manifest_records_the_seed_the_matrix_used(self, price_csv, tmp_path):
+        out = tmp_path / "flow.json"
+        assert main(["matrix", "--data", str(price_csv), "--surrogates", "2", "--seed", "-1",
+                     "--format", "json", "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        matrix = json.loads(out.read_text())
+        assert manifest["parameters"]["seed"] == matrix["params"]["surrogate_seed"] == 2**64 - 1
 
     def test_manifest_records_alignment_and_offsets(self, price_csv, tmp_path):
         out = tmp_path / "flow.csv"

@@ -21,6 +21,7 @@ from helpers import (
     reference_sweep_rows,
 )
 from renflow import (
+    EffectiveResult,
     FiniteSampleWarning,
     FlowMatrix,
     HistorySpec,
@@ -28,6 +29,7 @@ from renflow import (
     SurrogateSpec,
     ValidationError,
     copy_spec,
+    effective_transfer_entropy,
     emit,
     generate,
     m_sweep,
@@ -92,6 +94,14 @@ class TestFlowMatrixTypes:
         with pytest.raises(ValidationError):
             FlowMatrix(labels=("A", "A"), values=values)
 
+    def test_values_must_equal_their_results(self):
+        result = EffectiveResult(raw=0.5, replicas=(0.25, 0.0), n_windows=10)
+        values = np.array([[np.nan, result.effective], [0.0, np.nan]])
+        assert FlowMatrix(labels=("A", "B"), values=values, results={(0, 1): result}).results
+        values[0, 1] = np.nextafter(result.effective, 1.0)
+        with pytest.raises(ValidationError, match="values differ from their results"):
+            FlowMatrix(labels=("A", "B"), values=values, results={(0, 1): result})
+
     def test_net_flow_antisymmetry_enforced(self):
         bad = np.array([[0.0, 0.3], [0.1, 0.0]])
         with pytest.raises(ValidationError):
@@ -134,6 +144,16 @@ class TestPairwiseMatrix:
         matrix = pairwise_matrix(series, H11, 1.0, FAST)
         off = ~np.eye(3, dtype=bool)
         assert np.all(np.abs(matrix.values[off]) <= 0.01)
+
+    @pytest.mark.parametrize("q", (1.0, 1.5))
+    def test_keeps_each_cells_result(self, q):
+        rng = np.random.default_rng(18)
+        series = [iid_symbol_series(rng, 400, 3, label=f"S{i}") for i in range(3)]
+        h = HistorySpec(2, 1)
+        matrix = pairwise_matrix(series, h, q, FAST)
+        assert sorted(matrix.results) == [(i, j) for i in range(3) for j in range(3) if i != j]
+        for (i, j), result in matrix.results.items():
+            assert result == effective_transfer_entropy(series[i], series[j], h, q, FAST)
 
     def test_single_series_rejected(self):
         rng = np.random.default_rng(3)
@@ -335,7 +355,7 @@ class TestEmission:
         matrix = FlowMatrix(labels=("A", "B", "C"), values=values)
         path = emit(matrix, tmp_path / "m.csv", "csv")
         again = parse_matrix_csv(path)
-        assert again.labels == matrix.labels
+        assert again.labels == matrix.labels and again.results == {}
         off = ~np.eye(3, dtype=bool)
         np.testing.assert_allclose(again.values[off], matrix.values[off], rtol=1e-11)
 

@@ -17,6 +17,7 @@ from renflow import (
     independent_spec,
     noisy_copy_spec,
     stationary_joint,
+    synth,
 )
 
 Q_GRID = (0.5, 0.8, 1.0, 1.5, 3.0)
@@ -28,6 +29,12 @@ def random_spec(rng, n=3) -> CoupledMarkovSpec:
     b = rng.random((n, n, n)) + 0.1
     b /= b.sum(axis=2, keepdims=True)
     return CoupledMarkovSpec(n, a, b)
+
+
+def periodic_spec() -> CoupledMarkovSpec:
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    b = np.broadcast_to(np.full(3, 1 / 3), (3, 3, 3)).copy()
+    return CoupledMarkovSpec(3, a, b)
 
 
 class TestSpecValidation:
@@ -146,14 +153,26 @@ class TestStationaryJoint:
             np.testing.assert_allclose(flat @ transition, flat, atol=1e-12)
             assert abs(pi.sum() - 1.0) <= 1e-12
 
-    def test_periodic_chain_raises(self):
-        # source states 0 and 1 swap forever while state 2 feeds in, so the
-        # distribution oscillates and power iteration cannot settle
-        a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        b = np.broadcast_to(np.full(3, 1 / 3), (3, 3, 3)).copy()
-        spec = CoupledMarkovSpec(3, a, b)
-        with pytest.raises(ConvergenceError):
-            stationary_joint(spec)
+    def test_periodic_chain_has_its_stationary_law(self):
+        # source symbols 0 and 1 swap forever and the transient 2 feeds into 1,
+        # so the iterates of the chain itself oscillate; the target is uniform
+        pi = stationary_joint(periodic_spec())
+        expected = np.zeros((3, 3))
+        expected[:, :2] = 1 / 6
+        np.testing.assert_allclose(pi, expected, rtol=0.0, atol=1e-12)
+
+    def test_chain_that_does_not_settle_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "_POWER_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="within 3 steps"):
+            stationary_joint(periodic_spec())
+
+    def test_chain_with_two_closed_classes_refused(self):
+        # the source never moves and the target copies it, so the pair states
+        # (0, 0) and (1, 1) are both closed and every mixture is stationary
+        b = np.zeros((2, 2, 2))
+        b[:, 0, 0] = b[:, 1, 1] = 1.0
+        with pytest.raises(ValidationError, match="more than one closed class"):
+            stationary_joint(CoupledMarkovSpec(2, np.eye(2), b))
 
 
 class TestExactTransferEntropy:
