@@ -163,10 +163,7 @@ def _cmd_te(args) -> None:
         "m": h.m,
         "l": h.l,
         **{f"{k}_bits" if isinstance(v, float) else k: v for k, v in result.fields().items()},
-        "surrogate_method": spec.method,
-        "surrogate_ensemble": spec.ensemble_size,
-        "surrogate_block": spec.block_length,
-        "seed": spec.rng_seed,
+        **spec.record,
     }
     emit(payload, args.out, "json")
 

@@ -16,7 +16,18 @@ exact for every order.  Conventions used throughout: 0 * log 0 := 0 and
 
 Sums of probability powers are accumulated with compensated summation
 (`math.fsum`); the chain rule then holds to well below 1e-12 even for
-orders q > 2 where the dynamic range of p^q is large.
+orders q > 2 where the dynamic range of p^q is large.  `math.fsum` is
+correctly rounded, so any exact split of the terms gives the same sum.
+A table of empirical probabilities c / N may hand `_power_sum` its
+integer counts c and N: cells with one count share one p^q, so each
+count class c with k cells adds k * (c / N)^q, split exactly into two
+floats by Dekker's TwoProduct (Veltkamp split, splitter 2^27 + 1).
+Only cells whose value is fl(c / N) are grouped; the rest, such as
+marginals added up in floating point, join the sum as they are.  A
+table of at most 1,000 cells or with cells^2 <= 8 N (too few repeated
+counts to pay for grouping), and one whose smallest class power is
+below 2^-900, where TwoProduct could underflow, take the per-cell sum
+instead.  Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -110,16 +121,70 @@ class JointDistribution:
         return value if isinstance(value, cls) else cls(np.asarray(value, dtype=float))
 
 
-def _power_sum(probs: np.ndarray, q: float) -> float:
-    """Compensated sum of p^q over the positive entries (0^q := 0).  A sum
-    that underflows to 0 or overflows has no logarithm and is rejected."""
+# Which tables `_power_sum` sums by count class.  Grouping costs about 40 us a
+# call against about 0.05 us a cell for the per-cell sum (4 us on a 27-cell
+# table): over alphabets 2-5, m = l in 1..4 and 300 to 50,000 windows the two
+# broke even between 800 and 1,000 cells.  Grouping also needs repeated counts,
+# and distinct positive counts that sum to N number fewer than sqrt(2 N), so a
+# table with cells^2 <= 8 N is summed per cell too.
+_CLASS_MIN_CELLS = 1000
+_CLASS_GATE = 8
+# TwoProduct is exact only while its partial products stay normal; a class
+# power below this floor sends the whole table to the per-cell sum.
+_TWO_PRODUCT_FLOOR = 2.0**-900
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _by_class(cells: int, windows: int) -> bool:
+    """Whether a table of `cells` cells over `windows` windows is summed by count class."""
+    return cells > _CLASS_MIN_CELLS and cells**2 > _CLASS_GATE * windows
+
+
+def _power_sum(probs: np.ndarray, q: float, counts=None, total=None) -> float:
+    """Compensated sum of p^q over the positive entries (0^q := 0).  With the
+    integer `counts` behind `probs` and their `total` N, the cells equal to
+    fl(count / N) are summed by count class (see the module docstring).  A
+    sum that underflows to 0 or overflows has no logarithm and is rejected."""
     flat = probs.ravel()
-    total = math.fsum(np.power(flat[flat > 0.0], q).tolist())
-    if not 0.0 < total < math.inf:
+    terms = None
+    if counts is not None and _by_class(flat.size, total):
+        terms = _class_terms(flat, counts.ravel(), total, q)
+    if terms is None:
+        terms = np.power(flat[flat > 0.0], q).tolist()
+    power_sum = math.fsum(terms)
+    if not 0.0 < power_sum < math.inf:
         raise ValidationError(
-            f"sum of p^q is {total!r} at Renyi order q={q!r}, beyond floating point"
+            f"sum of p^q is {power_sum!r} at Renyi order q={q!r}, beyond floating point"
         )
-    return total
+    return power_sum
+
+
+def _class_terms(flat: np.ndarray, counts: np.ndarray, total: int, q: float):
+    """Exact pieces of sum p^q over the positive cells: two floats per count
+    class, each class's k * (c / N)^q by TwoProduct, and p^q of every cell
+    that is not fl(c / N) or whose count is at least the cell count (so the
+    class table stays as short as the cells).  None when a class power is
+    below the TwoProduct floor."""
+    grouped = (flat == counts / total) & (counts < flat.size)
+    multiplicity = np.bincount(counts[grouped])
+    classes = np.flatnonzero(multiplicity[1:]) + 1
+    powers = np.power(classes / total, q)
+    if powers.size and powers[0] < _TWO_PRODUCT_FLOOR:
+        return None
+    k = multiplicity[classes].astype(float)
+    product = k * powers
+    k_hi, k_lo = _veltkamp(k)
+    p_hi, p_lo = _veltkamp(powers)
+    error = ((k_hi * p_hi - product) + k_hi * p_lo + k_lo * p_hi) + k_lo * p_lo
+    rest = flat[~grouped]
+    return [*product.tolist(), *error.tolist(), *np.power(rest[rest > 0.0], q).tolist()]
+
+
+def _veltkamp(a: np.ndarray):
+    """Split each float into a high half of 26 bits and an exact low remainder."""
+    scaled = _SPLITTER * a
+    high = scaled - (scaled - a)
+    return high, a - high
 
 
 def _shannon_bits(probs: np.ndarray) -> float:
@@ -184,9 +249,14 @@ def conditional_entropy(joint, q) -> float:
     return _conditional_renyi(j.probs, cond_marginal, q)
 
 
-def _conditional_renyi(joint: np.ndarray, marginal: np.ndarray, q: float) -> float:
-    """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y)."""
-    return (math.log2(_power_sum(joint, q)) - math.log2(_power_sum(marginal, q))) / (1.0 - q)
+def _conditional_renyi(
+    joint: np.ndarray, marginal: np.ndarray, q: float, counts=(None, None), total=None
+) -> float:
+    """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y),
+    with the integer counts of both and their total when they are empirical."""
+    joint_sum = _power_sum(joint, q, counts[0], total)
+    marginal_sum = _power_sum(marginal, q, counts[1], total)
+    return (math.log2(joint_sum) - math.log2(marginal_sum)) / (1.0 - q)
 
 
 def mutual_information(joint, q) -> float:

@@ -22,8 +22,10 @@ import math
 import re
 import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,33 +69,42 @@ def _freeze_grid(matrix, kind: str) -> np.ndarray:
     return values
 
 
+def _freeze(obj, *names: str) -> None:
+    """Replace each named mapping of a frozen dataclass by a read-only copy."""
+    for name in names:
+        object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
+
+
 @dataclass(frozen=True)
 class FlowMatrix:
     """Square grid of effective transfer entropies between labelled series, and the
-    `EffectiveResult` of each computed (target, source) cell; a parsed matrix has none."""
+    `EffectiveResult` of each computed (target, source) cell; a parsed matrix has none.
+    `params` and `results` are read-only mappings."""
 
     labels: tuple[str, ...]
     values: np.ndarray
-    params: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
+    results: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isnan(np.diag(_freeze_grid(self, "flow matrix")))):
             raise ValidationError("diagonal entries are undefined and must be NaN")
+        _freeze(self, "params", "results")
         if any(self.values[cell] != r.effective for cell, r in self.results.items()):
             raise ValidationError("flow matrix values differ from their results' effective values")
 
 
 @dataclass(frozen=True)
 class NetFlowMatrix:
-    """Antisymmetric net-information-flow grid with zero diagonal."""
+    """Antisymmetric net-information-flow grid with zero diagonal and read-only `params`."""
 
     labels: tuple[str, ...]
     values: np.ndarray
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         values = _freeze_grid(self, "net flow matrix")
+        _freeze(self, "params")
         if np.any(np.diag(values) != 0.0):
             raise ValidationError("net flow diagonal must be exactly zero")
         if np.any(np.abs(values + values.T) > _ANTISYM_TOL):
@@ -104,16 +115,17 @@ class NetFlowMatrix:
 class SweepTable:
     """Rows of a q- or m-sweep over one ordered pair: a (parameter value,
     source label, target label, result) row for Y -> X, then one for
-    X -> Y, at each value."""
+    X -> Y, at each value; `params` is a read-only mapping."""
 
     param_name: str
     rows: tuple[tuple[float, str, str, EffectiveResult], ...]
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.param_name not in ("q", "m"):
             raise ValidationError("sweep parameter must be 'q' or 'm'")
         object.__setattr__(self, "rows", tuple(self.rows))
+        _freeze(self, "params")
 
 
 def pairwise_matrix(
@@ -153,7 +165,7 @@ def pairwise_matrix(
         "q": q,
         "m": h.m,
         "l": h.l,
-        "alphabet_sizes": [s.alphabet_size for s in series],
+        "alphabet_sizes": tuple(s.alphabet_size for s in series),
         **spec.record,
         "n_samples": len(series[0]),
     }
@@ -164,7 +176,7 @@ def net_flow(matrix: FlowMatrix) -> NetFlowMatrix:
     """Net flow F[i][j] = T(j -> i) - T(i -> j); antisymmetric, zero diagonal."""
     out = matrix.values - matrix.values.T
     np.fill_diagonal(out, 0.0)
-    return NetFlowMatrix(labels=matrix.labels, values=out, params=dict(matrix.params))
+    return NetFlowMatrix(labels=matrix.labels, values=out, params=matrix.params)
 
 
 def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
@@ -255,7 +267,7 @@ def _matrix_payload(matrix) -> dict:
         "values": [
             [None if math.isnan(v) else v for v in row] for row in matrix.values.tolist()
         ],
-        "params": matrix.params,
+        "params": dict(matrix.params),
     }
 
 
@@ -271,7 +283,7 @@ def _sweep_rows(table: SweepTable) -> list:
 def _sweep_payload(table: SweepTable) -> dict:
     return {
         "kind": f"{table.param_name}_sweep",
-        "params": table.params,
+        "params": dict(table.params),
         "rows": [
             {table.param_name: value, "source": source, "target": target, **result.fields()}
             for value, source, target, result in table.rows

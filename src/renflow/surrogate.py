@@ -55,7 +55,7 @@ class SurrogateSpec:
 
     @property
     def record(self) -> dict:
-        """The ensemble's keys in matrix and sweep run records."""
+        """The ensemble's keys in the te, matrix and sweep run records."""
         return {"surrogate_method": self.method, "surrogate_ensemble": self.ensemble_size,
                 "surrogate_seed": self.rng_seed, "surrogate_block": self.block_length}
 

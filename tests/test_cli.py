@@ -548,6 +548,25 @@ class TestMatrixAndNetflow:
         assert [p["surrogate_block"] for p in parameters] == [3, 7]
         assert {p["timestamp_column"] for p in parameters} == {"timestamp"}
 
+    def test_te_records_the_ensemble_as_matrix_and_sweeps_do(self, price_csv, tmp_path):
+        ensemble = ["--data", str(price_csv), "--surrogates", "2", "--seed", "-1",
+                    "--surrogate-block", "3"]
+        out = tmp_path / "te.json"
+        assert main(["te", *PAIR, *ensemble, "--out", str(out)]) == 0
+        te = json.loads(out.read_text())
+        records = []
+        for command in ("matrix", "sweep-q", "sweep-m"):
+            path = tmp_path / f"{command}.json"
+            pair = [] if command == "matrix" else PAIR
+            assert main([command, *pair, *ensemble, "--format", "json",
+                         "--out", str(path)]) == 0
+            records.append(json.loads(path.read_text())["params"])
+        keys = ("surrogate_method", "surrogate_ensemble", "surrogate_seed", "surrogate_block")
+        assert "seed" not in te
+        for record in records:
+            assert {k: record[k] for k in keys} == {k: te[k] for k in keys}
+        assert te["surrogate_seed"] == 2**64 - 1
+
     def test_manifest_records_the_seed_the_matrix_used(self, price_csv, tmp_path):
         out = tmp_path / "flow.json"
         assert main(["matrix", "--data", str(price_csv), "--surrogates", "2", "--seed", "-1",

@@ -102,6 +102,29 @@ class TestFlowMatrixTypes:
         with pytest.raises(ValidationError, match="values differ from their results"):
             FlowMatrix(labels=("A", "B"), values=values, results={(0, 1): result})
 
+    def test_results_and_params_are_read_only(self):
+        rng = np.random.default_rng(19)
+        x, y = (iid_symbol_series(rng, 300, 3, label=label) for label in "AB")
+        matrix = pairwise_matrix([x, y], H11, 1.0, FAST)
+        with pytest.raises(TypeError):
+            matrix.results[(0, 1)] = matrix.results[(1, 0)]
+        assert matrix.values[0, 1] == matrix.results[(0, 1)].effective
+        tables = (matrix, net_flow(matrix), q_sweep(x, y, H11, (1.0,), FAST),
+                  m_sweep(x, y, (1,), 1.0, FAST, min_windows=0))
+        for table in tables:
+            with pytest.raises(TypeError):
+                table.params["q"] = 0.5
+        with pytest.raises(AttributeError):
+            matrix.params["alphabet_sizes"].append(4)
+
+    def test_a_caller_dict_is_copied(self):
+        params = {"q": 1.0}
+        values = np.array([[np.nan, 0.1], [0.2, np.nan]])
+        matrix = FlowMatrix(labels=("A", "B"), values=values, params=params)
+        params["q"] = 2.0
+        assert matrix.params == {"q": 1.0}
+        assert json.loads(render(matrix, "json"))["params"] == {"q": 1.0}
+
     def test_net_flow_antisymmetry_enforced(self):
         bad = np.array([[0.0, 0.3], [0.1, 0.0]])
         with pytest.raises(ValidationError):

@@ -22,8 +22,32 @@ from renflow import (
     count_words,
     renyi_transfer_entropy,
 )
+from renflow.cli import main
+from renflow.infocore import _by_class, _class_terms, _power_sum
 
 LOG2_3 = math.log2(3)
+CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
+
+
+def power_tables(words: WordDistribution) -> dict:
+    """The four (probabilities, integer counts) tables whose sums of p^q make T_q,
+    built as `renyi_transfer_entropy` builds them; both marginals are float sums."""
+    n = words.n_windows
+    (_, xh_counts), (both_inv, both_counts), (_, fx_counts, xh_of_fx) = words._groups
+    probs, fx_probs = words.counts / n, fx_counts / n
+    return {
+        "words": (probs, words.counts),
+        "xw,yw": (np.bincount(both_inv, weights=probs), both_counts),
+        "xw,x'": (fx_probs, fx_counts),
+        "xw": (np.bincount(xh_of_fx, weights=fx_probs), xh_counts),
+    }
+
+
+def sparse_words(length: int = 20_000, seed: int = 12) -> WordDistribution:
+    """i.i.d. alphabet-4 words at m = l = 4: most of the 4^9 words are seen once or twice."""
+    rng = np.random.default_rng(seed)
+    x, y = (iid_symbol_series(rng, length, 4) for _ in range(2))
+    return count_words(x, y, HistorySpec(4, 4))
 
 
 def copy_process_words() -> WordDistribution:
@@ -321,6 +345,66 @@ class TestRenyiTransferEntropy:
     def test_order_must_be_positive(self):
         with pytest.raises(ValidationError):
             renyi_transfer_entropy(copy_process_words(), -0.5)
+
+    def test_class_sums_equal_the_per_cell_sums(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            alphabet=st.integers(2, 5),
+            m=st.integers(1, 4),
+            length=st.one_of(st.integers(20, 600), st.integers(2_000, 12_000)),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        @example(alphabet=2, m=1, length=500, seed=0)
+        @example(alphabet=4, m=3, length=6_000, seed=1)
+        @example(alphabet=5, m=4, length=12_000, seed=2)
+        def check(alphabet, m, length, seed):
+            rng = np.random.default_rng(seed)
+            x, y = (iid_symbol_series(rng, length, alphabet) for _ in range(2))
+            words = count_words(x, y, HistorySpec(m, m))
+            n = words.n_windows
+            for name, (probs, counts) in power_tables(words).items():
+                seen.add((name, _by_class(probs.size, n)))
+                if np.any(probs != counts / n):
+                    seen.add((name, "float sum"))
+                for q in CLASS_ORDERS:
+                    per_cell = _power_sum(probs, q)
+                    assert _power_sum(probs, q, counts, n) == per_cell
+                    assert math.fsum(_class_terms(probs, counts, n, q)) == per_cell
+
+        check()
+        # Both sides of the gate, and marginal cells left out of the classes.
+        assert {("words", True), ("xw,yw", True), ("xw,x'", True), ("words", False)} <= seen
+        assert {("xw,yw", "float sum"), ("xw", "float sum")} <= seen
+
+    @pytest.mark.parametrize("q", (65.0, 73.0))
+    def test_class_power_below_the_floor_takes_the_per_cell_sum(self, q):
+        # (1 / N)^q is 2^-929 at q = 65 and subnormal at q = 73, while the sum stays positive
+        words = sparse_words()
+        n = words.n_windows
+        probs, counts = power_tables(words)["words"]
+        assert _by_class(probs.size, n) and _class_terms(probs, counts, n, q) is None
+        assert 0.0 < (1 / n) ** q < 2.0**-900
+        for probs, counts in power_tables(words).values():
+            assert _power_sum(probs, q, counts, n) == _power_sum(probs, q)
+        assert math.isfinite(renyi_transfer_entropy(words, q))
+
+    def test_sparse_sum_that_underflows_names_the_order(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="q=2000"):
+            renyi_transfer_entropy(sparse_words(), 2000.0)
+        rng = np.random.default_rng(13)
+        rows = "".join(f"{t},{a},{b}\n" for t, (a, b) in enumerate(rng.integers(0, 4, (3000, 2))))
+        path = tmp_path / "sparse.csv"
+        path.write_text("t,x,y\n" + rows, encoding="utf-8")
+        code = main([
+            "te", "--data", str(path), "--timestamp-column", "t", "--source", "y",
+            "--target", "x", "--pre-symbolized", "--alphabet", "4", "--m", "4", "--l", "4",
+            "--q", "2000", "--surrogates", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "q=2000" in err
 
     def test_large_alphabet_groups_only_observed_cells(self):
         # 2,998 windows over 5,000 symbols: a dense (xw, x') table would hold
