@@ -24,10 +24,9 @@ count class c with k cells adds k * (c / N)^q, split exactly into two
 floats by Dekker's TwoProduct (Veltkamp split, splitter 2^27 + 1).
 Only cells whose value is fl(c / N) are grouped; the rest, such as
 marginals added up in floating point, join the sum as they are.  A
-table of at most 1,000 cells or with cells^2 <= 8 N (too few repeated
-counts to pay for grouping), and one whose smallest class power is
-below 2^-900, where TwoProduct could underflow, take the per-cell sum
-instead.  Both paths give the same bits.
+table of at most 1,000 cells, too small to pay for grouping, and one
+whose smallest class power is below 2^-900, where TwoProduct could
+underflow, take the per-cell sum instead.  Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -121,34 +120,26 @@ class JointDistribution:
         return value if isinstance(value, cls) else cls(np.asarray(value, dtype=float))
 
 
-# Which tables `_power_sum` sums by count class.  Grouping costs about 40 us a
-# call against about 0.05 us a cell for the per-cell sum (4 us on a 27-cell
-# table): over alphabets 2-5, m = l in 1..4 and 300 to 50,000 windows the two
-# broke even between 800 and 1,000 cells.  Grouping also needs repeated counts,
-# and distinct positive counts that sum to N number fewer than sqrt(2 N), so a
-# table with cells^2 <= 8 N is summed per cell too.
+# Tables of more than this many cells are summed by count class.  Grouping
+# costs about 40 us a call against about 0.05 us a cell for the per-cell sum
+# (4 us on a 27-cell table): over alphabets 2-5, m = l in 1..4 and 300 to
+# 50,000 windows the two broke even between 800 and 1,000 cells.
 _CLASS_MIN_CELLS = 1000
-_CLASS_GATE = 8
 # TwoProduct is exact only while its partial products stay normal; a class
 # power below this floor sends the whole table to the per-cell sum.
 _TWO_PRODUCT_FLOOR = 2.0**-900
 _SPLITTER = 2.0**27 + 1.0
 
 
-def _by_class(cells: int, windows: int) -> bool:
-    """Whether a table of `cells` cells over `windows` windows is summed by count class."""
-    return cells > _CLASS_MIN_CELLS and cells**2 > _CLASS_GATE * windows
-
-
-def _power_sum(probs: np.ndarray, q: float, counts=None, total=None) -> float:
+def _power_sum(probs: np.ndarray, q: float, counts=None) -> float:
     """Compensated sum of p^q over the positive entries (0^q := 0).  With the
-    integer `counts` behind `probs` and their `total` N, the cells equal to
+    integer `counts` behind `probs`, whose total is N, the cells equal to
     fl(count / N) are summed by count class (see the module docstring).  A
     sum that underflows to 0 or overflows has no logarithm and is rejected."""
     flat = probs.ravel()
     terms = None
-    if counts is not None and _by_class(flat.size, total):
-        terms = _class_terms(flat, counts.ravel(), total, q)
+    if counts is not None and flat.size > _CLASS_MIN_CELLS:
+        terms = _class_terms(flat, counts.ravel(), q)
     if terms is None:
         terms = np.power(flat[flat > 0.0], q).tolist()
     power_sum = math.fsum(terms)
@@ -159,13 +150,13 @@ def _power_sum(probs: np.ndarray, q: float, counts=None, total=None) -> float:
     return power_sum
 
 
-def _class_terms(flat: np.ndarray, counts: np.ndarray, total: int, q: float):
+def _class_terms(flat: np.ndarray, counts: np.ndarray, q: float):
     """Exact pieces of sum p^q over the positive cells: two floats per count
     class, each class's k * (c / N)^q by TwoProduct, and p^q of every cell
-    that is not fl(c / N) or whose count is at least the cell count (so the
-    class table stays as short as the cells).  None when a class power is
-    below the TwoProduct floor."""
-    grouped = (flat == counts / total) & (counts < flat.size)
+    that is not fl(c / N).  None when a class power is below the TwoProduct
+    floor."""
+    total = int(counts.sum())
+    grouped = flat == counts / total
     multiplicity = np.bincount(counts[grouped])
     classes = np.flatnonzero(multiplicity[1:]) + 1
     powers = np.power(classes / total, q)
@@ -250,12 +241,12 @@ def conditional_entropy(joint, q) -> float:
 
 
 def _conditional_renyi(
-    joint: np.ndarray, marginal: np.ndarray, q: float, counts=(None, None), total=None
+    joint: np.ndarray, marginal: np.ndarray, q: float, counts=(None, None)
 ) -> float:
     """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y),
-    with the integer counts of both and their total when they are empirical."""
-    joint_sum = _power_sum(joint, q, counts[0], total)
-    marginal_sum = _power_sum(marginal, q, counts[1], total)
+    with the integer counts of both when they are empirical."""
+    joint_sum = _power_sum(joint, q, counts[0])
+    marginal_sum = _power_sum(marginal, q, counts[1])
     return (math.log2(joint_sum) - math.log2(marginal_sum)) / (1.0 - q)
 
 

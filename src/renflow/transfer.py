@@ -253,9 +253,9 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     total; it is non-negative up to rounding.  Away from q = 1 each term
     is the escort-averaged log2(sum p(x', w)^q / sum p(w)^q) / (1 - q),
     and the difference may be negative.  Each of the four power sums gets
-    its grouping's integer counts, so a table large enough to pass
-    `infocore._by_class` is summed by count class: one p^q per distinct
-    count, its multiplicity times p^q split exactly by TwoProduct.
+    its grouping's integer counts, so a table of more than
+    `infocore._CLASS_MIN_CELLS` cells is summed by count class: one p^q per
+    distinct count, its multiplicity times p^q split exactly by TwoProduct.
     Marginal cells whose float sum is not count / N, and tables whose
     smallest class power is below the TwoProduct floor, are summed per
     cell.  `math.fsum` of the exact pieces gives the per-cell sum's bits.
@@ -274,8 +274,8 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     # Each marginal adds the cells of its group in code order, that is in ascending x'.
     fx_probs, probs = fx_counts / total, w.counts / total
     target_only = _conditional_renyi(
-        fx_probs, np.bincount(xh_of_fx, weights=fx_probs), q, (fx_counts, xh_counts), total
+        fx_probs, np.bincount(xh_of_fx, weights=fx_probs), q, (fx_counts, xh_counts)
     )
     return target_only - _conditional_renyi(
-        probs, np.bincount(both_inv, weights=probs), q, (w.counts, both_counts), total
+        probs, np.bincount(both_inv, weights=probs), q, (w.counts, both_counts)
     )

@@ -23,7 +23,7 @@ from renflow import (
     renyi_transfer_entropy,
 )
 from renflow.cli import main
-from renflow.infocore import _by_class, _class_terms, _power_sum
+from renflow.infocore import _CLASS_MIN_CELLS, _class_terms, _power_sum
 
 LOG2_3 = math.log2(3)
 CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
@@ -365,13 +365,13 @@ class TestRenyiTransferEntropy:
             words = count_words(x, y, HistorySpec(m, m))
             n = words.n_windows
             for name, (probs, counts) in power_tables(words).items():
-                seen.add((name, _by_class(probs.size, n)))
+                seen.add((name, probs.size > _CLASS_MIN_CELLS))
                 if np.any(probs != counts / n):
                     seen.add((name, "float sum"))
                 for q in CLASS_ORDERS:
                     per_cell = _power_sum(probs, q)
-                    assert _power_sum(probs, q, counts, n) == per_cell
-                    assert math.fsum(_class_terms(probs, counts, n, q)) == per_cell
+                    assert _power_sum(probs, q, counts) == per_cell
+                    assert math.fsum(_class_terms(probs, counts, q)) == per_cell
 
         check()
         # Both sides of the gate, and marginal cells left out of the classes.
@@ -384,10 +384,10 @@ class TestRenyiTransferEntropy:
         words = sparse_words()
         n = words.n_windows
         probs, counts = power_tables(words)["words"]
-        assert _by_class(probs.size, n) and _class_terms(probs, counts, n, q) is None
+        assert probs.size > _CLASS_MIN_CELLS and _class_terms(probs, counts, q) is None
         assert 0.0 < (1 / n) ** q < 2.0**-900
         for probs, counts in power_tables(words).values():
-            assert _power_sum(probs, q, counts, n) == _power_sum(probs, q)
+            assert _power_sum(probs, q, counts) == _power_sum(probs, q)
         assert math.isfinite(renyi_transfer_entropy(words, q))
 
     def test_sparse_sum_that_underflows_names_the_order(self, tmp_path, capsys):
