@@ -177,24 +177,17 @@ def _cmd_matrix(args) -> None:
     if args.format == "svg":
         check_svg_labels(s.label for s in symbols)
     h = HistorySpec(args.m, args.l)
-    spec = _surrogate_spec(args)
     timing_sink = {} if args.timings else None
-    matrix = pairwise_matrix(symbols, h, args.q, spec, timing_sink)
+    matrix = pairwise_matrix(symbols, h, args.q, _surrogate_spec(args), timing_sink)
     out = emit(matrix, args.out, args.format)
     params = {
+        **matrix.params,
         "labels": list(matrix.labels),
         "alphabet": args.alphabet,
         "block": args.block,
         "bins": args.bins,
         "log_returns": args.log_returns,
         "pre_symbolized": args.pre_symbolized,
-        "m": args.m,
-        "l": args.l,
-        "q": matrix.params["q"],
-        "surrogates": spec.ensemble_size,
-        "surrogate_method": spec.method,
-        "surrogate_block": spec.block_length,
-        "seed": spec.rng_seed,
         "timestamp_column": args.timestamp_column,
         "output": out.name,
         "alignment": info,

@@ -18,15 +18,14 @@ Sums of probability powers are accumulated with compensated summation
 (`math.fsum`); the chain rule then holds to well below 1e-12 even for
 orders q > 2 where the dynamic range of p^q is large.  `math.fsum` is
 correctly rounded, so any exact split of the terms gives the same sum.
-A table of empirical probabilities c / N may hand `_power_sum` its
-integer counts c and N: cells with one count share one p^q, so each
-count class c with k cells adds k * (c / N)^q, split exactly into two
-floats by Dekker's TwoProduct (Veltkamp split, splitter 2^27 + 1).
-Only cells whose value is fl(c / N) are grouped; the rest, such as
-marginals added up in floating point, join the sum as they are.  A
-table of at most 1,000 cells, too small to pay for grouping, and one
-whose smallest class power is below 2^-900, where TwoProduct could
-underflow, take the per-cell sum instead.  Both paths give the same bits.
+A table of empirical probabilities, every cell fl(c / N) for an integer
+count c, may hand `_power_sum` its counts: cells with one count share
+one p^q, so each count class c with k cells adds k * (c / N)^q, split
+exactly into two floats by Dekker's TwoProduct (Veltkamp split,
+splitter 2^27 + 1).  A table of at most 1,000 cells, too small to pay
+for grouping, and one whose smallest class power is below 2^-900, where
+TwoProduct could underflow, take the per-cell sum instead.  Both paths
+give the same bits.
 """
 
 from __future__ import annotations
@@ -132,15 +131,15 @@ _SPLITTER = 2.0**27 + 1.0
 
 
 def _power_sum(probs: np.ndarray, q: float, counts=None) -> float:
-    """Compensated sum of p^q over the positive entries (0^q := 0).  With the
-    integer `counts` behind `probs`, whose total is N, the cells equal to
-    fl(count / N) are summed by count class (see the module docstring).  A
-    sum that underflows to 0 or overflows has no logarithm and is rejected."""
-    flat = probs.ravel()
+    """Compensated sum of p^q over the positive entries (0^q := 0).  `probs` is
+    counts / N when the integer `counts` (total N) are given, and a large table
+    is then summed by count class (see the module docstring).  A sum that
+    underflows to 0 or overflows has no logarithm and is rejected."""
     terms = None
-    if counts is not None and flat.size > _CLASS_MIN_CELLS:
-        terms = _class_terms(flat, counts.ravel(), q)
+    if counts is not None and counts.size > _CLASS_MIN_CELLS:
+        terms = _class_terms(counts, q)
     if terms is None:
+        flat = probs.ravel()
         terms = np.power(flat[flat > 0.0], q).tolist()
     power_sum = math.fsum(terms)
     if not 0.0 < power_sum < math.inf:
@@ -150,14 +149,12 @@ def _power_sum(probs: np.ndarray, q: float, counts=None) -> float:
     return power_sum
 
 
-def _class_terms(flat: np.ndarray, counts: np.ndarray, q: float):
-    """Exact pieces of sum p^q over the positive cells: two floats per count
-    class, each class's k * (c / N)^q by TwoProduct, and p^q of every cell
-    that is not fl(c / N).  None when a class power is below the TwoProduct
-    floor."""
+def _class_terms(counts: np.ndarray, q: float):
+    """Exact pieces of sum (c / N)^q over the positive counts c of a table whose
+    total is N: two floats per count class, its k * (c / N)^q by TwoProduct.
+    None when a class power is below the TwoProduct floor."""
     total = int(counts.sum())
-    grouped = flat == counts / total
-    multiplicity = np.bincount(counts[grouped])
+    multiplicity = np.bincount(counts)
     classes = np.flatnonzero(multiplicity[1:]) + 1
     powers = np.power(classes / total, q)
     if powers.size and powers[0] < _TWO_PRODUCT_FLOOR:
@@ -167,8 +164,7 @@ def _class_terms(flat: np.ndarray, counts: np.ndarray, q: float):
     k_hi, k_lo = _veltkamp(k)
     p_hi, p_lo = _veltkamp(powers)
     error = ((k_hi * p_hi - product) + k_hi * p_lo + k_lo * p_hi) + k_lo * p_lo
-    rest = flat[~grouped]
-    return [*product.tolist(), *error.tolist(), *np.power(rest[rest > 0.0], q).tolist()]
+    return [*product.tolist(), *error.tolist()]
 
 
 def _veltkamp(a: np.ndarray):
@@ -244,7 +240,7 @@ def _conditional_renyi(
     joint: np.ndarray, marginal: np.ndarray, q: float, counts=(None, None)
 ) -> float:
     """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y),
-    with the integer counts of both when they are empirical."""
+    with the integer counts behind both when every cell is count / N."""
     joint_sum = _power_sum(joint, q, counts[0])
     marginal_sum = _power_sum(marginal, q, counts[1])
     return (math.log2(joint_sum) - math.log2(marginal_sum)) / (1.0 - q)

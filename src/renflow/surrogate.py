@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .infocore import _order
 from .symbolize import SymbolSeries
-from .transfer import HistorySpec, count_words, renyi_transfer_entropy
+from .transfer import HistorySpec, _integer_fields, count_words, renyi_transfer_entropy
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,12 @@ class SurrogateSpec:
     block_length: int = 1
 
     def __post_init__(self):
+        _integer_fields(self, "ensemble_size", "rng_seed", "block_length")
         if self.ensemble_size < 0:
             raise ValidationError("ensemble size must be non-negative")
         if self.block_length < 1:
             raise ValidationError("block length must be a positive integer")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed) & 0xFFFFFFFFFFFFFFFF)
+        object.__setattr__(self, "rng_seed", self.rng_seed & 0xFFFFFFFFFFFFFFFF)
 
     @property
     def method(self) -> str:

@@ -30,6 +30,7 @@ values come from the counts of four word groupings: (x', xw, yw),
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,8 +54,19 @@ class HistorySpec:
     l: int
 
     def __post_init__(self):
+        _integer_fields(self, "m", "l")
         if self.m < 1 or self.l < 1:
             raise ValidationError(f"history lengths must be >= 1, got m={self.m}, l={self.l}")
+
+
+def _integer_fields(spec, *names) -> None:
+    """Store each named field of the frozen `spec` as a Python int, refusing a
+    value that is not an integer (a numpy integer is one; a bool or a float is not)."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(spec, name, int(value))
 
 
 @dataclass
@@ -151,21 +163,20 @@ class WordDistribution:
     @cached_property
     def _groups(self):
         """(Per-word run index, integer totals) of the (xw) and (xw, yw) runs of
-        the sorted codes, and (per-word cell index, integer totals, xw run of each
-        cell) of the (xw, x') cells, keyed xw_run * target_alphabet + x' in
-        ascending order.  The cells form a dense table when it has no more cells
-        than there are windows, which skips a sort of the keys, and are the
-        observed keys otherwise, which bounds the table by the data."""
+        the sorted codes, and of the (xw, x') cells, keyed xw_run *
+        target_alphabet + x' in ascending order.  The cells are a dense table up
+        to the last observed key when the full table has no more cells than
+        there are windows, which skips a sort of the keys, and are the observed
+        keys otherwise, which bounds the table by the data."""
         n_x = self.target_alphabet
         xh = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
         both = _runs(self.codes // n_x, self.counts)
         fx_inv = xh[0] * n_x + self.codes % n_x
-        if xh[1].size * n_x <= self.n_windows:
-            fx_keys = np.arange(xh[1].size * n_x)
-        else:
-            fx_keys, fx_inv = np.unique(fx_inv, return_inverse=True)
-        fx_counts = np.bincount(fx_inv, weights=self.counts, minlength=fx_keys.size)
-        return xh, both, (fx_inv, fx_counts.astype(np.int64), fx_keys // n_x)
+        if xh[1].size * n_x > self.n_windows:
+            fx_inv = np.unique(fx_inv, return_inverse=True)[1]
+        fx_counts = np.zeros(fx_inv.max() + 1, dtype=np.int64)
+        np.add.at(fx_counts, fx_inv, self.counts)
+        return xh, both, (fx_inv, fx_counts)
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -252,17 +263,17 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     count, a its (x', xw) total, b its (xw) total and d its (xw, yw)
     total; it is non-negative up to rounding.  Away from q = 1 each term
     is the escort-averaged log2(sum p(x', w)^q / sum p(w)^q) / (1 - q),
-    and the difference may be negative.  Each of the four power sums gets
-    its grouping's integer counts, so a table of more than
-    `infocore._CLASS_MIN_CELLS` cells is summed by count class: one p^q per
-    distinct count, its multiplicity times p^q split exactly by TwoProduct.
-    Marginal cells whose float sum is not count / N, and tables whose
-    smallest class power is below the TwoProduct floor, are summed per
-    cell.  `math.fsum` of the exact pieces gives the per-cell sum's bits.
+    and the difference may be negative.  Each of the four power sums reads
+    its grouping's integer counts c and the table c / N, so a table of more
+    than `infocore._CLASS_MIN_CELLS` cells is summed by count class (one
+    p^q per distinct count, times its multiplicity split exactly by
+    TwoProduct) unless its smallest class power is below the TwoProduct
+    floor.  Both paths give the bits of the correctly rounded per-cell sum,
+    which no order of the cells changes: relabelling symbols leaves T_q as is.
     """
     q = _order(q)
     total = w.n_windows
-    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts, xh_of_fx) = w._groups
+    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts) = w._groups
     if q == 1.0:
         log_ratio = (
             np.log2(w.counts)
@@ -271,11 +282,9 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
             - np.log2(fx_counts[fx_inv])
         )
         return math.fsum(((w.counts / total) * log_ratio).tolist())
-    # Each marginal adds the cells of its group in code order, that is in ascending x'.
-    fx_probs, probs = fx_counts / total, w.counts / total
     target_only = _conditional_renyi(
-        fx_probs, np.bincount(xh_of_fx, weights=fx_probs), q, (fx_counts, xh_counts)
+        fx_counts / total, xh_counts / total, q, (fx_counts, xh_counts)
     )
     return target_only - _conditional_renyi(
-        probs, np.bincount(both_inv, weights=probs), q, (w.counts, both_counts)
+        w.counts / total, both_counts / total, q, (w.counts, both_counts)
     )

@@ -573,7 +573,10 @@ class TestMatrixAndNetflow:
                      "--format", "json", "--out", str(out)]) == 0
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         matrix = json.loads(out.read_text())
-        assert manifest["parameters"]["seed"] == matrix["params"]["surrogate_seed"] == 2**64 - 1
+        params = manifest["parameters"]
+        assert params["surrogate_seed"] == matrix["params"]["surrogate_seed"] == 2**64 - 1
+        assert {k: params[k] for k in matrix["params"]} == matrix["params"]
+        assert "seed" not in params and "surrogates" not in params
 
     def test_manifest_records_alignment_and_offsets(self, price_csv, tmp_path):
         out = tmp_path / "flow.csv"

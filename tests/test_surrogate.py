@@ -98,6 +98,19 @@ class TestMakeSurrogate:
         with pytest.raises(ValidationError):
             SurrogateSpec(ensemble_size=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", 7.9), ("rng_seed", 7.0), ("ensemble_size", 2.0), ("block_length", 2.0),
+        ("block_length", "2"), ("ensemble_size", True),
+    ])
+    def test_non_integer_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            SurrogateSpec(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = SurrogateSpec(np.int64(3), np.uint64(2**64 - 1), np.int32(2))
+        assert spec == SurrogateSpec(3, -1, 2)
+        assert all(type(v) is int for v in spec.record.values() if not isinstance(v, str))
+
 
 class TestEffectiveTransferEntropy:
     def test_zero_ensemble_equals_raw(self):

@@ -31,16 +31,17 @@ CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
 
 def power_tables(words: WordDistribution) -> dict:
     """The four (probabilities, integer counts) tables whose sums of p^q make T_q,
-    built as `renyi_transfer_entropy` builds them; both marginals are float sums."""
-    n = words.n_windows
-    (_, xh_counts), (both_inv, both_counts), (_, fx_counts, xh_of_fx) = words._groups
-    probs, fx_probs = words.counts / n, fx_counts / n
-    return {
-        "words": (probs, words.counts),
-        "xw,yw": (np.bincount(both_inv, weights=probs), both_counts),
-        "xw,x'": (fx_probs, fx_counts),
-        "xw": (np.bincount(xh_of_fx, weights=fx_probs), xh_counts),
-    }
+    built as `renyi_transfer_entropy` builds them: each table is its counts over N."""
+    (_, xh_counts), (_, both_counts), (_, fx_counts) = words._groups
+    tables = {"words": words.counts, "xw,yw": both_counts, "xw,x'": fx_counts, "xw": xh_counts}
+    return {name: (counts / words.n_windows, counts) for name, counts in tables.items()}
+
+
+def power_sum_value(words: WordDistribution, q: float) -> float:
+    """T_q from the per-cell power sums of `power_tables`."""
+    logs = {name: math.log2(_power_sum(p, q)) for name, (p, _) in power_tables(words).items()}
+    target_only = (logs["xw,x'"] - logs["xw"]) / (1.0 - q)
+    return target_only - (logs["words"] - logs["xw,yw"]) / (1.0 - q)
 
 
 def sparse_words(length: int = 20_000, seed: int = 12) -> WordDistribution:
@@ -155,6 +156,15 @@ class TestCountWords:
             HistorySpec(0, 1)
         with pytest.raises(ValidationError):
             HistorySpec(1, -2)
+
+    @pytest.mark.parametrize("m, l, name", [(1.5, 1, "m"), (2.0, 1, "m"), (1, True, "l")])
+    def test_history_lengths_must_be_integers(self, m, l, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            HistorySpec(m, l)
+
+    def test_numpy_integer_history_lengths_accepted(self):
+        h = HistorySpec(np.int64(2), np.uint8(3))
+        assert (h.m, h.l) == (2, 3) and type(h.m) is type(h.l) is int
 
     def test_pseudo_count_smoothing(self):
         rng = np.random.default_rng(14)
@@ -366,17 +376,18 @@ class TestRenyiTransferEntropy:
             n = words.n_windows
             for name, (probs, counts) in power_tables(words).items():
                 seen.add((name, probs.size > _CLASS_MIN_CELLS))
-                if np.any(probs != counts / n):
-                    seen.add((name, "float sum"))
+                assert counts.dtype == np.int64 and counts.sum() == n
+                assert np.array_equal(probs, counts / n)
                 for q in CLASS_ORDERS:
                     per_cell = _power_sum(probs, q)
                     assert _power_sum(probs, q, counts) == per_cell
-                    assert math.fsum(_class_terms(probs, counts, q)) == per_cell
+                    assert math.fsum(_class_terms(counts, q)) == per_cell
+            for q in CLASS_ORDERS:
+                assert renyi_transfer_entropy(words, q) == power_sum_value(words, q)
 
         check()
-        # Both sides of the gate, and marginal cells left out of the classes.
+        # Both sides of the gate.
         assert {("words", True), ("xw,yw", True), ("xw,x'", True), ("words", False)} <= seen
-        assert {("xw,yw", "float sum"), ("xw", "float sum")} <= seen
 
     @pytest.mark.parametrize("q", (65.0, 73.0))
     def test_class_power_below_the_floor_takes_the_per_cell_sum(self, q):
@@ -384,11 +395,44 @@ class TestRenyiTransferEntropy:
         words = sparse_words()
         n = words.n_windows
         probs, counts = power_tables(words)["words"]
-        assert probs.size > _CLASS_MIN_CELLS and _class_terms(probs, counts, q) is None
+        assert probs.size > _CLASS_MIN_CELLS and _class_terms(counts, q) is None
         assert 0.0 < (1 / n) ** q < 2.0**-900
         for probs, counts in power_tables(words).values():
             assert _power_sum(probs, q, counts) == _power_sum(probs, q)
         assert math.isfinite(renyi_transfer_entropy(words, q))
+
+    def test_relabelling_symbols_leaves_the_value_unchanged(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            nx=st.integers(2, 5),
+            ny=st.integers(2, 5),
+            m=st.integers(1, 3),
+            l=st.integers(1, 3),
+            length=st.one_of(st.integers(20, 600), st.integers(2_000, 12_000)),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        # on these four draws, marginals added up in floating point differ in the last bit
+        @example(nx=3, ny=3, m=1, l=1, length=400, seed=1)
+        @example(nx=5, ny=2, m=3, l=1, length=500, seed=73)
+        @example(nx=4, ny=4, m=3, l=3, length=12_000, seed=20)
+        @example(nx=5, ny=3, m=3, l=2, length=8_000, seed=10)
+        def check(nx, ny, m, l, length, seed):
+            rng = np.random.default_rng(seed)
+            x, y = iid_symbol_series(rng, length, nx), iid_symbol_series(rng, length, ny)
+            relabelled = [
+                SymbolSeries(rng.permutation(s.alphabet_size)[s.symbols], s.alphabet_size)
+                for s in (x, y)
+            ]
+            h = HistorySpec(m, l)
+            words, moved = count_words(x, y, h), count_words(*relabelled, h)
+            seen.add(words.codes.size > _CLASS_MIN_CELLS)
+            for q in (0.5, 1.0, 1.5, 2.5):
+                assert renyi_transfer_entropy(moved, q) == renyi_transfer_entropy(words, q)
+
+        check()
+        assert seen == {False, True}
 
     def test_sparse_sum_that_underflows_names_the_order(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="q=2000"):
