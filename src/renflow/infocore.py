@@ -18,14 +18,14 @@ Sums of probability powers are accumulated with compensated summation
 (`math.fsum`); the chain rule then holds to well below 1e-12 even for
 orders q > 2 where the dynamic range of p^q is large.  `math.fsum` is
 correctly rounded, so any exact split of the terms gives the same sum.
-A table of empirical probabilities, every cell fl(c / N) for an integer
-count c, may hand `_power_sum` its counts: cells with one count share
-one p^q, so each count class c with k cells adds k * (c / N)^q, split
-exactly into two floats by Dekker's TwoProduct (Veltkamp split,
-splitter 2^27 + 1).  A table of at most 1,000 cells, too small to pay
-for grouping, and one whose smallest class power is below 2^-900, where
-TwoProduct could underflow, take the per-cell sum instead.  Both paths
-give the same bits.
+`_count_terms` gives such a split of sum term(c) over a table of positive
+integer counts c: cells with one count share one term, so each count class c
+with k cells adds k * term(c), split exactly into two floats by Dekker's
+TwoProduct (Veltkamp split, splitter 2^27 + 1).  A table of at most
+1,000 cells, too small to pay for grouping, and one with a class term
+strictly between 0 and 2^-900, where TwoProduct could underflow, give
+their per-cell terms instead.  Both give the same sum; the transfer
+entropy estimator reads its p^q = (c / N)^q and its c * log2(c) this way.
 """
 
 from __future__ import annotations
@@ -125,22 +125,20 @@ class JointDistribution:
 # 50,000 windows the two broke even between 800 and 1,000 cells.
 _CLASS_MIN_CELLS = 1000
 # TwoProduct is exact only while its partial products stay normal; a class
-# power below this floor sends the whole table to the per-cell sum.
+# term above 0 and below this floor sends the whole table to the per-cell sum.
 _TWO_PRODUCT_FLOOR = 2.0**-900
 _SPLITTER = 2.0**27 + 1.0
 
 
-def _power_sum(probs: np.ndarray, q: float, counts=None) -> float:
-    """Compensated sum of p^q over the positive entries (0^q := 0).  `probs` is
-    counts / N when the integer `counts` (total N) are given, and a large table
-    is then summed by count class (see the module docstring).  A sum that
-    underflows to 0 or overflows has no logarithm and is rejected."""
-    terms = None
-    if counts is not None and counts.size > _CLASS_MIN_CELLS:
-        terms = _class_terms(counts, q)
-    if terms is None:
-        flat = probs.ravel()
-        terms = np.power(flat[flat > 0.0], q).tolist()
+def _power_sum(probs: np.ndarray, q: float) -> float:
+    """Compensated sum of p^q over the positive entries (0^q := 0)."""
+    flat = probs.ravel()
+    return _finite_power_sum(np.power(flat[flat > 0.0], q).tolist(), q)
+
+
+def _finite_power_sum(terms, q: float) -> float:
+    """`math.fsum` of the p^q `terms`.  A sum that underflows to 0 or overflows
+    has no logarithm and is rejected."""
     power_sum = math.fsum(terms)
     if not 0.0 < power_sum < math.inf:
         raise ValidationError(
@@ -149,22 +147,23 @@ def _power_sum(probs: np.ndarray, q: float, counts=None) -> float:
     return power_sum
 
 
-def _class_terms(counts: np.ndarray, q: float):
-    """Exact pieces of sum (c / N)^q over the positive counts c of a table whose
-    total is N: two floats per count class, its k * (c / N)^q by TwoProduct.
-    None when a class power is below the TwoProduct floor."""
-    total = int(counts.sum())
-    multiplicity = np.bincount(counts)
-    classes = np.flatnonzero(multiplicity[1:]) + 1
-    powers = np.power(classes / total, q)
-    if powers.size and powers[0] < _TWO_PRODUCT_FLOOR:
-        return None
-    k = multiplicity[classes].astype(float)
-    product = k * powers
-    k_hi, k_lo = _veltkamp(k)
-    p_hi, p_lo = _veltkamp(powers)
-    error = ((k_hi * p_hi - product) + k_hi * p_lo + k_lo * p_hi) + k_lo * p_lo
-    return [*product.tolist(), *error.tolist()]
+def _count_terms(counts: np.ndarray, term) -> list:
+    """Exact pieces of sum term(c) over a table of positive integer counts c,
+    `term` mapping an array of counts to floats elementwise: the per-cell terms,
+    or two floats per count class, its k * term(c) by TwoProduct (see the module
+    docstring)."""
+    if counts.size > _CLASS_MIN_CELLS:
+        multiplicity = np.bincount(counts)
+        classes = np.flatnonzero(multiplicity)
+        terms = term(classes)
+        if not np.any((terms > 0.0) & (terms < _TWO_PRODUCT_FLOOR)):
+            k = multiplicity[classes].astype(float)
+            product = k * terms
+            k_hi, k_lo = _veltkamp(k)
+            t_hi, t_lo = _veltkamp(terms)
+            error = ((k_hi * t_hi - product) + k_hi * t_lo + k_lo * t_hi) + k_lo * t_lo
+            return [*product.tolist(), *error.tolist()]
+    return term(counts).tolist()
 
 
 def _veltkamp(a: np.ndarray):
@@ -233,16 +232,12 @@ def conditional_entropy(joint, q) -> float:
     cond_marginal = j.probs.sum(axis=0)
     if q == 1.0:
         return _shannon_bits(j.probs) - _shannon_bits(cond_marginal)
-    return _conditional_renyi(j.probs, cond_marginal, q)
+    return _conditional_renyi(_power_sum(j.probs, q), _power_sum(cond_marginal, q), q)
 
 
-def _conditional_renyi(
-    joint: np.ndarray, marginal: np.ndarray, q: float, counts=(None, None)
-) -> float:
-    """S_q(X | Y) at q != 1 from the joint cells p(x, y) and the marginal p(y),
-    with the integer counts behind both when every cell is count / N."""
-    joint_sum = _power_sum(joint, q, counts[0])
-    marginal_sum = _power_sum(marginal, q, counts[1])
+def _conditional_renyi(joint_sum: float, marginal_sum: float, q: float) -> float:
+    """S_q(X | Y) at q != 1 from the power sums of the joint cells p(x, y) and of
+    the marginal p(y)."""
     return (math.log2(joint_sum) - math.log2(marginal_sum)) / (1.0 - q)
 
 

@@ -243,7 +243,7 @@ def m_sweep(
     falls below `min_windows`.
     """
     q = _order(q)
-    settings = ((m, HistorySpec(m, m), q) for m in map(int, m_grid))
+    settings = ((h.m, h, q) for h in (HistorySpec(m, m) for m in m_grid))
     return _sweep(x, y, "m", settings, spec, {"q": q, **spec.record}, min_windows)
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer_fields
 from .infocore import _order
 from .symbolize import SymbolSeries
-from .transfer import HistorySpec, _integer_fields, count_words, renyi_transfer_entropy
+from .transfer import HistorySpec, count_words, renyi_transfer_entropy
 
 
 @dataclass(frozen=True)

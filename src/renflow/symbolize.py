@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _integer_fields
 
 BIN_MODES = ("width", "quantile")
 
@@ -33,6 +33,7 @@ class BinningSpec:
     def __post_init__(self):
         if self.mode not in BIN_MODES:
             raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {self.mode!r}")
+        _integer_fields(self, "alphabet_size")
         if self.alphabet_size < 2:
             raise ValidationError("alphabet size must be at least 2")
         edges = tuple(float(e) for e in self.edges)
@@ -57,6 +58,7 @@ class SymbolSeries:
     bin_edges: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
+        _integer_fields(self, "alphabet_size", "block_size")
         arr = np.asarray(self.symbols)
         if arr.size == 0:
             raise ValidationError("symbol series is empty")
@@ -68,6 +70,8 @@ class SymbolSeries:
         arr = arr.astype(np.int64)
         if self.alphabet_size < 2:
             raise ValidationError("alphabet size must be at least 2")
+        if self.block_size < 1:
+            raise ValidationError("block size must be a positive integer")
         if arr.min() < 0 or arr.max() >= self.alphabet_size:
             raise ValidationError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
@@ -123,7 +127,7 @@ def fit_bins(values, mode: str = "width", alphabet_size: int = 3) -> BinningSpec
         raise ValidationError("cannot fit bins to non-finite values")
     if mode not in BIN_MODES:
         raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {mode!r}")
-    if alphabet_size < 2:
+    if _integer("alphabet_size", alphabet_size) < 2:
         raise ValidationError("alphabet size must be at least 2")
     if mode == "width":
         lo, hi = float(arr.min()), float(arr.max())

@@ -30,14 +30,13 @@ values come from the counts of four word groupings: (x', xw, yw),
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
-from .infocore import _conditional_renyi, _order
+from .errors import ValidationError, _integer, _integer_fields
+from .infocore import _conditional_renyi, _count_terms, _finite_power_sum, _order
 from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
@@ -59,16 +58,6 @@ class HistorySpec:
             raise ValidationError(f"history lengths must be >= 1, got m={self.m}, l={self.l}")
 
 
-def _integer_fields(spec, *names) -> None:
-    """Store each named field of the frozen `spec` as a Python int, refusing a
-    value that is not an integer (a numpy integer is one; a bool or a float is not)."""
-    for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(spec, name, int(value))
-
-
 @dataclass
 class WordDistribution:
     """Empirical counts of (next target symbol, target word, source word).
@@ -87,10 +76,13 @@ class WordDistribution:
     l: int
 
     def __post_init__(self):
-        codes = np.array(self.codes, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
+        codes, counts = np.asarray(self.codes), np.asarray(self.counts)
         if codes.size == 0:
             raise ValidationError("word distribution has no observed words")
+        for name, values in (("codes", codes), ("counts", counts)):
+            if values.dtype.kind not in "iu":
+                raise ValidationError(f"word {name} must be integers, got dtype {values.dtype}")
+        codes, counts = codes.astype(np.int64), counts.astype(np.int64)
         if codes.size != counts.size:
             raise ValidationError("codes and counts lengths differ")
         if np.any(counts <= 0):
@@ -129,7 +121,7 @@ class WordDistribution:
         probabilities are known as integer ratios.
         """
         radices = _radices(target_alphabet, source_alphabet, m, l)
-        words = [(key, int(count)) for key, count in mapping.items()]
+        words = list(mapping.items())
         if any(count < 0 for _, count in words):
             raise ValidationError("word counts must be non-negative")
         words = [(key, count) for key, count in words if count > 0]
@@ -145,7 +137,7 @@ class WordDistribution:
         order = np.argsort(codes)
         return cls(
             codes=codes[order],
-            counts=np.array([count for _, count in words], dtype=np.int64)[order],
+            counts=np.array([count for _, count in words])[order],
             target_alphabet=target_alphabet,
             source_alphabet=source_alphabet,
             m=m,
@@ -162,21 +154,22 @@ class WordDistribution:
 
     @cached_property
     def _groups(self):
-        """(Per-word run index, integer totals) of the (xw) and (xw, yw) runs of
-        the sorted codes, and of the (xw, x') cells, keyed xw_run *
-        target_alphabet + x' in ascending order.  The cells are a dense table up
-        to the last observed key when the full table has no more cells than
-        there are windows, which skips a sort of the keys, and are the observed
-        keys otherwise, which bounds the table by the data."""
+        """Positive integer counts of the (xw, yw), (xw, x') and (xw) tables, each
+        with total n_windows.  The (xw) and (xw, yw) cells are runs of the sorted
+        codes; the (xw, x') cells are keyed xw_run * target_alphabet + x' in
+        ascending order, counted in a dense table up to the last observed key,
+        less its empty cells, when the full table has no more cells than there
+        are windows, which skips a sort of the keys, and at the observed keys
+        otherwise, which bounds the table by the data."""
         n_x = self.target_alphabet
-        xh = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
-        both = _runs(self.codes // n_x, self.counts)
-        fx_inv = xh[0] * n_x + self.codes % n_x
-        if xh[1].size * n_x > self.n_windows:
+        xh_run, xh_counts = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
+        fx_inv = xh_run * n_x + self.codes % n_x
+        if xh_counts.size * n_x > self.n_windows:
             fx_inv = np.unique(fx_inv, return_inverse=True)[1]
         fx_counts = np.zeros(fx_inv.max() + 1, dtype=np.int64)
         np.add.at(fx_counts, fx_inv, self.counts)
-        return xh, both, (fx_inv, fx_counts)
+        both_counts = _runs(self.codes // n_x, self.counts)[1]
+        return both_counts, fx_counts[fx_counts > 0], xh_counts
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -209,7 +202,7 @@ def count_words(
     """
     if len(x) != len(y):
         raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
-    if pseudo_count < 0:
+    if _integer("pseudo_count", pseudo_count) < 0:
         raise ValidationError("pseudo count must be non-negative")
     length = len(x)
     start = max(h.m, h.l)
@@ -257,34 +250,27 @@ def count_words(
 def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     """Order-q transfer entropy S_q(X'|XW) - S_q(X'|XW,YW), in bits.
 
-    Both conditional entropies come from the grouped word counts.  At
-    q = 1 (within the Shannon window) the value is the plug-in log-ratio
-    sum over observed words, c/N * log2[c b / (d a)] with c the word
-    count, a its (x', xw) total, b its (xw) total and d its (xw, yw)
-    total; it is non-negative up to rounding.  Away from q = 1 each term
-    is the escort-averaged log2(sum p(x', w)^q / sum p(w)^q) / (1 - q),
-    and the difference may be negative.  Each of the four power sums reads
-    its grouping's integer counts c and the table c / N, so a table of more
-    than `infocore._CLASS_MIN_CELLS` cells is summed by count class (one
-    p^q per distinct count, times its multiplicity split exactly by
-    TwoProduct) unless its smallest class power is below the TwoProduct
-    floor.  Both paths give the bits of the correctly rounded per-cell sum,
-    which no order of the cells changes: relabelling symbols leaves T_q as is.
+    Every order reads the same four integer tables, the words and the
+    (xw, yw), (xw, x') and (xw) groupings, each with total N.  Away from
+    q = 1 each conditional entropy is the escort-averaged
+    log2(sum p(x', w)^q / sum p(w)^q) / (1 - q) with p = c / N, and the
+    difference may be negative.  At q = 1 (within the Shannon window) the
+    value is the plug-in log-ratio sum, which the log2 N terms cancel from:
+    T_1 = (sum c log2 c over the words and (xw) tables, minus the same sum over
+    the (xw, yw) and (xw, x') tables) / N, non-negative up to rounding.  Each
+    sum of p^q or of c log2 c is one correctly rounded `math.fsum` over the
+    exact pieces from `infocore._count_terms`, which sums a table of more
+    than `infocore._CLASS_MIN_CELLS` cells by count class.  No order of the
+    cells changes those bits, so relabelling symbols leaves T_q as is, and
+    equal tables cancel exactly: T_q(x -> x) is 0 at m = l.
     """
     q = _order(q)
     total = w.n_windows
-    (xh_inv, xh_counts), (both_inv, both_counts), (fx_inv, fx_counts) = w._groups
+    tables = (w.counts, *w._groups)
     if q == 1.0:
-        log_ratio = (
-            np.log2(w.counts)
-            + np.log2(xh_counts[xh_inv])
-            - np.log2(both_counts[both_inv])
-            - np.log2(fx_counts[fx_inv])
-        )
-        return math.fsum(((w.counts / total) * log_ratio).tolist())
-    target_only = _conditional_renyi(
-        fx_counts / total, xh_counts / total, q, (fx_counts, xh_counts)
+        words, both, fx, xh = (_count_terms(t, lambda c: c * np.log2(c)) for t in tables)
+        return math.fsum([*words, *xh, *(-v for v in both + fx)]) / total
+    words, both, fx, xh = (
+        _finite_power_sum(_count_terms(t, lambda c: np.power(c / total, q)), q) for t in tables
     )
-    return target_only - _conditional_renyi(
-        w.counts / total, both_counts / total, q, (w.counts, both_counts)
-    )
+    return _conditional_renyi(fx, xh, q) - _conditional_renyi(words, both, q)

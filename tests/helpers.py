@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -148,6 +149,27 @@ def lag2_xor_word_distribution(flip_numerator: int = 1, flip_denominator: int = 
 def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     """Convenience: count words and return the order-q transfer entropy value."""
     return renyi_transfer_entropy(count_words(x, y, HistorySpec(m, l)), q)
+
+
+def shannon_transfer_entropy_decimal(w: WordDistribution, digits: int = 60) -> Decimal:
+    """Shannon transfer entropy in bits as a `digits`-digit decimal: the log-ratio
+    sum of c/N * log2[c b / (d a)] over the words, with a the (x', xw), b the
+    (xw) and d the (xw, yw) total of each word, every logarithm taken in decimal."""
+    words = dict(w.items())
+    xh, both, fx = Counter(), Counter(), Counter()
+    for (x_next, xw, yw), c in words.items():
+        xh[xw] += c
+        both[xw, yw] += c
+        fx[x_next, xw] += c
+    with localcontext() as ctx:
+        ctx.prec = digits
+        totals = {*words.values(), *xh.values(), *both.values(), *fx.values()}
+        ln = {k: Decimal(k).ln() for k in totals}
+        total = sum(
+            c * (ln[c] + ln[xh[xw]] - ln[both[xw, yw]] - ln[fx[x_next, xw]])
+            for (x_next, xw, yw), c in words.items()
+        )
+        return total / (sum(words.values()) * Decimal(2).ln())
 
 
 def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = False) -> float:

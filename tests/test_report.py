@@ -362,6 +362,14 @@ class TestMSweep:
         with pytest.raises(ValidationError):
             m_sweep(x, y, (5,), 1.0, SurrogateSpec(ensemble_size=0))
 
+    @pytest.mark.parametrize("m_grid", [(1.5, 2.9), (1, 2.0), (True,)])
+    def test_fractional_history_length_rejected(self, m_grid):
+        rng = np.random.default_rng(14)
+        x = iid_symbol_series(rng, 60, 2, label="X")
+        y = iid_symbol_series(rng, 60, 2, label="Y")
+        with pytest.raises(ValidationError, match="^m must be an integer"):
+            m_sweep(x, y, m_grid, 1.0, SurrogateSpec(ensemble_size=0), min_windows=0)
+
 
 class TestEmission:
     def test_matrix_csv_shape(self, tmp_path):

@@ -92,6 +92,17 @@ class TestFitBins:
         with pytest.raises(ValidationError):
             BinningSpec("width", 3, (1.0,))
 
+    @pytest.mark.parametrize("size", (3.0, 3.5, True))
+    def test_alphabet_size_must_be_an_integer(self, size):
+        with pytest.raises(ValidationError, match="^alphabet_size must be an integer"):
+            BinningSpec("width", size, (1.0, 2.0))
+        with pytest.raises(ValidationError, match="^alphabet_size must be an integer"):
+            fit_bins([1.0, 2.0, 3.0, 4.0], alphabet_size=size)
+
+    def test_numpy_integer_alphabet_size_accepted(self):
+        spec = fit_bins([1.0, 2.0, 3.0, 4.0], alphabet_size=np.int64(3))
+        assert spec.alphabet_size == 3 and type(spec.alphabet_size) is int
+
 
 class TestSymbolize:
     def test_edge_goes_to_lower_bin(self):
@@ -160,6 +171,25 @@ class TestSymbolSeries:
     def test_non_integer_symbols_rejected(self):
         with pytest.raises(ValidationError):
             SymbolSeries(symbols=np.array([0.5, 1.0]), alphabet_size=2)
+
+    @pytest.mark.parametrize(
+        "field, alphabet, block",
+        [("alphabet_size", 2.5, 1), ("alphabet_size", 3.0, 1), ("block_size", 3, 2.0),
+         ("block_size", 3, True)],
+    )
+    def test_sizes_must_be_integers(self, field, alphabet, block):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            SymbolSeries([0, 1, 2], alphabet, block_size=block)
+
+    @pytest.mark.parametrize("block", (0, -3))
+    def test_block_size_must_be_positive(self, block):
+        with pytest.raises(ValidationError, match="block size must be a positive integer"):
+            SymbolSeries([0, 1, 2], 3, block_size=block)
+
+    def test_numpy_integer_sizes_accepted(self):
+        series = SymbolSeries([0, 1, 2], np.int64(3), block_size=np.uint8(2))
+        assert (series.alphabet_size, series.block_size) == (3, 2)
+        assert type(series.alphabet_size) is type(series.block_size) is int
 
     def test_metadata_carried(self):
         series = prepare_series(

@@ -13,6 +13,7 @@ from helpers import (
     iid_symbol_series,
     random_word_distribution,
     renyi_transfer_entropy_escort,
+    shannon_transfer_entropy_decimal,
 )
 from renflow import (
     HistorySpec,
@@ -23,23 +24,39 @@ from renflow import (
     renyi_transfer_entropy,
 )
 from renflow.cli import main
-from renflow.infocore import _CLASS_MIN_CELLS, _class_terms, _power_sum
+from renflow.infocore import _CLASS_MIN_CELLS, _count_terms, _power_sum
 
 LOG2_3 = math.log2(3)
 CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
 
 
 def power_tables(words: WordDistribution) -> dict:
-    """The four (probabilities, integer counts) tables whose sums of p^q make T_q,
-    built as `renyi_transfer_entropy` builds them: each table is its counts over N."""
-    (_, xh_counts), (_, both_counts), (_, fx_counts) = words._groups
-    tables = {"words": words.counts, "xw,yw": both_counts, "xw,x'": fx_counts, "xw": xh_counts}
-    return {name: (counts / words.n_windows, counts) for name, counts in tables.items()}
+    """The four integer count tables, each of total N, that make T_q at every order,
+    as `renyi_transfer_entropy` reads them."""
+    both_counts, fx_counts, xh_counts = words._groups
+    return {"words": words.counts, "xw,yw": both_counts, "xw,x'": fx_counts, "xw": xh_counts}
 
 
-def power_sum_value(words: WordDistribution, q: float) -> float:
-    """T_q from the per-cell power sums of `power_tables`."""
-    logs = {name: math.log2(_power_sum(p, q)) for name, (p, _) in power_tables(words).items()}
+def c_log2_c(c: np.ndarray) -> np.ndarray:
+    return c * np.log2(c)
+
+
+def count_term(q: float, n: int):
+    """The term that `renyi_transfer_entropy` sums over each cell of count c at order q."""
+    return c_log2_c if q == 1.0 else lambda c: np.power(c / n, q)
+
+
+def per_cell_value(words: WordDistribution, q: float) -> float:
+    """T_q from per-cell sums over the tables of `power_tables`: the float API's
+    power sums of c / N at q != 1, and the c log2 c terms of each cell at q = 1."""
+    n = words.n_windows
+    tables = power_tables(words)
+    if q == 1.0:
+        sums = {name: c_log2_c(t).tolist() for name, t in tables.items()}
+        return math.fsum(
+            sums["words"] + sums["xw"] + [-v for v in sums["xw,yw"] + sums["xw,x'"]]
+        ) / n
+    logs = {name: math.log2(_power_sum(t / n, q)) for name, t in tables.items()}
     target_only = (logs["xw,x'"] - logs["xw"]) / (1.0 - q)
     return target_only - (logs["words"] - logs["xw,yw"]) / (1.0 - q)
 
@@ -189,6 +206,16 @@ class TestCountWords:
             count_words(x, y, HistorySpec(5, 5), pseudo_count=1)
         assert count_words(x, y, HistorySpec(5, 5)).n_windows == 2000
 
+    @pytest.mark.parametrize("pseudo_count", (1.5, 0.5, 1.0, True))
+    def test_pseudo_count_must_be_an_integer(self, pseudo_count):
+        rng = np.random.default_rng(15)
+        x = iid_symbol_series(rng, 40, 2)
+        y = iid_symbol_series(rng, 40, 2)
+        with pytest.raises(ValidationError, match="^pseudo_count must be an integer"):
+            count_words(x, y, HistorySpec(1, 1), pseudo_count=pseudo_count)
+        smoothed = count_words(x, y, HistorySpec(1, 1), pseudo_count=np.int64(2))
+        assert smoothed.n_windows == 38 + 2 * 8
+
     def test_pseudo_count_negative_rejected(self):
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 40, 2)
@@ -218,6 +245,29 @@ class TestWordDistribution:
         with pytest.raises(ValidationError):
             WordDistribution(codes=codes, counts=[1] * len(codes),
                              target_alphabet=2, source_alphabet=2, m=1, l=1)
+
+    @pytest.mark.parametrize(
+        "field, codes, counts",
+        [("codes", [0.9, 3.2], [2.7, 1.5]), ("counts", [0, 3], [2.7, 1.5]),
+         ("counts", [0, 3], [2.0, 1.0]), ("counts", [0, 3], [True, True])],
+    )
+    def test_non_integer_codes_or_counts_rejected(self, field, codes, counts):
+        with pytest.raises(ValidationError, match=f"^word {field} must be integers"):
+            WordDistribution(codes=codes, counts=counts,
+                             target_alphabet=2, source_alphabet=2, m=1, l=1)
+
+    def test_from_counts_rejects_a_fractional_count(self):
+        with pytest.raises(ValidationError, match="^word counts must be integers"):
+            WordDistribution.from_counts({(0, (1,), (0,)): 2.7}, 2, 2, 1, 1)
+
+    def test_numpy_integer_codes_and_counts_accepted(self):
+        words = WordDistribution(codes=np.array([0, 3], dtype=np.uint16),
+                                 counts=np.array([2, 1], dtype=np.int32),
+                                 target_alphabet=2, source_alphabet=2, m=1, l=1)
+        assert words.codes.dtype == words.counts.dtype == np.int64
+        assert words.counts.tolist() == [2, 1]
+        one_word = WordDistribution.from_counts({(0, (1,), (0,)): np.int64(2)}, 2, 2, 1, 1)
+        assert one_word.counts.tolist() == [2]
 
     def test_from_counts_sorts_codes(self):
         words = WordDistribution.from_counts({(1, (1,), (1,)): 2, (0, (0,), (0,)): 5}, 2, 2, 1, 1)
@@ -347,6 +397,41 @@ class TestRenyiTransferEntropy:
                     reference, abs=1e-12
                 )
 
+    @pytest.mark.parametrize(
+        "alphabet, m, length", [(3, 1, 500), (3, 2, 500), (3, 3, 500), (5, 4, 20_000)]
+    )
+    def test_self_transfer_is_exactly_zero(self, alphabet, m, length):
+        # equal tables cancel term by term at every order; the last case sums by count class
+        x = iid_symbol_series(np.random.default_rng(alphabet * m), length, alphabet)
+        words = count_words(x, x, HistorySpec(m, m))
+        assert (words.codes.size > _CLASS_MIN_CELLS) == (m == 4)
+        for q in (*CLASS_ORDERS, 1.0):
+            assert renyi_transfer_entropy(words, q) == 0.0
+
+    def test_shannon_order_matches_a_60_digit_reference(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for i in range(60):
+            a, b = (int(v) for v in rng.integers(2, 5, 2))
+            m, l = (int(v) for v in rng.integers(1, 4, 2))
+            if i % 2:
+                # random subsets of the words, so some (xw, x') cells are empty
+                max_count = int(rng.integers(1, 40))
+                words = random_word_distribution(rng, a, b, m, l, max_count=max_count)
+            else:
+                length = int(rng.choice([300, 3_000, 20_000]))
+                x, y = iid_symbol_series(rng, length, a), iid_symbol_series(rng, length, b)
+                words = count_words(x, y, HistorySpec(m, l))
+            tables = power_tables(words)
+            # a dense (xw, x') table with empty cells, which the estimator drops
+            n_dense = tables["xw"].size * a
+            seen.add(("empty cells", n_dense <= words.n_windows and tables["xw,x'"].size < n_dense))
+            seen.add(("by class", tables["words"].size > _CLASS_MIN_CELLS))
+            exact = shannon_transfer_entropy_decimal(words)
+            assert abs(renyi_transfer_entropy(words, 1.0) - float(exact)) <= 1e-14
+        both_sides = {(name, side) for name in ("empty cells", "by class") for side in (False, True)}
+        assert seen == both_sides
+
     def test_extreme_order_rejected(self):
         # every p^q underflows to 0, so the logarithm is undefined
         with pytest.raises(ValidationError, match="q=2000"):
@@ -374,16 +459,19 @@ class TestRenyiTransferEntropy:
             x, y = (iid_symbol_series(rng, length, alphabet) for _ in range(2))
             words = count_words(x, y, HistorySpec(m, m))
             n = words.n_windows
-            for name, (probs, counts) in power_tables(words).items():
-                seen.add((name, probs.size > _CLASS_MIN_CELLS))
-                assert counts.dtype == np.int64 and counts.sum() == n
-                assert np.array_equal(probs, counts / n)
-                for q in CLASS_ORDERS:
-                    per_cell = _power_sum(probs, q)
-                    assert _power_sum(probs, q, counts) == per_cell
-                    assert math.fsum(_class_terms(counts, q)) == per_cell
-            for q in CLASS_ORDERS:
-                assert renyi_transfer_entropy(words, q) == power_sum_value(words, q)
+            for name, counts in power_tables(words).items():
+                by_class = counts.size > _CLASS_MIN_CELLS
+                seen.add((name, by_class))
+                assert counts.dtype == np.int64 and counts.sum() == n and np.all(counts > 0)
+                # the class sum gives two pieces per distinct count
+                n_pieces = 2 * np.unique(counts).size if by_class else counts.size
+                per_cell = {q: _power_sum(counts / n, q) for q in CLASS_ORDERS}
+                per_cell[1.0] = math.fsum(c_log2_c(counts).tolist())
+                for q, expected in per_cell.items():
+                    pieces = _count_terms(counts, count_term(q, n))
+                    assert len(pieces) == n_pieces and math.fsum(pieces) == expected
+            for q in (*CLASS_ORDERS, 1.0):
+                assert renyi_transfer_entropy(words, q) == per_cell_value(words, q)
 
         check()
         # Both sides of the gate.
@@ -394,11 +482,13 @@ class TestRenyiTransferEntropy:
         # (1 / N)^q is 2^-929 at q = 65 and subnormal at q = 73, while the sum stays positive
         words = sparse_words()
         n = words.n_windows
-        probs, counts = power_tables(words)["words"]
-        assert probs.size > _CLASS_MIN_CELLS and _class_terms(counts, q) is None
+        counts = power_tables(words)["words"]
+        power = count_term(q, n)
+        assert counts.size > _CLASS_MIN_CELLS
+        assert _count_terms(counts, power) == power(counts).tolist()
         assert 0.0 < (1 / n) ** q < 2.0**-900
-        for probs, counts in power_tables(words).values():
-            assert _power_sum(probs, q, counts) == _power_sum(probs, q)
+        for counts in power_tables(words).values():
+            assert math.fsum(_count_terms(counts, power)) == _power_sum(counts / n, q)
         assert math.isfinite(renyi_transfer_entropy(words, q))
 
     def test_relabelling_symbols_leaves_the_value_unchanged(self):
