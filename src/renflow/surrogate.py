@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _integer_fields
+from .errors import ValidationError, _integer, _integer_fields
 from .infocore import _order
 from .symbolize import SymbolSeries
 from .transfer import HistorySpec, count_words, renyi_transfer_entropy
@@ -42,11 +42,7 @@ class SurrogateSpec:
     block_length: int = 1
 
     def __post_init__(self):
-        _integer_fields(self, "ensemble_size", "rng_seed", "block_length")
-        if self.ensemble_size < 0:
-            raise ValidationError("ensemble size must be non-negative")
-        if self.block_length < 1:
-            raise ValidationError("block length must be a positive integer")
+        _integer_fields(self, ensemble_size=0, rng_seed=None, block_length=1)
         object.__setattr__(self, "rng_seed", self.rng_seed & 0xFFFFFFFFFFFFFFFF)
 
     @property
@@ -66,8 +62,9 @@ class EffectiveResult:
     """Raw transfer entropy and the transfer entropy of each surrogate replica,
     in bits, and the raw pair's window count.
 
-    `replicas` holds the surrogate values in replica order; the ensemble
-    statistics and the effective value are computed from them.
+    `replicas` holds the surrogate values in replica order, stored as a
+    tuple of floats; the ensemble statistics and the effective value are
+    computed from them.
     """
 
     raw: float
@@ -75,6 +72,10 @@ class EffectiveResult:
     n_windows: int
 
     FIELDS = ("raw", "surrogate_mean", "surrogate_std", "effective", "n_windows")
+
+    def __post_init__(self):
+        object.__setattr__(self, "replicas", tuple(map(float, self.replicas)))
+        _integer_fields(self, n_windows=1)
 
     def fields(self) -> dict:
         """The record every writer prints, in `FIELDS` order: bits, then the window count."""
@@ -110,7 +111,7 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     is refused.  The same (seed, replica_index) always yields the same
     surrogate.
     """
-    rng = np.random.default_rng([spec.rng_seed, int(replica_index)])
+    rng = np.random.default_rng([spec.rng_seed, _integer("replica_index", replica_index, 0)])
     block, n = spec.block_length, len(y)
     if block > 1 and block >= n:
         raise ValidationError(

@@ -33,9 +33,7 @@ class BinningSpec:
     def __post_init__(self):
         if self.mode not in BIN_MODES:
             raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {self.mode!r}")
-        _integer_fields(self, "alphabet_size")
-        if self.alphabet_size < 2:
-            raise ValidationError("alphabet size must be at least 2")
+        _integer_fields(self, alphabet_size=2)
         edges = tuple(float(e) for e in self.edges)
         if len(edges) != self.alphabet_size - 1:
             raise ValidationError(
@@ -58,7 +56,7 @@ class SymbolSeries:
     bin_edges: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
-        _integer_fields(self, "alphabet_size", "block_size")
+        _integer_fields(self, alphabet_size=2, block_size=1)
         arr = np.asarray(self.symbols)
         if arr.size == 0:
             raise ValidationError("symbol series is empty")
@@ -68,10 +66,6 @@ class SymbolSeries:
                 raise ValidationError("symbols must be integers")
             arr = rounded
         arr = arr.astype(np.int64)
-        if self.alphabet_size < 2:
-            raise ValidationError("alphabet size must be at least 2")
-        if self.block_size < 1:
-            raise ValidationError("block size must be a positive integer")
         if arr.min() < 0 or arr.max() >= self.alphabet_size:
             raise ValidationError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
@@ -96,8 +90,7 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
         raise ValidationError("cannot block-average an empty series")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("cannot block-average non-finite values")
-    if block_size < 1:
-        raise ValidationError("block size must be a positive integer")
+    block_size = _integer("block_size", block_size, 1)
     n_blocks = arr.size // block_size
     if n_blocks == 0:
         raise ValidationError(
@@ -127,8 +120,7 @@ def fit_bins(values, mode: str = "width", alphabet_size: int = 3) -> BinningSpec
         raise ValidationError("cannot fit bins to non-finite values")
     if mode not in BIN_MODES:
         raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {mode!r}")
-    if _integer("alphabet_size", alphabet_size) < 2:
-        raise ValidationError("alphabet size must be at least 2")
+    alphabet_size = _integer("alphabet_size", alphabet_size, 2)
     if mode == "width":
         lo, hi = float(arr.min()), float(arr.max())
         if hi <= lo:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _integer, _integer_fields
 from .infocore import conditional_mutual_information
 from .symbolize import SymbolSeries
 
@@ -37,15 +37,15 @@ def _float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
-def _check_alphabet(n: int, power: int) -> None:
-    """Refuse alphabet n below 2, or before allocating an array of n**power
-    cells past _MAX_CELLS."""
-    if n < 2:
-        raise ValidationError("alphabet size must be at least 2")
+def _check_alphabet(n, power: int) -> int:
+    """Alphabet n as an int by the integer rule (at least 2), refused before an
+    array of n**power cells past _MAX_CELLS is allocated."""
+    n = _integer("alphabet_size", n, 2)
     if n**power > _MAX_CELLS:
         raise ValidationError(
             f"alphabet {n} needs {n}**{power} cells, past the limit of {_MAX_CELLS}"
         )
+    return n
 
 
 def _check_stochastic(arr: np.ndarray, name: str) -> np.ndarray:
@@ -72,9 +72,8 @@ class CoupledMarkovSpec:
     target_transition: np.ndarray
 
     def __post_init__(self):
+        _integer_fields(self, alphabet_size=2)
         n = self.alphabet_size
-        if n < 2:
-            raise ValidationError("alphabet size must be at least 2")
         a = _float_array(self.source_transition, (n, n), "source_transition")
         b = _float_array(self.target_transition, (n, n, n), "target_transition")
         for name, arr in (("source_transition", a), ("target_transition", b)):
@@ -100,10 +99,6 @@ class CoupledMarkovSpec:
         for key in _SPEC_KEYS:
             if key not in raw:
                 raise ValidationError(f"process spec has no {key!r} key")
-        if not isinstance(raw["alphabet_size"], int):
-            raise ValidationError(
-                f"process spec alphabet_size must be an integer, got {raw['alphabet_size']!r}"
-            )
         return cls(**raw)
 
 
@@ -114,8 +109,7 @@ def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
 
 def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMarkovSpec:
     """x_{t+1} copies y_t with probability `fidelity`, else errs uniformly."""
-    n = alphabet_size
-    _check_alphabet(n, 3)
+    n = _check_alphabet(alphabet_size, 3)
     if not 0.0 < fidelity <= 1.0:
         raise ValidationError("fidelity must lie in (0, 1]")
     a = np.full((n, n), 1.0 / n)
@@ -127,8 +121,7 @@ def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMa
 
 def independent_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
     """Zero coupling: both chains are i.i.d. uniform."""
-    n = alphabet_size
-    _check_alphabet(n, 3)
+    n = _check_alphabet(alphabet_size, 3)
     a = np.full((n, n), 1.0 / n)
     b = np.broadcast_to(np.full(n, 1.0 / n), (n, n, n)).copy()
     return CoupledMarkovSpec(n, a, b)
@@ -140,10 +133,9 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     The source advances by its own transition row; the target draws from
     the slice selected by (x_t, y_t).  Deterministic under the seed.
     """
-    if length < 2:
-        raise ValidationError("generated series need length >= 2")
+    length = _integer("length", length, 2)
     n = spec.alphabet_size
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF)
     ux, uy = rng.random((2, length)).tolist()
 
     # Cumulative rows as plain Python lists: the sequential loop is much
@@ -183,8 +175,7 @@ def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
     transition matrix has n**4 cells, so an alphabet past 2**24 of them
     is refused.
     """
-    n = spec.alphabet_size
-    _check_alphabet(n, 4)
+    n = _check_alphabet(spec.alphabet_size, 4)
     # P[(x, y), (x', y')] = B[x, y, x'] * A[y, y']
     transition = np.einsum("xyu,yv->xyuv", spec.target_transition, spec.source_transition)
     transition = transition.reshape(n * n, n * n)

@@ -53,19 +53,17 @@ class HistorySpec:
     l: int
 
     def __post_init__(self):
-        _integer_fields(self, "m", "l")
-        if self.m < 1 or self.l < 1:
-            raise ValidationError(f"history lengths must be >= 1, got m={self.m}, l={self.l}")
+        _integer_fields(self, m=1, l=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WordDistribution:
     """Empirical counts of (next target symbol, target word, source word).
 
-    Stored sparsely as packed int64 codes of the observed triples, in
-    strictly ascending order below target_alphabet^(m+1) * source_alphabet^l,
-    plus their counts; marginal groupings needed by the entropy formulas
-    are derived lazily and cached.
+    Stored sparsely as read-only packed int64 codes of the observed triples,
+    in strictly ascending order below target_alphabet^(m+1) * source_alphabet^l,
+    plus their counts; the window count and the marginal groupings needed by
+    the entropy formulas are derived lazily and cached.
     """
 
     codes: np.ndarray
@@ -76,10 +74,15 @@ class WordDistribution:
     l: int
 
     def __post_init__(self):
+        _integer_fields(self, target_alphabet=2, source_alphabet=2, m=1, l=1)
         codes, counts = np.asarray(self.codes), np.asarray(self.counts)
         if codes.size == 0:
             raise ValidationError("word distribution has no observed words")
         for name, values in (("codes", codes), ("counts", counts)):
+            if values.ndim != 1:
+                raise ValidationError(
+                    f"word {name} must be one-dimensional, got shape {values.shape}"
+                )
             if values.dtype.kind not in "iu":
                 raise ValidationError(f"word {name} must be integers, got dtype {values.dtype}")
         codes, counts = codes.astype(np.int64), counts.astype(np.int64)
@@ -94,7 +97,8 @@ class WordDistribution:
             raise ValidationError(f"word codes must lie in [0, {n_codes})")
         codes.flags.writeable = False
         counts.flags.writeable = False
-        self.codes, self.counts = codes, counts
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", counts)
 
     # -- code packing ------------------------------------------------------
 
@@ -102,7 +106,7 @@ class WordDistribution:
     def _radices(self) -> tuple[int, ...]:
         return _radices(self.target_alphabet, self.source_alphabet, self.m, self.l)
 
-    @property
+    @cached_property
     def n_windows(self) -> int:
         return int(self.counts.sum())
 
@@ -202,8 +206,7 @@ def count_words(
     """
     if len(x) != len(y):
         raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
-    if _integer("pseudo_count", pseudo_count) < 0:
-        raise ValidationError("pseudo count must be non-negative")
+    pseudo_count = _integer("pseudo_count", pseudo_count, 0)
     length = len(x)
     start = max(h.m, h.l)
     n_windows = length - start - 1

@@ -118,6 +118,8 @@ class TestGenSynthAndOracle:
         ("[1, 2]", "must be a JSON object"),
         ('{"alphabet_size": null, "source_transition": [], "target_transition": []}',
          "alphabet_size must be an integer"),
+        ('{"alphabet_size": true, "source_transition": [], "target_transition": []}',
+         "alphabet_size must be an integer, got True"),
         ('{"alphabet_size": 2, "source_transition": [["a", "b"], [0.5, 0.5]], '
          '"target_transition": []}', "source_transition must be an array of numbers"),
         ('{"alphabet_size": 2, "source_transition": [[null, 1.0], [0.5, 0.5]], '
@@ -128,7 +130,8 @@ class TestGenSynthAndOracle:
          '"target_transition": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}',
          "more than one closed class"),
     ], ids=["missing-key", "not-json", "huge-integer", "not-an-object", "null-alphabet",
-            "non-numeric-cell", "null-cell", "initial-key", "misspelled-key", "two-laws"])
+            "bool-alphabet", "non-numeric-cell", "null-cell", "initial-key", "misspelled-key",
+            "two-laws"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
@@ -155,7 +158,7 @@ class TestGenSynthAndOracle:
         (["oracle", "--preset", "independent"], "65", "alphabet 65 needs 65**4 cells"),
         (["gen-synth", "--preset", "noisy-copy", "--length", "10"], "10000000",
          "alphabet 10000000 needs 10000000**3 cells"),
-        (["oracle", "--preset", "independent"], "0", "alphabet size must be at least 2"),
+        (["oracle", "--preset", "independent"], "0", "alphabet_size must be at least 2, got 0"),
     ], ids=["oracle-preset", "oracle-chain", "gen-synth-preset", "oracle-empty"])
     def test_oversized_alphabet_is_reported(self, tmp_path, capsys, command, alphabet, message):
         out = tmp_path / "out"

@@ -1,8 +1,11 @@
 """The public namespace: every exported name resolves, every module uses
-what it imports and every private function it defines, and the README's
-library example runs."""
+what it imports and every private function it defines, every dataclass is
+frozen, and the README's library example runs."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -59,6 +62,19 @@ def test_every_private_function_is_used():
     named = {node.id for node in nodes if isinstance(node, ast.Name)}
     named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert sorted(defined - named) == []
+
+
+def test_every_dataclass_is_frozen():
+    """A dataclass whose fields can be reassigned after its checks ran is refused."""
+    modules = [importlib.import_module(f"renflow.{info.name}")
+               for info in pkgutil.iter_modules(renflow.__path__)]
+    classes = [
+        obj for module in modules for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+        and obj.__module__ == module.__name__
+    ]
+    assert len(classes) >= 13
+    assert [cls.__qualname__ for cls in classes if not cls.__dataclass_params__.frozen] == []
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):

@@ -111,6 +111,19 @@ class TestMakeSurrogate:
         assert spec == SurrogateSpec(3, -1, 2)
         assert all(type(v) is int for v in spec.record.values() if not isinstance(v, str))
 
+    @pytest.mark.parametrize("replica, message", [
+        (1.5, "^replica_index must be an integer, got 1.5$"),
+        (True, "^replica_index must be an integer, got True$"),
+        (-1, "^replica_index must be at least 0, got -1$"),
+    ])
+    def test_replica_index_follows_the_integer_rule(self, replica, message):
+        y = SymbolSeries(np.arange(50) % 3, 3, label="y")
+        with pytest.raises(ValidationError, match=message):
+            make_surrogate(y, SurrogateSpec(), replica)
+        spec = SurrogateSpec()
+        np.testing.assert_array_equal(make_surrogate(y, spec, np.int64(1)).symbols,
+                                      make_surrogate(y, spec, 1).symbols)
+
 
 class TestEffectiveTransferEntropy:
     def test_zero_ensemble_equals_raw(self):
@@ -212,6 +225,20 @@ class TestRunPlanner:
 
     def test_result_fields_are_raw_replicas_and_windows(self):
         assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas", "n_windows"]
+
+    def test_replicas_are_stored_as_a_tuple_of_floats(self):
+        result = EffectiveResult(0.5, [0.1, np.float64(0.2)], np.int64(10))
+        assert result.replicas == (0.1, 0.2)
+        assert all(type(v) is float for v in result.replicas)
+        assert type(result.n_windows) is int
+
+    @pytest.mark.parametrize("windows, message", [
+        (2.5, "^n_windows must be an integer, got 2.5$"),
+        (0, "^n_windows must be at least 1, got 0$"),
+    ])
+    def test_window_count_follows_the_integer_rule(self, windows, message):
+        with pytest.raises(ValidationError, match=message):
+            EffectiveResult(0.5, (0.1, 0.2), windows)
 
     def test_statistics_derive_from_replicas(self):
         rng = np.random.default_rng(9)

@@ -35,6 +35,21 @@ class TestBlockCoarseGrain:
         with pytest.raises(ValidationError):
             block_coarse_grain([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("run", [
+        block_coarse_grain, lambda values, block: prepare_series(values, block_size=block),
+    ], ids=["block_coarse_grain", "prepare_series"])
+    @pytest.mark.parametrize("block, message", [
+        (2.5, "^block_size must be an integer, got 2.5$"),
+        (2.0, "^block_size must be an integer, got 2.0$"),
+        (True, "^block_size must be an integer, got True$"),
+        (0, "^block_size must be at least 1, got 0$"),
+    ])
+    def test_block_size_follows_the_integer_rule(self, run, block, message):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(ValidationError, match=message):
+            run(values, block)
+        assert len(run(values, np.int64(2))) == 3
+
     @pytest.mark.parametrize("bad", (np.nan, -np.inf, np.inf))
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -183,7 +198,7 @@ class TestSymbolSeries:
 
     @pytest.mark.parametrize("block", (0, -3))
     def test_block_size_must_be_positive(self, block):
-        with pytest.raises(ValidationError, match="block size must be a positive integer"):
+        with pytest.raises(ValidationError, match=f"^block_size must be at least 1, got {block}$"):
             SymbolSeries([0, 1, 2], 3, block_size=block)
 
     def test_numpy_integer_sizes_accepted(self):

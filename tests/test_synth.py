@@ -54,6 +54,17 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             CoupledMarkovSpec(3, np.full((2, 2), 0.5), np.full((3, 3, 3), 1 / 3))
 
+    @pytest.mark.parametrize("make", [
+        lambda n: CoupledMarkovSpec(n, np.full((3, 3), 1 / 3), np.full((3, 3, 3), 1 / 3)),
+        copy_spec, noisy_copy_spec, independent_spec,
+    ], ids=["spec", "copy", "noisy-copy", "independent"])
+    @pytest.mark.parametrize("n", [3.0, 3.5, True])
+    def test_alphabet_size_follows_the_integer_rule(self, make, n):
+        with pytest.raises(ValidationError, match=f"^alphabet_size must be an integer, got {n}$"):
+            make(n)
+        spec = make(np.int64(3))
+        assert spec.alphabet_size == 3 and type(spec.alphabet_size) is int
+
     @pytest.mark.parametrize("make", [copy_spec, noisy_copy_spec, independent_spec])
     def test_single_symbol_preset_rejected(self, make):
         with pytest.raises(ValidationError, match="at least 2"):
@@ -120,6 +131,16 @@ class TestGenerate:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             generate(copy_spec(2), 1, seed=0)
+
+    @pytest.mark.parametrize("length, seed, message", [
+        (1, 0, "^length must be at least 2, got 1$"),
+        (50.5, 1, "^length must be an integer, got 50.5$"),
+        (50, 7.9, "^seed must be an integer, got 7.9$"),
+        (50, True, "^seed must be an integer, got True$"),
+    ])
+    def test_length_and_seed_follow_the_integer_rule(self, length, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            generate(copy_spec(2), length, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_the_scanning_draw(self, n):

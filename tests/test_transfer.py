@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -255,6 +256,40 @@ class TestWordDistribution:
         with pytest.raises(ValidationError, match=f"^word {field} must be integers"):
             WordDistribution(codes=codes, counts=counts,
                              target_alphabet=2, source_alphabet=2, m=1, l=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", 0, "^m must be at least 1, got 0$"),
+        ("l", -1, "^l must be at least 1, got -1$"),
+        ("target_alphabet", 1, "^target_alphabet must be at least 2, got 1$"),
+        ("source_alphabet", True, "^source_alphabet must be an integer, got True$"),
+        ("source_alphabet", 2.5, "^source_alphabet must be an integer, got 2.5$"),
+    ])
+    def test_sizes_and_history_lengths_follow_the_integer_rule(self, field, value, message):
+        sizes = {"target_alphabet": 2, "source_alphabet": 2, "m": 1, "l": 1, field: value}
+        with pytest.raises(ValidationError, match=message):
+            WordDistribution(codes=[0], counts=[1], **sizes)
+
+    @pytest.mark.parametrize("field", ["codes", "counts"])
+    def test_codes_and_counts_must_be_one_dimensional(self, field):
+        table = {"codes": [0, 3], "counts": [2, 1]}
+        table[field] = [table[field]]
+        with pytest.raises(ValidationError,
+                           match=rf"^word {field} must be one-dimensional, got shape \(1, 2\)$"):
+            WordDistribution(**table, target_alphabet=2, source_alphabet=2, m=1, l=1)
+
+    @pytest.mark.parametrize("field, value", [("counts", np.array([1, 1, 1, 1])),
+                                              ("counts", [-5, 0, 2, 1]), ("m", 2)])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # x' copies y: T_1 = H(X'|XW) - H(X'|XW,YW) = 1 - 0 bits
+        words = WordDistribution.from_counts(
+            {(0, (0,), (0,)): 3, (1, (0,), (1,)): 3, (0, (1,), (0,)): 2, (1, (1,), (1,)): 2},
+            2, 2, 1, 1,
+        )
+        assert renyi_transfer_entropy(words, 1.0) == 1.0
+        with pytest.raises(FrozenInstanceError):
+            setattr(words, field, value)
+        assert renyi_transfer_entropy(words, 1.0) == 1.0
+        assert words.counts.tolist() == [3, 3, 2, 2] and words.n_windows == 10
 
     def test_from_counts_rejects_a_fractional_count(self):
         with pytest.raises(ValidationError, match="^word counts must be integers"):
