@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _integer
 from .ingest import align_many, load_csv, reading, sha256_file
 from .infocore import _order
 from .report import (
@@ -51,11 +51,23 @@ def _parse_labels(value: str) -> list[str]:
     return next(csv.reader([value]))
 
 
-def _list_of(kind):
-    """Argparse type for a comma-separated list of `kind` values."""
+def _checked(kind, minimum=None):
+    """Argparse type for an int checked by `errors._integer` against `minimum`, or a
+    float checked as a Renyi order by `infocore._order`, refused under the option."""
+    def parse(value: str):
+        try:
+            return _integer("value", int(value), minimum) if kind is int else _order(float(value))
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: '2.5'"
+    return parse
+
+
+def _list_of(kind, minimum=None):
+    """Argparse type for a comma-separated list of `_checked(kind, minimum)` values."""
     def parse(value: str) -> list:
         try:
-            return [kind(v) for v in value.split(",")]
+            return [_checked(kind, minimum)(v) for v in value.split(",")]
         except ValueError:
             message = f"expected comma-separated {kind.__name__} values, got {value!r}"
             raise argparse.ArgumentTypeError(message) from None
@@ -154,12 +166,11 @@ def _target_source(args) -> tuple[SymbolSeries, SymbolSeries]:
 def _cmd_te(args) -> None:
     target, source = _target_source(args)
     h = HistorySpec(args.m, args.l)
-    q = _order(args.q)
     spec = _surrogate_spec(args)
-    result = effective_transfer_entropy(target, source, h, q, spec)
+    result = effective_transfer_entropy(target, source, h, args.q, spec)
     payload = {
         "direction": f"{source.label}->{target.label}",
-        "q": q,
+        "q": args.q,
         "m": h.m,
         "l": h.l,
         **{f"{k}_bits" if isinstance(v, float) else k: v for k, v in result.fields().items()},
@@ -250,9 +261,8 @@ def _cmd_gen_synth(args) -> None:
 
 def _cmd_oracle(args) -> None:
     spec = _load_process_spec(args)
-    q = _order(args.q)
-    value = exact_transfer_entropy(spec, q)
-    payload = {"direction": "source->target", "q": q, "m": 1, "l": 1,
+    value = exact_transfer_entropy(spec, args.q)
+    payload = {"direction": "source->target", "q": args.q, "m": 1, "l": 1,
                "transfer_entropy_bits": value}
     emit(payload, args.out, "json")
 
@@ -266,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tz-offset", action="append", default=[], type=_offset, metavar="LABEL=MINUTES",
         help="clock offset of a column, minutes ahead of the reference clock",
     )
-    data.add_argument("--alphabet", type=int, default=3, help="number of symbols N")
-    data.add_argument("--block", type=int, default=1, help="coarse-graining block size")
+    data.add_argument("--alphabet", type=_checked(int, 2), default=3, help="number of symbols N")
+    data.add_argument("--block", type=_checked(int, 1), default=1, help="coarse-grain block size")
     data.add_argument("--bins", choices=BIN_MODES, default="width")
     data.add_argument(
         "--log-returns", action="store_true",
@@ -286,23 +296,23 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--source", required=True, help="source column label")
     pair.add_argument("--target", required=True, help="target column label")
     history = argparse.ArgumentParser(add_help=False)
-    history.add_argument("--m", type=int, default=1, help="target history length")
-    history.add_argument("--l", type=int, default=1, help="source history length")
+    history.add_argument("--m", type=_checked(int, 1), default=1, help="target history length")
+    history.add_argument("--l", type=_checked(int, 1), default=1, help="source history length")
     order = argparse.ArgumentParser(add_help=False)
-    order.add_argument("--q", type=float, default=1.0, help="Renyi order (1 = Shannon)")
+    order.add_argument("--q", type=_checked(float), default=1.0, help="Renyi order (1 = Shannon)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     ensemble = argparse.ArgumentParser(add_help=False, parents=[seed])
-    ensemble.add_argument("--surrogates", type=int, default=20, help="ensemble size")
+    ensemble.add_argument("--surrogates", type=_checked(int, 0), default=20, help="ensemble size")
     ensemble.add_argument(
-        "--surrogate-block", type=int, default=1,
+        "--surrogate-block", type=_checked(int, 1), default=1,
         help="shuffle the source in blocks of this many symbols (1 = plain permutation)",
     )
     process = argparse.ArgumentParser(add_help=False)
     source = process.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
     source.add_argument("--preset", choices=_PRESETS, default=None)
-    process.add_argument("--preset-alphabet", type=int, default=3)
+    process.add_argument("--preset-alphabet", type=_checked(int, 2), default=3)
     process.add_argument("--preset-fidelity", type=float, default=0.75)
 
     parser = argparse.ArgumentParser(
@@ -343,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep-m", _cmd_sweep_m, "scan the history length (l = m) for one pair",
                 [data, pair, order, ensemble], True, ("csv", "json"))
     p.add_argument(
-        "--m-grid", default="1,2,3", type=_list_of(int), help="comma-separated history lengths"
+        "--m-grid", default="1,2,3", type=_list_of(int, 1), help="comma-separated history lengths"
     )
-    p.add_argument("--min-windows", type=int, default=100)
+    p.add_argument("--min-windows", type=_checked(int, 0), default=100)
     p = command("gen-synth", _cmd_gen_synth, "sample a coupled synthetic process to CSV",
                 [process, seed], True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_checked(int, 2), required=True)
     command("oracle", _cmd_oracle, "exact transfer entropy of a synthetic process",
             [process, order])
     return parser

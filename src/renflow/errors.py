@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the integer rule that raises one."""
+"""Exception types shared across the package, and the integer and series rules
+that raise one."""
 
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -37,3 +40,20 @@ def _integer_fields(spec, **minimums) -> None:
     with its lower bound (None for none)."""
     for name, minimum in minimums.items():
         object.__setattr__(spec, name, _integer(name, getattr(spec, name), minimum))
+
+
+def _series(name: str, values) -> np.ndarray:
+    """`values` as a new one-dimensional float array, refusing with a ValidationError
+    that names `name` a value that is not numbers, not one-dimensional, empty, or
+    holding a NaN or an infinity."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{name} must be a non-empty one-dimensional array of numbers, "
+                              f"got shape {arr.shape} of dtype {arr.dtype}")
+    arr = arr.astype(float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ValidationError(f"{name} must be finite, got the non-finite value {arr[at]} "
+                              f"at position {at}")
+    return arr

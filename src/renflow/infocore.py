@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _series
 
 # Absolute tolerance on probability normalization.  Inputs off by more
 # than this are rejected, never silently renormalized.
@@ -57,21 +57,17 @@ def _order(q) -> float:
 
 
 def _as_prob_array(values, ndim=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values)
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"expected a rank-{ndim} probability array, got rank {arr.ndim}")
-    if arr.size == 0:
-        raise ValidationError("probability array is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("probability array contains NaN or infinity")
-    if np.any(arr < 0.0):
+    flat = _series("probability array", arr.ravel())
+    if np.any(flat < 0.0):
         raise ValidationError("probability array contains a negative entry")
-    total = math.fsum(arr.ravel().tolist())
+    total = math.fsum(flat.tolist())
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    flat.flags.writeable = False
+    return flat.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class DiscreteDistribution:
 
     @classmethod
     def coerce(cls, value) -> "DiscreteDistribution":
-        return value if isinstance(value, cls) else cls(np.asarray(value, dtype=float))
+        return value if isinstance(value, cls) else cls(value)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.asarray(self.probs)
         if arr.ndim < 2:
             raise ValidationError("a joint distribution needs at least two axes")
         object.__setattr__(self, "probs", _as_prob_array(arr))
@@ -116,7 +112,7 @@ class JointDistribution:
 
     @classmethod
     def coerce(cls, value) -> "JointDistribution":
-        return value if isinstance(value, cls) else cls(np.asarray(value, dtype=float))
+        return value if isinstance(value, cls) else cls(value)
 
 
 # Tables of more than this many cells are summed by count class.  Grouping

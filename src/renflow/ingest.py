@@ -25,6 +25,8 @@ from .errors import (
     MalformedHeaderError,
     NonAscendingTimestampsError,
     ValidationError,
+    _integer,
+    _series,
 )
 
 _INT64 = np.iinfo(np.int64)
@@ -32,25 +34,24 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class RawSeries:
-    """One asset's (timestamp, value) record on the reference clock."""
+    """One asset's (timestamp, value) record on the reference clock, in read-only
+    copies of the given arrays."""
 
     label: str
     timestamps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=float)
-        if ts.size == 0 or vals.size == 0:
-            raise ValidationError(f"series {self.label!r} is empty")
-        if ts.size != vals.size:
-            raise ValidationError(f"series {self.label!r}: timestamp/value lengths differ")
+        vals = _series(f"series {self.label!r} values", self.values)
+        ts = np.asarray(self.timestamps)
+        if ts.shape != vals.shape or ts.dtype.kind not in "iu" or ts.max() > _INT64.max:
+            raise ValidationError(f"series {self.label!r}: timestamps must be {vals.size} int64 "
+                                  f"integers, got shape {ts.shape} of dtype {ts.dtype}")
+        ts = ts.astype(np.int64)
         if np.any(ts[1:] <= ts[:-1]):  # np.diff would wrap across the int64 range
             raise NonAscendingTimestampsError(
                 f"series {self.label!r}: timestamps must be strictly ascending"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError(f"series {self.label!r} contains non-finite values")
         ts.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
@@ -136,7 +137,7 @@ def load_csv(
         except OverflowError:
             message = f"{path}: a timestamp in column {label!r} overflows int64"
             raise ValidationError(message) from None
-        minutes = int(offsets.get(label, 0))
+        minutes = _integer(f"{path}: the clock offset of column {label!r}", offsets.get(label, 0))
         if minutes:
             # numpy's int64 arithmetic wraps, so check the range in Python ints first
             seconds = 60 * minutes

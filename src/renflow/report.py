@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _series
 from .infocore import _order
 from .ingest import reading
 from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
@@ -61,8 +61,7 @@ def _freeze_grid(matrix, kind: str) -> np.ndarray:
     values = np.array(matrix.values, dtype=float)
     if values.shape != (len(labels), len(labels)):
         raise ValidationError(f"{kind} shape {values.shape} does not match {len(labels)} labels")
-    if not np.all(np.isfinite(values[~np.eye(len(labels), dtype=bool)])):
-        raise ValidationError(f"{kind} off-diagonal entries must be finite")
+    _series(f"{kind} off-diagonal entries", values[~np.eye(len(labels), dtype=bool)])
     values.flags.writeable = False
     object.__setattr__(matrix, "labels", labels)
     object.__setattr__(matrix, "values", values)
@@ -186,10 +185,12 @@ def _sweep(x: SymbolSeries, y: SymbolSeries, param_name: str, settings,
 
     Rows name an unlabeled target "X" and an unlabeled source "Y".  A
     FiniteSampleWarning is raised whenever a setting leaves fewer than
-    `min_windows` windows.
+    `min_windows` windows.  An empty grid is refused before any counting.
     """
     x_label, y_label = x.label or "X", y.label or "Y"
     settings = list(settings)
+    if not settings:
+        raise ValidationError(f"the {param_name} grid is empty")
     histories = list(dict.fromkeys(h for _, h, _ in settings))
     orders = list(dict.fromkeys(q for _, _, q in settings))
     results = effective_transfer_entropies(
@@ -243,6 +244,7 @@ def m_sweep(
     falls below `min_windows`.
     """
     q = _order(q)
+    min_windows = _integer("min_windows", min_windows, 0)
     settings = ((h.m, h, q) for h in (HistorySpec(m, m) for m in m_grid))
     return _sweep(x, y, "m", settings, spec, {"q": q, **spec.record}, min_windows)
 

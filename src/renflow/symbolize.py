@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _integer_fields
+from .errors import ValidationError, _integer, _integer_fields, _series
 
 BIN_MODES = ("width", "quantile")
 
@@ -34,7 +34,7 @@ class BinningSpec:
         if self.mode not in BIN_MODES:
             raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {self.mode!r}")
         _integer_fields(self, alphabet_size=2)
-        edges = tuple(float(e) for e in self.edges)
+        edges = tuple(_series("bin edges", self.edges).tolist())
         if len(edges) != self.alphabet_size - 1:
             raise ValidationError(
                 f"need {self.alphabet_size - 1} edges for {self.alphabet_size} bins, got {len(edges)}"
@@ -58,8 +58,9 @@ class SymbolSeries:
     def __post_init__(self):
         _integer_fields(self, alphabet_size=2, block_size=1)
         arr = np.asarray(self.symbols)
-        if arr.size == 0:
-            raise ValidationError("symbol series is empty")
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValidationError(f"symbols must be a non-empty one-dimensional array, "
+                                  f"got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             rounded = np.rint(np.asarray(arr, dtype=float))
             if np.any(rounded != np.asarray(arr, dtype=float)):
@@ -85,11 +86,7 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
     output value averages exactly `block_size` inputs.  block_size = 1
     is the identity, bit for bit.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("cannot block-average an empty series")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("cannot block-average non-finite values")
+    arr = _series("values", values)
     block_size = _integer("block_size", block_size, 1)
     n_blocks = arr.size // block_size
     if n_blocks == 0:
@@ -103,7 +100,7 @@ def block_coarse_grain(values, block_size: int) -> np.ndarray:
 
 def log_returns(values) -> np.ndarray:
     """ln(x_t / x_{t-1}); output is one sample shorter than the input."""
-    arr = np.asarray(values, dtype=float)
+    arr = _series("values", values)
     if arr.size < 2:
         raise ValidationError("log returns need at least two samples")
     if np.any(arr <= 0.0):
@@ -113,11 +110,7 @@ def log_returns(values) -> np.ndarray:
 
 def fit_bins(values, mode: str = "width", alphabet_size: int = 3) -> BinningSpec:
     """Fit an N-bin partition to the amplitude range of `values`."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("cannot fit bins to an empty series")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("cannot fit bins to non-finite values")
+    arr = _series("values", values)
     if mode not in BIN_MODES:
         raise ValidationError(f"bin mode must be one of {BIN_MODES}, got {mode!r}")
     alphabet_size = _integer("alphabet_size", alphabet_size, 2)
@@ -144,11 +137,7 @@ def symbolize(values, spec: BinningSpec, label: str = "", block_size: int = 1) -
     fitted range clamp to the end bins.  Deterministic and monotone.
     NaN and infinity have no bin and are rejected.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("cannot symbolize an empty series")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("cannot symbolize non-finite values")
+    arr = _series("values", values)
     symbols = np.searchsorted(np.asarray(spec.edges), arr, side="left")
     return SymbolSeries(
         symbols=symbols,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, _integer, _integer_fields
+from .errors import ConvergenceError, ValidationError, _integer, _integer_fields, _series
 from .infocore import conditional_mutual_information
 from .symbolize import SymbolSeries
 
@@ -49,11 +49,14 @@ def _check_alphabet(n, power: int) -> int:
 
 
 def _check_stochastic(arr: np.ndarray, name: str) -> np.ndarray:
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must contain finite non-negative probabilities")
+    """A read-only copy of `arr`, checked finite, non-negative and stochastic."""
+    arr = _series(name, arr.ravel()).reshape(arr.shape)
+    if np.any(arr < 0.0):
+        raise ValidationError(f"{name} must contain non-negative probabilities")
     sums = arr.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > _ROW_TOL):
         raise ValidationError(f"every conditional slice of {name} must sum to 1")
+    arr.flags.writeable = False
     return arr
 
 
@@ -77,9 +80,7 @@ class CoupledMarkovSpec:
         a = _float_array(self.source_transition, (n, n), "source_transition")
         b = _float_array(self.target_transition, (n, n, n), "target_transition")
         for name, arr in (("source_transition", a), ("target_transition", b)):
-            arr = _check_stochastic(arr, name).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _check_stochastic(arr, name))
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in _SPEC_KEYS},

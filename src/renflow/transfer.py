@@ -92,19 +92,13 @@ class WordDistribution:
             raise ValidationError("word counts must be positive")
         if np.any(codes[1:] <= codes[:-1]):
             raise ValidationError("word codes must be unique and in ascending order")
-        n_codes = math.prod(self._radices)
+        n_codes = math.prod(_radices(self.target_alphabet, self.source_alphabet, self.m, self.l))
         if int(codes[0]) < 0 or int(codes[-1]) >= n_codes:
             raise ValidationError(f"word codes must lie in [0, {n_codes})")
         codes.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "counts", counts)
-
-    # -- code packing ------------------------------------------------------
-
-    @property
-    def _radices(self) -> tuple[int, ...]:
-        return _radices(self.target_alphabet, self.source_alphabet, self.m, self.l)
 
     @cached_property
     def n_windows(self) -> int:
@@ -124,6 +118,9 @@ class WordDistribution:
         Useful for analytic joints where the exact stationary word
         probabilities are known as integer ratios.
         """
+        target_alphabet = _integer("target_alphabet", target_alphabet, 2)
+        source_alphabet = _integer("source_alphabet", source_alphabet, 2)
+        m, l = _integer("m", m, 1), _integer("l", l, 1)
         radices = _radices(target_alphabet, source_alphabet, m, l)
         words = list(mapping.items())
         if any(count < 0 for _, count in words):
@@ -147,12 +144,6 @@ class WordDistribution:
             m=m,
             l=l,
         )
-
-    def items(self):
-        """Yield ((x_next, x_word, y_word), count) for every observed word."""
-        digits = np.stack(np.unravel_index(self.codes, self._radices), axis=1)
-        for word, count in zip(digits.tolist(), self.counts.tolist()):
-            yield (word[-1], tuple(word[: self.m]), tuple(word[self.m : -1])), count
 
     # -- cached grouping ---------------------------------------------------
 

@@ -24,6 +24,7 @@ from renflow import (
     make_surrogate,
     renyi_transfer_entropy,
 )
+from renflow.transfer import _radices
 
 
 def iid_symbol_series(rng: np.random.Generator, length: int, alphabet: int, label: str = "") -> SymbolSeries:
@@ -151,11 +152,20 @@ def estimate_te(x: SymbolSeries, y: SymbolSeries, m: int, l: int, q: float):
     return renyi_transfer_entropy(count_words(x, y, HistorySpec(m, l)), q)
 
 
+def word_items(w: WordDistribution):
+    """Yield ((x_next, x_word, y_word), count) for every observed word of `w`,
+    each code unpacked by the library's digit layout `transfer._radices`."""
+    radices = _radices(w.target_alphabet, w.source_alphabet, w.m, w.l)
+    digits = np.stack(np.unravel_index(w.codes, radices), axis=1)
+    for word, count in zip(digits.tolist(), w.counts.tolist()):
+        yield (word[-1], tuple(word[: w.m]), tuple(word[w.m : -1])), count
+
+
 def shannon_transfer_entropy_decimal(w: WordDistribution, digits: int = 60) -> Decimal:
     """Shannon transfer entropy in bits as a `digits`-digit decimal: the log-ratio
     sum of c/N * log2[c b / (d a)] over the words, with a the (x', xw), b the
     (xw) and d the (xw, yw) total of each word, every logarithm taken in decimal."""
-    words = dict(w.items())
+    words = dict(word_items(w))
     xh, both, fx = Counter(), Counter(), Counter()
     for (x_next, xw, yw), c in words.items():
         xh[xw] += c
@@ -175,7 +185,7 @@ def shannon_transfer_entropy_decimal(w: WordDistribution, digits: int = 60) -> D
 def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = False) -> float:
     """Order-q transfer entropy via the escort-weighted ratio form.
 
-    Built from `WordDistribution.items()` alone, so it is an evaluation
+    Built from `word_items(w)` alone, so it is an evaluation
     path independent of the library's grouped-count core: escort weights
     over the conditioning words multiply powered conditional
     probabilities and the two sums are compared inside one logarithm.
@@ -183,7 +193,7 @@ def renyi_transfer_entropy_escort(w: WordDistribution, q: float, dual: bool = Fa
     target words), which is algebraically the same number.  Within 1e-9
     of q = 1 it evaluates the Shannon log-ratio sum instead.
     """
-    words = dict(w.items())
+    words = dict(word_items(w))
     total = sum(words.values())
     xh, both, fx = Counter(), Counter(), Counter()
     for (x_next, xw, yw), c in words.items():

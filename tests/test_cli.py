@@ -34,6 +34,31 @@ SYNTH_PAIR = ["--source", "y", "--target", "x", *SYNTH_DATA]
 TE_SYNTH = ["te", *SYNTH_PAIR]
 
 
+def subcommands() -> dict:
+    """The parser of each subcommand, by name."""
+    (commands,) = [
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands
+
+
+def bounded_options() -> list:
+    """(command, option) for every option whose type takes 5 but refuses -1 as a
+    usage error, read from the parser itself."""
+    found = []
+    for command, parser in subcommands().items():
+        for action in (a for a in parser._actions if a.type is not None):
+            try:
+                action.type("5")
+            except argparse.ArgumentTypeError:  # not a number option, such as --tz-offset
+                continue
+            try:
+                action.type("-1")
+            except argparse.ArgumentTypeError:
+                found.append((command, action.option_strings[0]))
+    return found
+
+
 @pytest.fixture
 def synth_csv(tmp_path):
     """Symbol CSV from the deterministic copy process."""
@@ -123,7 +148,8 @@ class TestGenSynthAndOracle:
         ('{"alphabet_size": 2, "source_transition": [["a", "b"], [0.5, 0.5]], '
          '"target_transition": []}', "source_transition must be an array of numbers"),
         ('{"alphabet_size": 2, "source_transition": [[null, 1.0], [0.5, 0.5]], '
-         f'"target_transition": {HALF_TARGET}}}', "source_transition must contain finite"),
+         f'"target_transition": {HALF_TARGET}}}',
+         "source_transition must be finite, got the non-finite value nan at position 0"),
         (f'{{{HALF_SPEC}, "initial_source": [0.5, 0.5]}}', "unknown key 'initial_source'"),
         (f'{{{HALF_SPEC}, "target_transiton": {HALF_TARGET}}}', "unknown key 'target_transiton'"),
         ('{"alphabet_size": 2, "source_transition": [[1.0, 0.0], [0.0, 1.0]], '
@@ -158,13 +184,22 @@ class TestGenSynthAndOracle:
         (["oracle", "--preset", "independent"], "65", "alphabet 65 needs 65**4 cells"),
         (["gen-synth", "--preset", "noisy-copy", "--length", "10"], "10000000",
          "alphabet 10000000 needs 10000000**3 cells"),
-        (["oracle", "--preset", "independent"], "0", "alphabet_size must be at least 2, got 0"),
-    ], ids=["oracle-preset", "oracle-chain", "gen-synth-preset", "oracle-empty"])
+    ], ids=["oracle-preset", "oracle-chain", "gen-synth-preset"])
     def test_oversized_alphabet_is_reported(self, tmp_path, capsys, command, alphabet, message):
         out = tmp_path / "out"
         assert main([*command, "--preset-alphabet", alphabet, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_empty_preset_alphabet_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--preset", "independent", "--preset-alphabet", "0",
+                  "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --preset-alphabet: value must be at least 2, got 0" in err
         assert not out.exists()
 
     def test_oracle_on_a_chain_that_does_not_converge_is_reported(
@@ -608,7 +643,16 @@ class TestNumberOptions:
         (["te", *PAIR, "--tz-offset", "A=1", "--tz-offset", "A=0"],
          "argument --tz-offset: column 'A' is offset more than once"),
         (["symbolize", "--labels", ""], "argument --labels: expected at least one label, got ''"),
-    ], ids=["q-grid", "m-grid", "tz-offset", "tz-offset-twice", "empty-labels"])
+        (["te", *PAIR, "--surrogates", "-1"],
+         "argument --surrogates: value must be at least 0, got -1"),
+        (["te", *PAIR, "--block", "0"], "argument --block: value must be at least 1, got 0"),
+        (["te", *PAIR, "--q", "-1"], "argument --q: Renyi order must be a positive real, got -1.0"),
+        (["sweep-q", *PAIR, "--q-grid", "1,0"],
+         "argument --q-grid: Renyi order must be a positive real, got 0.0"),
+        (["sweep-m", *PAIR, "--m-grid", "1,0"],
+         "argument --m-grid: value must be at least 1, got 0"),
+    ], ids=["q-grid", "m-grid", "tz-offset", "tz-offset-twice", "empty-labels",
+            "surrogates-below-0", "block-below-1", "q-negative", "q-grid-entry-0", "m-grid-entry-0"])
     def test_bad_value_is_a_usage_error(self, price_csv, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exit_info:
@@ -618,6 +662,25 @@ class TestNumberOptions:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_only_the_seed_and_the_fidelity_skip_a_library_rule(self):
+        """Every other number option parses through the library rule of its field."""
+        bare = {action.option_strings[0] for sub in subcommands().values()
+                for action in sub._actions if action.type in (int, float)}
+        assert bare == {"--seed", "--preset-fidelity"}
+        assert {option for _, option in bounded_options()} == {
+            "--alphabet", "--block", "--m", "--l", "--q", "--surrogates", "--surrogate-block",
+            "--preset-alphabet", "--length", "--min-windows", "--m-grid", "--q-grid",
+        }
+
+    @pytest.mark.parametrize("command, option", bounded_options())
+    def test_a_value_below_its_bound_names_the_option(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, option, "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(f"argument {option}: (value must be at least [0-2]|"
+                         "Renyi order must be a positive real), got -1", err)
 
 
 class TestCommandLineSurface:
@@ -635,10 +698,7 @@ class TestCommandLineSurface:
         ("oracle", PROCESS | {"--q", "--out"}, None),
     ], ids=["symbolize", "te", "matrix", "netflow", "sweep-q", "sweep-m", "gen-synth", "oracle"])
     def test_command_takes_exactly_its_options(self, command, options, formats):
-        (commands,) = [
-            a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        actions = commands[command]._actions
+        actions = subcommands()[command]._actions
         assert {s for a in actions for s in a.option_strings} == options | {"-h", "--help"}
         format_choices = [list(a.choices) for a in actions if a.dest == "format"]
         assert format_choices == ([formats] if formats else [])

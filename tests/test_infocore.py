@@ -53,6 +53,25 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DiscreteDistribution(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("kind, probs, message", [
+        (list, ["a"], "must be a non-empty one-dimensional array of numbers, got shape (1,) of "
+         "dtype <U1"),
+        (list, [0.5, np.nan, 0.5], "must be finite, got the non-finite value nan at position 1"),
+        (list, [], "must be a non-empty one-dimensional array of numbers, got shape (0,) of "
+         "dtype float64"),
+        (JointDistribution, [[0.5, 0.5], [0.0, np.inf]], "must be finite, got the non-finite "
+         "value inf at position 3"),
+    ], ids=["strings", "nan", "empty", "joint-inf"])
+    def test_entropy_refuses_by_the_series_rule(self, kind, probs, message):
+        """A joint is checked as its flattened cells."""
+        with pytest.raises(ValidationError) as info:
+            entropy(kind(probs), 2)
+        assert str(info.value) == f"probability array {message}"
+
+    def test_joint_keeps_its_rank_read_only(self):
+        joint = JointDistribution([[0.25, 0.25], [0.5, 0.0]])
+        assert joint.probs.shape == (2, 2) and not joint.probs.flags.writeable
+
     def test_no_silent_renormalization(self):
         # off by 1e-6 must error, not renormalize
         with pytest.raises(ValidationError):

@@ -127,6 +127,14 @@ class TestLoadCsv:
         with pytest.raises(MalformedHeaderError, match=f"no '{label}' value column to offset"):
             load_csv(path, tz_offsets={"A": 60, label: 60})
 
+    @pytest.mark.parametrize("minutes", [1.5, True, "x", np.float64(60.0)])
+    def test_offset_follows_the_integer_rule(self, tmp_path, minutes):
+        path = write(tmp_path, "p.csv", "timestamp,A,B\n60,2.0,3.0\n120,2.5,3.5\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, tz_offsets={"A": minutes})
+        message = f"{path}: the clock offset of column 'A' must be an integer, got {minutes!r}"
+        assert str(info.value) == message
+
     def test_offset_for_a_column_not_read_rejected(self, tmp_path):
         path = write(tmp_path, "p.csv", "timestamp,A,B,C\n1,2.0,3.0,4.0\n")
         with pytest.raises(ValidationError) as info:
@@ -366,3 +374,38 @@ class TestAlign:
     def test_series_invariants(self):
         with pytest.raises(ValidationError):
             RawSeries(label="A", timestamps=np.array([1, 2]), values=np.array([1.0, np.inf]))
+
+
+class TestRawSeries:
+    @pytest.mark.parametrize("timestamps, values, message", [
+        (np.arange(12).reshape(3, 4), np.ones((3, 4)), "series 'A' values must be a non-empty "
+         "one-dimensional array of numbers, got shape (3, 4) of dtype float64"),
+        ([1, 2], [1.0, np.nan], "series 'A' values must be finite, got the non-finite value nan "
+         "at position 1"),
+        (np.arange(12).reshape(3, 4), np.ones(12), "series 'A': timestamps must be 12 int64 "
+         "integers, got shape (3, 4) of dtype int64"),
+        ([1.5, 2.7], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, got shape "
+         "(2,) of dtype float64"),
+        ([2**63 + 5, 2**63 + 6], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, "
+         "got shape (2,) of dtype uint64"),
+        (np.array([2**63 + 5, 2**63 + 6], dtype=np.uint64), [1.0, 2.0], "series 'A': timestamps "
+         "must be 2 int64 integers, got shape (2,) of dtype uint64"),
+        ([1, 2, 3], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, got shape "
+         "(3,) of dtype int64"),
+    ], ids=["2-D", "nan", "2-D-timestamps", "float-timestamps", "past-int64", "uint64-wraps",
+            "lengths-differ"])
+    def test_refuses_what_is_not_one_series(self, timestamps, values, message):
+        with pytest.raises(ValidationError) as info:
+            RawSeries("A", timestamps, values)
+        assert str(info.value) == message
+
+    def test_owns_its_arrays(self):
+        """Writing to the caller's arrays, or to the array a passed view reads,
+        leaves the series as validated, and the caller's arrays stay writable."""
+        stamps, base = np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])
+        series = RawSeries("A", stamps, base[:])
+        stamps[1], base[1] = 5, np.nan
+        assert series.timestamps.tolist() == [1, 2, 3]
+        assert series.values.tolist() == [1.0, 2.0, 3.0]
+        assert stamps.flags.writeable and base[:].flags.writeable
+        assert not (series.timestamps.flags.writeable or series.values.flags.writeable)

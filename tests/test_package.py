@@ -1,6 +1,7 @@
 """The public namespace: every exported name resolves, every module uses
 what it imports and every private function it defines, every dataclass is
-frozen, and the README's library example runs."""
+frozen, one rule refuses non-finite input, and the README's library example
+runs."""
 
 import ast
 import dataclasses
@@ -75,6 +76,25 @@ def test_every_dataclass_is_frozen():
     ]
     assert len(classes) >= 13
     assert [cls.__qualname__ for cls in classes if not cls.__dataclass_params__.frozen] == []
+
+
+def test_only_the_series_rule_refuses_a_non_finite_value():
+    """`isfinite` is read only in `errors._series`, the one refusal of a non-finite
+    input, and where a finite test refuses no input series: a scalar order, the two
+    CSV parse masks that omit a bad cell by design, and the colour range of a grid
+    whose diagonal is NaN."""
+    allowed = {"errors._series", "infocore._order", "ingest._parse_table", "ingest._parse_rows",
+               "report._matrix_svg"}
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
+                owners = [f.name for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+                readers.add(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert readers == allowed
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):

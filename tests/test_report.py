@@ -362,6 +362,29 @@ class TestMSweep:
         with pytest.raises(ValidationError):
             m_sweep(x, y, (5,), 1.0, SurrogateSpec(ensemble_size=0))
 
+    @pytest.mark.parametrize("min_windows, message", [
+        (-5, "^min_windows must be at least 0, got -5$"),
+        (2.5, "^min_windows must be an integer, got 2.5$"),
+        (True, "^min_windows must be an integer, got True$"),
+    ])
+    def test_min_windows_follows_the_integer_rule(self, min_windows, message):
+        rng = np.random.default_rng(15)
+        x, y = (iid_symbol_series(rng, 60, 2, label=label) for label in "XY")
+        with pytest.raises(ValidationError, match=message):
+            m_sweep(x, y, (1,), 1.0, SurrogateSpec(ensemble_size=0), min_windows=min_windows)
+
+    @pytest.mark.parametrize("sweep, name", [
+        (lambda x, y: q_sweep(x, y, H11, [], FAST), "q"),
+        (lambda x, y: m_sweep(x, y, [], 1.0, FAST), "m"),
+    ], ids=["q_sweep", "m_sweep"])
+    def test_empty_grid_is_refused_before_any_count(self, monkeypatch, sweep, name):
+        rng = np.random.default_rng(16)
+        x, y = (iid_symbol_series(rng, 60, 2, label=label) for label in "XY")
+        counted = count_calls(monkeypatch, "count_words")
+        with pytest.raises(ValidationError, match=f"^the {name} grid is empty$"):
+            sweep(x, y)
+        assert counted == []
+
     @pytest.mark.parametrize("m_grid", [(1.5, 2.9), (1, 2.0), (True,)])
     def test_fractional_history_length_rejected(self, m_grid):
         rng = np.random.default_rng(14)

@@ -1,5 +1,7 @@
 """Blocking, bin fitting, and symbol mapping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from renflow import (
     BinningSpec,
+    RawSeries,
     SymbolSeries,
     ValidationError,
     block_coarse_grain,
@@ -15,6 +18,19 @@ from renflow import (
     prepare_series,
     symbolize,
 )
+
+SPEC = BinningSpec("width", 3, (1.0, 2.0))
+GRID = np.arange(1.0, 13.0).reshape(3, 4)
+
+
+def not_a_series(shape, dtype="float64", name="values") -> str:
+    """The exact refusal of `errors._series` for an array of this shape and dtype."""
+    return "^" + re.escape(f"{name} must be a non-empty one-dimensional array of numbers, "
+                           f"got shape {shape} of dtype {dtype}") + "$"
+
+
+def non_finite(value, position, name="values") -> str:
+    return f"^{name} must be finite, got the non-finite value {value} at position {position}$"
 
 
 class TestBlockCoarseGrain:
@@ -55,6 +71,17 @@ class TestBlockCoarseGrain:
         with pytest.raises(ValidationError, match="non-finite"):
             block_coarse_grain([1.0, bad, 2.0, 3.0], 2)
 
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("values, message", [
+        (GRID, not_a_series((3, 4))),
+        (["a", "b"], not_a_series((2,), "<U1")),
+        ([], not_a_series((0,))),
+        ([1.0, np.nan, 2.0, 3.0], non_finite("nan", 1)),
+    ], ids=["2-D", "strings", "empty", "nan"])
+    def test_refuses_by_the_series_rule(self, values, block, message):
+        with pytest.raises(ValidationError, match=message):
+            block_coarse_grain(values, block)
+
     def test_block_longer_than_series_rejected(self):
         with pytest.raises(ValidationError):
             block_coarse_grain([1.0, 2.0], 5)
@@ -70,6 +97,27 @@ class TestBlockCoarseGrain:
 
 
 class TestFitBins:
+    @pytest.mark.parametrize("values, message", [
+        (GRID, not_a_series((3, 4))),
+        ([1.0, -np.inf, 2.0], non_finite("-inf", 1)),
+    ], ids=["2-D", "-inf"])
+    def test_refuses_by_the_series_rule(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_bins(values)
+
+    @pytest.mark.parametrize("edges, message", [
+        ((np.nan,), non_finite("nan", 0, "bin edges")),
+        ((1.0, np.inf), non_finite("inf", 1, "bin edges")),
+    ], ids=["nan", "inf"])
+    def test_non_finite_edges_rejected(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            BinningSpec("width", len(edges) + 1, edges)
+
+    def test_overflowing_range_is_refused_not_binned(self):
+        """The width of [-1e308, 1e308] overflows, so its one edge would be infinite."""
+        with pytest.raises(ValidationError, match=non_finite("inf", 0, "bin edges")):
+            fit_bins([-1e308, 0.0, 1e308], alphabet_size=2)
+
     def test_equal_width_uniform_split(self):
         spec = fit_bins([0.0, 1.5, 3.0], mode="width", alphabet_size=3)
         np.testing.assert_allclose(spec.edges, [1.0, 2.0], atol=1e-12)
@@ -136,6 +184,14 @@ class TestSymbolize:
         with pytest.raises(ValidationError, match="non-finite"):
             symbolize([0.5, bad, 1.0], spec)
 
+    @pytest.mark.parametrize("values, message", [
+        (GRID, not_a_series((3, 4))),
+        ([0.5, "x"], not_a_series((2,), "<U32")),
+    ], ids=["2-D", "strings"])
+    def test_refuses_by_the_series_rule(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            symbolize(values, SPEC)
+
     def test_symbols_stay_in_alphabet(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
@@ -183,6 +239,12 @@ class TestSymbolSeries:
         with pytest.raises(ValidationError):
             SymbolSeries(symbols=np.array([0, 0]), alphabet_size=1)
 
+    @pytest.mark.parametrize("symbols", [np.zeros((3, 4), int), np.zeros((1, 5), int), []])
+    def test_symbols_must_be_one_non_empty_row(self, symbols):
+        with pytest.raises(ValidationError, match="^symbols must be a non-empty one-dimensional "
+                           "array, got shape "):
+            SymbolSeries(symbols, 2)
+
     def test_non_integer_symbols_rejected(self):
         with pytest.raises(ValidationError):
             SymbolSeries(symbols=np.array([0.5, 1.0]), alphabet_size=2)
@@ -206,6 +268,15 @@ class TestSymbolSeries:
         assert (series.alphabet_size, series.block_size) == (3, 2)
         assert type(series.alphabet_size) is type(series.block_size) is int
 
+    @pytest.mark.parametrize("values, message", [
+        (np.arange(1.0, 25.0).reshape(4, 6), not_a_series((4, 6))),
+        ([1.0, 2.0, np.inf, 4.0], non_finite("inf", 2)),
+        ([], not_a_series((0,))),
+    ], ids=["2-D", "inf", "empty"])
+    def test_prepare_series_refuses_by_the_series_rule(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            prepare_series(values, block_size=2)
+
     def test_metadata_carried(self):
         series = prepare_series(
             np.linspace(0, 10, 50), alphabet_size=3, block_size=2,
@@ -226,6 +297,16 @@ class TestLogReturns:
         with pytest.raises(ValidationError):
             log_returns([1.0, -2.0])
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.nan, 2.0], non_finite("nan", 1)),
+        ([1.0, np.inf], non_finite("inf", 1)),
+        (GRID, not_a_series((3, 4))),
+        ([2.0, None], not_a_series((2,), "object")),
+    ], ids=["nan", "inf", "2-D", "none"])
+    def test_refuses_by_the_series_rule(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            log_returns(values)
+
     def test_pipeline_with_log_returns(self):
         rng = np.random.default_rng(3)
         prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.01, size=400)))
@@ -235,3 +316,35 @@ class TestLogReturns:
         )
         # one block mean is consumed by the return transform
         assert len(series) == 400 // 2 - 1
+
+
+SERIES_ENTRY_POINTS = {
+    "block_coarse_grain": lambda values: block_coarse_grain(values, 1),
+    "log_returns": log_returns,
+    "fit_bins": fit_bins,
+    "symbolize": lambda values: symbolize(values, SPEC),
+    "prepare_series": prepare_series,
+    "RawSeries": lambda values: RawSeries("A", np.arange(np.size(values)), values),
+}
+prices = st.lists(st.floats(0.5, 100.0), min_size=1, max_size=20)
+bad_series = st.one_of(
+    st.tuples(prices, st.integers(0, 20), st.sampled_from([np.nan, np.inf, -np.inf])).map(
+        lambda t: [*t[0][: t[1]], t[2], *t[0][t[1]:]]
+    ),
+    st.just([]),
+    st.floats(0.5, 100.0),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda shape: np.full(shape, 2.0)),
+    st.lists(st.text(max_size=3) | st.none(), min_size=1, max_size=5),
+)
+
+
+class TestSeriesRule:
+    """Every entry point that takes a numeric series refuses a bad one by
+    `errors._series`, and the refusal names the argument."""
+
+    @pytest.mark.parametrize("entry_point", SERIES_ENTRY_POINTS.values(), ids=SERIES_ENTRY_POINTS)
+    @given(values=bad_series)
+    @settings(max_examples=40, deadline=None)
+    def test_bad_series_is_refused_by_name(self, entry_point, values):
+        with pytest.raises(ValidationError, match=r"^(series 'A' )?values must be "):
+            entry_point(values)

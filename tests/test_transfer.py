@@ -15,6 +15,7 @@ from helpers import (
     random_word_distribution,
     renyi_transfer_entropy_escort,
     shannon_transfer_entropy_decimal,
+    word_items,
 )
 from renflow import (
     HistorySpec,
@@ -90,7 +91,7 @@ class TestCountWords:
         y = SymbolSeries(np.array([1, 0, 1, 0, 1, 0]), 2, label="y")
         words = count_words(x, y, HistorySpec(1, 1))
         assert words.n_windows == 4
-        observed = dict(words.items())
+        observed = dict(word_items(words))
         assert observed == {
             (1, (0,), (1,)): 2,
             (0, (1,), (0,)): 2,
@@ -112,7 +113,7 @@ class TestCountWords:
         x = SymbolSeries(np.array([2, 2, 2, 2]), 3, label="x")
         y = SymbolSeries(np.array([0, 1, 2, 0]), 3, label="y")
         words = count_words(x, y, HistorySpec(1, 1))
-        x_words = {xw for (_, xw, _), _ in words.items()}
+        x_words = {xw for (_, xw, _), _ in word_items(words)}
         assert x_words == {(2,)}
         assert renyi_transfer_entropy(words, 1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -154,7 +155,7 @@ class TestCountWords:
             (xs[t + 1], tuple(xs[t - m + 1 : t + 1]), tuple(ys[t - l + 1 : t + 1]))
             for t in range(start, length - 1)
         )
-        assert dict(count_words(x, y, HistorySpec(m, l)).items()) == dict(expected)
+        assert dict(word_items(count_words(x, y, HistorySpec(m, l)))) == dict(expected)
 
     def test_mixed_alphabet_sizes(self):
         rng = np.random.default_rng(1)
@@ -164,7 +165,7 @@ class TestCountWords:
         assert words.target_alphabet == 2
         assert words.source_alphabet == 4
         assert renyi_transfer_entropy(words, 1.0) <= 0.02
-        for (x_next, xw, yw), _ in words.items():
+        for (x_next, xw, yw), _ in word_items(words):
             assert 0 <= x_next < 2
             assert all(0 <= s < 2 for s in xw)
             assert all(0 <= s < 4 for s in yw)
@@ -295,6 +296,17 @@ class TestWordDistribution:
         with pytest.raises(ValidationError, match="^word counts must be integers"):
             WordDistribution.from_counts({(0, (1,), (0,)): 2.7}, 2, 2, 1, 1)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((2.5, 2, 1, 1), "^target_alphabet must be an integer, got 2.5$"),
+        ((True, 2, 1, 1), "^target_alphabet must be an integer, got True$"),
+        ((2, 1, 1, 1), "^source_alphabet must be at least 2, got 1$"),
+        ((2, 2, 1.5, 1), "^m must be an integer, got 1.5$"),
+        ((2, 2, 1, 0), "^l must be at least 1, got 0$"),
+    ], ids=["fractional-alphabet", "bool-alphabet", "one-symbol-source", "fractional-m", "l-0"])
+    def test_from_counts_sizes_follow_the_integer_rule(self, sizes, message):
+        with pytest.raises(ValidationError, match=message):
+            WordDistribution.from_counts({(0, (0,), (0,)): 1}, *sizes)
+
     def test_numpy_integer_codes_and_counts_accepted(self):
         words = WordDistribution(codes=np.array([0, 3], dtype=np.uint16),
                                  counts=np.array([2, 1], dtype=np.int32),
@@ -319,7 +331,7 @@ class TestWordDistribution:
         x = iid_symbol_series(rng, length, nx)
         y = iid_symbol_series(rng, length, ny)
         words = count_words(x, y, HistorySpec(m, l))
-        items = dict(words.items())
+        items = dict(word_items(words))
         for (x_next, xw, yw) in items:
             assert 0 <= x_next < nx and len(xw) == m and len(yw) == l
             assert all(0 <= s < nx for s in xw) and all(0 <= s < ny for s in yw)
