@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and series rules
-that raise one."""
+"""Exception types shared across the package, and the integer, integer-array and
+series rules that raise one."""
 
 import numbers
 
@@ -42,10 +42,25 @@ def _integer_fields(spec, **minimums) -> None:
         object.__setattr__(spec, name, _integer(name, getattr(spec, name), minimum))
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """`values` as a new, read-only, one-dimensional int64 array, refusing with a
+    ValidationError that names `name` a value that is not integers (bools, floats,
+    strings and objects are not), not one-dimensional, empty, or past int64."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{name} must be a non-empty one-dimensional array of int64 "
+                              f"integers, got shape {arr.shape} of dtype {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max:
+        raise ValidationError(f"{name} must fit in int64, got {arr.max()}")
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
 def _series(name: str, values) -> np.ndarray:
-    """`values` as a new one-dimensional float array, refusing with a ValidationError
-    that names `name` a value that is not numbers, not one-dimensional, empty, or
-    holding a NaN or an infinity."""
+    """`values` as a new, read-only, one-dimensional float array, refusing with a
+    ValidationError that names `name` a value that is not numbers, not
+    one-dimensional, empty, or holding a NaN or an infinity."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty one-dimensional array of numbers, "
@@ -56,4 +71,5 @@ def _series(name: str, values) -> np.ndarray:
         at = int(np.argmin(finite))
         raise ValidationError(f"{name} must be finite, got the non-finite value {arr[at]} "
                               f"at position {at}")
+    arr.flags.writeable = False
     return arr

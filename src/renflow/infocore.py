@@ -66,7 +66,6 @@ def _as_prob_array(values, ndim=None) -> np.ndarray:
     total = math.fsum(flat.tolist())
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-    flat.flags.writeable = False
     return flat.reshape(arr.shape)
 
 

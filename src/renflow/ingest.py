@@ -26,6 +26,7 @@ from .errors import (
     NonAscendingTimestampsError,
     ValidationError,
     _integer,
+    _integers,
     _series,
 )
 
@@ -43,17 +44,14 @@ class RawSeries:
 
     def __post_init__(self):
         vals = _series(f"series {self.label!r} values", self.values)
-        ts = np.asarray(self.timestamps)
-        if ts.shape != vals.shape or ts.dtype.kind not in "iu" or ts.max() > _INT64.max:
-            raise ValidationError(f"series {self.label!r}: timestamps must be {vals.size} int64 "
-                                  f"integers, got shape {ts.shape} of dtype {ts.dtype}")
-        ts = ts.astype(np.int64)
+        ts = _integers(f"series {self.label!r} timestamps", self.timestamps)
+        if ts.size != vals.size:
+            raise ValidationError(f"series {self.label!r}: {ts.size} timestamps "
+                                  f"for {vals.size} values")
         if np.any(ts[1:] <= ts[:-1]):  # np.diff would wrap across the int64 range
             raise NonAscendingTimestampsError(
                 f"series {self.label!r}: timestamps must be strictly ascending"
             )
-        ts.flags.writeable = False
-        vals.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vals)
 
@@ -132,11 +130,7 @@ def load_csv(
     for label, (stamps, values) in zip(labels, columns):
         if not len(stamps):
             raise ValidationError(f"{path}: column {label!r} has no parseable rows")
-        try:
-            timestamps = np.asarray(stamps, dtype=np.int64)
-        except OverflowError:
-            message = f"{path}: a timestamp in column {label!r} overflows int64"
-            raise ValidationError(message) from None
+        timestamps = _integers(f"{path}: the timestamps of column {label!r}", stamps)
         minutes = _integer(f"{path}: the clock offset of column {label!r}", offsets.get(label, 0))
         if minutes:
             # numpy's int64 arithmetic wraps, so check the range in Python ints first

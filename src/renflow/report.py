@@ -58,10 +58,11 @@ def _freeze_grid(matrix, kind: str) -> np.ndarray:
     """Check a matrix's labels and square float grid, finite off the diagonal, and store
     them as a tuple and a read-only copy; return the copy for the caller's diagonal rule."""
     labels = _check_labels(matrix.labels, kind)
-    values = np.array(matrix.values, dtype=float)
+    values = np.asarray(matrix.values)
     if values.shape != (len(labels), len(labels)):
         raise ValidationError(f"{kind} shape {values.shape} does not match {len(labels)} labels")
     _series(f"{kind} off-diagonal entries", values[~np.eye(len(labels), dtype=bool)])
+    values = values.astype(float)
     values.flags.writeable = False
     object.__setattr__(matrix, "labels", labels)
     object.__setattr__(matrix, "values", values)

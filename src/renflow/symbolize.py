@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _integer_fields, _series
+from .errors import ValidationError, _integer, _integer_fields, _integers, _series
 
 BIN_MODES = ("width", "quantile")
 
@@ -58,21 +58,17 @@ class SymbolSeries:
     def __post_init__(self):
         _integer_fields(self, alphabet_size=2, block_size=1)
         arr = np.asarray(self.symbols)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"symbols must be a non-empty one-dimensional array, "
-                                  f"got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(np.asarray(arr, dtype=float))
-            if np.any(rounded != np.asarray(arr, dtype=float)):
-                raise ValidationError("symbols must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
+        floats = arr.dtype.kind == "f"  # as a symbol column read from CSV (--pre-symbolized)
+        arr = _series("symbols", arr) if floats else _integers("symbols", arr)
+        if floats and np.any(arr != np.rint(arr)):
+            raise ValidationError("symbols must be integers")
         if arr.min() < 0 or arr.max() >= self.alphabet_size:
             raise ValidationError(
                 f"symbols must lie in [0, {self.alphabet_size}), "
                 f"got range [{arr.min()}, {arr.max()}]"
             )
-        arr.flags.writeable = False
+        if floats:
+            arr = _integers("symbols", arr.astype(np.int64))
         object.__setattr__(self, "symbols", arr)
 
     def __len__(self) -> int:

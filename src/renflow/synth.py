@@ -27,16 +27,6 @@ _MAX_CELLS = 2**24  # largest transition array a preset or the oracle allocates
 _SPEC_KEYS = ("alphabet_size", "source_transition", "target_transition")
 
 
-def _float_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be an array of numbers") from None
-    if arr.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
 def _check_alphabet(n, power: int) -> int:
     """Alphabet n as an int by the integer rule (at least 2), refused before an
     array of n**power cells past _MAX_CELLS is allocated."""
@@ -48,15 +38,21 @@ def _check_alphabet(n, power: int) -> int:
     return n
 
 
-def _check_stochastic(arr: np.ndarray, name: str) -> np.ndarray:
-    """A read-only copy of `arr`, checked finite, non-negative and stochastic."""
-    arr = _series(name, arr.ravel()).reshape(arr.shape)
+def _check_stochastic(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """`value` as a read-only float array of `shape` whose cells follow the series
+    rule, checked non-negative and stochastic."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting of lists
+        raise ValidationError(f"{name} must have shape {shape}, got a ragged array") from None
+    if arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    arr = _series(name, arr.ravel()).reshape(shape)
     if np.any(arr < 0.0):
         raise ValidationError(f"{name} must contain non-negative probabilities")
     sums = arr.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > _ROW_TOL):
         raise ValidationError(f"every conditional slice of {name} must sum to 1")
-    arr.flags.writeable = False
     return arr
 
 
@@ -77,10 +73,8 @@ class CoupledMarkovSpec:
     def __post_init__(self):
         _integer_fields(self, alphabet_size=2)
         n = self.alphabet_size
-        a = _float_array(self.source_transition, (n, n), "source_transition")
-        b = _float_array(self.target_transition, (n, n, n), "target_transition")
-        for name, arr in (("source_transition", a), ("target_transition", b)):
-            object.__setattr__(self, name, _check_stochastic(arr, name))
+        for name, shape in (("source_transition", (n, n)), ("target_transition", (n, n, n))):
+            object.__setattr__(self, name, _check_stochastic(getattr(self, name), shape, name))
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in _SPEC_KEYS},

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _integer_fields
+from .errors import ValidationError, _integer, _integer_fields, _integers
 from .infocore import _conditional_renyi, _count_terms, _finite_power_sum, _order
 from .symbolize import SymbolSeries
 
@@ -75,17 +75,7 @@ class WordDistribution:
 
     def __post_init__(self):
         _integer_fields(self, target_alphabet=2, source_alphabet=2, m=1, l=1)
-        codes, counts = np.asarray(self.codes), np.asarray(self.counts)
-        if codes.size == 0:
-            raise ValidationError("word distribution has no observed words")
-        for name, values in (("codes", codes), ("counts", counts)):
-            if values.ndim != 1:
-                raise ValidationError(
-                    f"word {name} must be one-dimensional, got shape {values.shape}"
-                )
-            if values.dtype.kind not in "iu":
-                raise ValidationError(f"word {name} must be integers, got dtype {values.dtype}")
-        codes, counts = codes.astype(np.int64), counts.astype(np.int64)
+        codes, counts = _integers("word codes", self.codes), _integers("word counts", self.counts)
         if codes.size != counts.size:
             raise ValidationError("codes and counts lengths differ")
         if np.any(counts <= 0):
@@ -95,8 +85,6 @@ class WordDistribution:
         n_codes = math.prod(_radices(self.target_alphabet, self.source_alphabet, self.m, self.l))
         if int(codes[0]) < 0 or int(codes[-1]) >= n_codes:
             raise ValidationError(f"word codes must lie in [0, {n_codes})")
-        codes.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "counts", counts)
 
@@ -169,10 +157,13 @@ class WordDistribution:
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
     """Mixed-radix digits of a word code: (x_1 .. x_m, y_1 .. y_l, x')."""
-    radices = (target_alphabet,) * m + (source_alphabet,) * l + (target_alphabet,)
-    if math.prod(radices) > _CODE_LIMIT:
-        raise ValidationError("alphabet^history too large to encode")
-    return radices
+    # Every radix is at least 2, so a code of more digits than log2(_CODE_LIMIT)
+    # overflows; it is refused before its tuple and product are built.
+    if m + l + 1 < _CODE_LIMIT.bit_length():
+        radices = (target_alphabet,) * m + (source_alphabet,) * l + (target_alphabet,)
+        if math.prod(radices) <= _CODE_LIMIT:
+            return radices
+    raise ValidationError("alphabet^history too large to encode")
 
 
 def _runs(keys: np.ndarray, counts: np.ndarray):

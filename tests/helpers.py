@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -25,6 +26,12 @@ from renflow import (
     renyi_transfer_entropy,
 )
 from renflow.transfer import _radices
+
+
+def not_integers(name: str, shape: tuple, dtype: str) -> str:
+    """The exact refusal of `errors._integers` for an array of this shape and dtype."""
+    return "^" + re.escape(f"{name} must be a non-empty one-dimensional array of int64 "
+                           f"integers, got shape {shape} of dtype {dtype}") + "$"
 
 
 def iid_symbol_series(rng: np.random.Generator, length: int, alphabet: int, label: str = "") -> SymbolSeries:

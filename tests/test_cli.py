@@ -146,18 +146,28 @@ class TestGenSynthAndOracle:
         ('{"alphabet_size": true, "source_transition": [], "target_transition": []}',
          "alphabet_size must be an integer, got True"),
         ('{"alphabet_size": 2, "source_transition": [["a", "b"], [0.5, 0.5]], '
-         '"target_transition": []}', "source_transition must be an array of numbers"),
+         '"target_transition": []}', "source_transition must be a non-empty one-dimensional "
+         "array of numbers, got shape (4,) of dtype <U32"),
         ('{"alphabet_size": 2, "source_transition": [[null, 1.0], [0.5, 0.5]], '
+         f'"target_transition": {HALF_TARGET}}}', "source_transition must be a non-empty "
+         "one-dimensional array of numbers, got shape (4,) of dtype object"),
+        ('{"alphabet_size": 2, "source_transition": [["0.5", "0.5"], ["0.5", "0.5"]], '
+         f'"target_transition": {HALF_TARGET}}}', "source_transition must be a non-empty "
+         "one-dimensional array of numbers, got shape (4,) of dtype <U3"),
+        ('{"alphabet_size": 2, "source_transition": [[true, false], [false, true]], '
+         f'"target_transition": {HALF_TARGET}}}', "source_transition must be a non-empty "
+         "one-dimensional array of numbers, got shape (4,) of dtype bool"),
+        ('{"alphabet_size": 2, "source_transition": [[0.5, 0.5], [1.0]], '
          f'"target_transition": {HALF_TARGET}}}',
-         "source_transition must be finite, got the non-finite value nan at position 0"),
+         "source_transition must have shape (2, 2), got a ragged array"),
         (f'{{{HALF_SPEC}, "initial_source": [0.5, 0.5]}}', "unknown key 'initial_source'"),
         (f'{{{HALF_SPEC}, "target_transiton": {HALF_TARGET}}}', "unknown key 'target_transiton'"),
         ('{"alphabet_size": 2, "source_transition": [[1.0, 0.0], [0.0, 1.0]], '
          '"target_transition": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]}',
          "more than one closed class"),
     ], ids=["missing-key", "not-json", "huge-integer", "not-an-object", "null-alphabet",
-            "bool-alphabet", "non-numeric-cell", "null-cell", "initial-key", "misspelled-key",
-            "two-laws"])
+            "bool-alphabet", "non-numeric-cell", "null-cell", "quoted-cells", "bool-cells",
+            "ragged-rows", "initial-key", "misspelled-key", "two-laws"])
     def test_malformed_spec_file_is_reported(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text, encoding="utf-8")
@@ -765,7 +775,8 @@ class TestCommandLineSurface:
         ("--data", b"timestamp,A,B\n1,1.5," + b"1" * 140_000 + b"\n",
          "field larger than field limit (131072)"),
         ("--data", b"timestamp,A,B\n1,1.5,2.5\n9223372036854775808,1.5,2.5\n",
-         "a timestamp in column 'B' overflows int64"),
+         "the timestamps of column 'B' must be a non-empty one-dimensional array of int64 "
+         "integers, got shape (2,) of dtype float64"),
         ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB,\xe9,\n", "not UTF-8 text (byte 0xe9)"),
         ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB," + b"1" * 140_000 + b",\n",
          "field larger than field limit (131072)"),

@@ -382,16 +382,15 @@ class TestRawSeries:
          "one-dimensional array of numbers, got shape (3, 4) of dtype float64"),
         ([1, 2], [1.0, np.nan], "series 'A' values must be finite, got the non-finite value nan "
          "at position 1"),
-        (np.arange(12).reshape(3, 4), np.ones(12), "series 'A': timestamps must be 12 int64 "
-         "integers, got shape (3, 4) of dtype int64"),
-        ([1.5, 2.7], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, got shape "
-         "(2,) of dtype float64"),
-        ([2**63 + 5, 2**63 + 6], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, "
-         "got shape (2,) of dtype uint64"),
-        (np.array([2**63 + 5, 2**63 + 6], dtype=np.uint64), [1.0, 2.0], "series 'A': timestamps "
-         "must be 2 int64 integers, got shape (2,) of dtype uint64"),
-        ([1, 2, 3], [1.0, 2.0], "series 'A': timestamps must be 2 int64 integers, got shape "
-         "(3,) of dtype int64"),
+        (np.arange(12).reshape(3, 4), np.ones(12), "series 'A' timestamps must be a non-empty "
+         "one-dimensional array of int64 integers, got shape (3, 4) of dtype int64"),
+        ([1.5, 2.7], [1.0, 2.0], "series 'A' timestamps must be a non-empty one-dimensional "
+         "array of int64 integers, got shape (2,) of dtype float64"),
+        ([2**63 + 5, 2**63 + 6], [1.0, 2.0], "series 'A' timestamps must fit in int64, "
+         f"got {2**63 + 6}"),
+        (np.array([2**63 + 5, 2**63 + 6], dtype=np.uint64), [1.0, 2.0], "series 'A' timestamps "
+         f"must fit in int64, got {2**63 + 6}"),
+        ([1, 2, 3], [1.0, 2.0], "series 'A': 3 timestamps for 2 values"),
     ], ids=["2-D", "nan", "2-D-timestamps", "float-timestamps", "past-int64", "uint64-wraps",
             "lengths-differ"])
     def test_refuses_what_is_not_one_series(self, timestamps, values, message):

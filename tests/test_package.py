@@ -1,7 +1,8 @@
 """The public namespace: every exported name resolves, every module uses
 what it imports and every private function it defines, every dataclass is
-frozen, one rule refuses non-finite input, and the README's library example
-runs."""
+frozen, one rule refuses non-finite input and one refuses a bad integer
+array, every record holds read-only copies, and the README's library
+example runs."""
 
 import ast
 import dataclasses
@@ -11,8 +12,22 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import renflow
+from helpers import not_integers
+from renflow import (
+    CoupledMarkovSpec,
+    DiscreteDistribution,
+    FlowMatrix,
+    JointDistribution,
+    NetFlowMatrix,
+    RawSeries,
+    SymbolSeries,
+    ValidationError,
+    WordDistribution,
+    load_csv,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(renflow.__file__).resolve().parent
@@ -78,6 +93,25 @@ def test_every_dataclass_is_frozen():
     assert [cls.__qualname__ for cls in classes if not cls.__dataclass_params__.frozen] == []
 
 
+def package_names():
+    """(`module.qualname` of the enclosing class or function, name) for every name
+    and attribute in the package, an attribute as its last two parts (`dtype.kind`)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), "")]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, ast.Name):
+                yield f"{path.stem}.{scope or '<module>'}", node.id
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "attr", getattr(node.value, "id", ""))
+                yield f"{path.stem}.{scope or '<module>'}", f"{owner}.{node.attr}"
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    stack.append((child, f"{scope}.{child.name}".lstrip(".")))
+                else:
+                    stack.append((child, scope))
+
+
 def test_only_the_series_rule_refuses_a_non_finite_value():
     """`isfinite` is read only in `errors._series`, the one refusal of a non-finite
     input, and where a finite test refuses no input series: a scalar order, the two
@@ -85,16 +119,85 @@ def test_only_the_series_rule_refuses_a_non_finite_value():
     whose diagonal is NaN."""
     allowed = {"errors._series", "infocore._order", "ingest._parse_table", "ingest._parse_rows",
                "report._matrix_svg"}
-    readers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = [node for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for node in ast.walk(tree):
-            if getattr(node, "attr", getattr(node, "id", None)) == "isfinite":
-                owners = [f.name for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
-                readers.add(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    readers = {scope for scope, name in package_names() if name.rpartition(".")[2] == "isfinite"}
     assert readers == allowed
+
+
+def test_only_the_array_rules_read_a_dtype_or_freeze_an_array():
+    """`.dtype.kind`, `np.issubdtype` and `flags.writeable` are read only in `errors`,
+    where `_integers` and `_series` refuse an array by its dtype and hand back a
+    read-only copy, and in two places that refuse nothing by them:
+    `SymbolSeries.__post_init__` reads whether its symbols are floats, as a symbol
+    column read from CSV is, to send them to the series rule and not the integer
+    rule, and `report._freeze_grid` freezes its float copy of a grid whose NaN
+    diagonal no rule accepts."""
+    allowed = {("symbolize.SymbolSeries.__post_init__", "dtype.kind"),
+               ("report._freeze_grid", "flags.writeable")}
+    readers = {(scope, name) for scope, name in package_names()
+               if name in ("dtype.kind", "np.issubdtype", "flags.writeable")}
+    assert {use for use in readers if not use[0].startswith("errors.")} == allowed
+    assert {scope for scope, _ in readers if scope.startswith("errors.")} == {
+        "errors._integers", "errors._series"}
+
+
+INTEGER_ARRAYS = {
+    "symbols": lambda v: SymbolSeries(v, 2),
+    "series 'A' timestamps": lambda v: RawSeries("A", v, [1.0, 2.0]),
+    "word codes": lambda v: WordDistribution(v, [1, 1], 2, 2, 1, 1),
+    "word counts": lambda v: WordDistribution([0, 3], v, 2, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("values", [
+    np.array([True, False]), [0.5, 1.5], ["a", "b"], np.array([0, 2**63], dtype=np.uint64),
+    np.zeros((2, 2), dtype=np.int64), np.array([], dtype=np.int64),
+], ids=["bools", "fractions", "strings", "past-int64", "2-D", "empty"])
+@pytest.mark.parametrize("name", list(INTEGER_ARRAYS))
+def test_every_integer_array_is_refused_by_one_rule(name, values):
+    """Each integer-array entry point refuses by `errors._integers`, naming its
+    argument; float symbols, as a CSV column holds them, must be integral."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "u":
+        message = f"^{re.escape(name)} must fit in int64, got {2**63}$"
+    elif name == "symbols" and arr.dtype.kind == "f":
+        message = "^symbols must be integers$"
+    else:
+        message = not_integers(name, arr.shape, arr.dtype)
+    with pytest.raises(ValidationError, match=message):
+        INTEGER_ARRAYS[name](values)
+
+
+def test_csv_timestamps_past_int64_are_refused_by_the_integer_rule(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text(f"timestamp,A\n{2**63},1.0\n{2**63 + 1},2.0\n", encoding="utf-8")
+    message = f"{path}: the timestamps of column 'A' must fit in int64, got {2**63 + 1}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("given, build, field", [
+    (np.array([0, 1, 2]), lambda a: SymbolSeries(a, 3), "symbols"),
+    (np.array([0.0, 1.0, 2.0]), lambda a: SymbolSeries(a, 3), "symbols"),
+    (np.array([1, 2, 3]), lambda a: RawSeries("A", a, [1.0, 2.0, 3.0]), "timestamps"),
+    (np.array([1.0, 2.0, 3.0]), lambda a: RawSeries("A", [1, 2, 3], a), "values"),
+    (np.array([0, 3]), lambda a: WordDistribution(a, [1, 1], 2, 2, 1, 1), "codes"),
+    (np.array([2, 1]), lambda a: WordDistribution([0, 3], a, 2, 2, 1, 1), "counts"),
+    (np.array([0.25, 0.75]), DiscreteDistribution, "probs"),
+    (np.array([[0.1, 0.2], [0.3, 0.4]]), JointDistribution, "probs"),
+    (np.array([[0.2, 0.8], [0.6, 0.4]]),
+     lambda a: CoupledMarkovSpec(2, a, np.full((2, 2, 2), 0.5)), "source_transition"),
+    (np.array([[np.nan, 0.1], [0.2, np.nan]]), lambda a: FlowMatrix(("A", "B"), a), "values"),
+    (np.array([[0.0, 0.1], [-0.1, 0.0]]), lambda a: NetFlowMatrix(("A", "B"), a), "values"),
+], ids=["symbols", "float-symbols", "timestamps", "values", "codes", "counts", "probs",
+        "joint-probs", "transition", "flow", "net-flow"])
+def test_records_hold_read_only_copies(given, build, field):
+    """Writing to the caller's array leaves the record as validated, and the
+    caller's array stays writable."""
+    held = getattr(build(given), field)
+    before = held.copy()
+    given.flat[1] = given.flat[0]
+    np.testing.assert_array_equal(held, before)
+    assert given.flags.writeable and not held.flags.writeable
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):

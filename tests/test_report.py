@@ -137,7 +137,9 @@ class TestFlowMatrixTypes:
         (("A", "B"), np.nan, "off-diagonal entries must be finite"),
         (("A", "B"), np.inf, "off-diagonal entries must be finite"),
         (("A", "B"), "columns", "shape (2, 3) does not match 2 labels"),
-    ], ids=["repeated-label", "one-label", "nan-cell", "inf-cell", "non-square"])
+        (("A", "B"), "text", "off-diagonal entries must be a non-empty one-dimensional array of "
+         "numbers, got shape (2,) of dtype <U32"),
+    ], ids=["repeated-label", "one-label", "nan-cell", "inf-cell", "non-square", "text-cell"])
     def test_both_matrix_types_refuse_a_bad_grid(self, kind, labels, spoil, message):
         """Each grid is valid for its type but for the one fault named."""
         n = len(labels) + (spoil == "columns")
@@ -146,6 +148,9 @@ class TestFlowMatrixTypes:
         np.fill_diagonal(values, np.nan if kind is FlowMatrix else 0.0)
         if spoil == "columns":
             values = values[:-1]
+        elif spoil == "text":
+            values = values.tolist()
+            values[0][1] = "x"
         elif spoil is not None:
             values[0, 1], values[1, 0] = spoil, -spoil
         with pytest.raises(ValidationError, match=re.escape(message)):

@@ -1,12 +1,14 @@
 """Blocking, bin fitting, and symbol mapping."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import not_integers
 from renflow import (
     BinningSpec,
     RawSeries,
@@ -241,13 +243,24 @@ class TestSymbolSeries:
 
     @pytest.mark.parametrize("symbols", [np.zeros((3, 4), int), np.zeros((1, 5), int), []])
     def test_symbols_must_be_one_non_empty_row(self, symbols):
-        with pytest.raises(ValidationError, match="^symbols must be a non-empty one-dimensional "
-                           "array, got shape "):
+        """Integer symbols go to the integer rule, and an empty list, which numpy
+        reads as floats, to the series rule."""
+        shape = np.shape(symbols)
+        message = not_integers("symbols", shape, "int64") if len(shape) == 2 else not_a_series(
+            shape, name="symbols")
+        with pytest.raises(ValidationError, match=message):
             SymbolSeries(symbols, 2)
 
     def test_non_integer_symbols_rejected(self):
         with pytest.raises(ValidationError):
             SymbolSeries(symbols=np.array([0.5, 1.0]), alphabet_size=2)
+
+    def test_float_symbols_are_range_checked_before_the_cast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"^symbols must lie in \[0, 2\), got range \[0.0, 1e\+300\]$"):
+                SymbolSeries(np.array([0.0, 1e300]), 2)
 
     @pytest.mark.parametrize(
         "field, alphabet, block",
