@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer, integer-array and
-series rules that raise one."""
+"""Exception types shared across the package, the one conversion of outside input
+to an array, and the integer, integer-array and series rules that raise one."""
 
 import numbers
 
@@ -42,16 +42,31 @@ def _integer_fields(spec, **minimums) -> None:
         object.__setattr__(spec, name, _integer(name, getattr(spec, name), minimum))
 
 
+def _array(name: str, values) -> np.ndarray:
+    """`values` as a numpy array, refusing with a ValidationError that names `name`
+    a ragged nesting of sequences, which numpy cannot hold in one shape."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{name} must be a rectangular array, "
+                              "got a ragged nesting of sequences") from None
+
+
 def _integers(name: str, values) -> np.ndarray:
     """`values` as a new, read-only, one-dimensional int64 array, refusing with a
     ValidationError that names `name` a value that is not integers (bools, floats,
     strings and objects are not), not one-dimensional, empty, or past int64."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" or arr.ndim != 1 or arr.size == 0:
+    arr = _array(name, values)
+    # numpy holds Python ints as floats or objects when one of them is past int64
+    wide = (arr.dtype.kind in "fO" and arr.ndim == 1 and arr.size > 0
+            and all(type(v) is int for v in values))
+    if not wide and (arr.dtype.kind not in "iu" or arr.ndim != 1 or arr.size == 0):
         raise ValidationError(f"{name} must be a non-empty one-dimensional array of int64 "
                               f"integers, got shape {arr.shape} of dtype {arr.dtype}")
-    if arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max:
-        raise ValidationError(f"{name} must fit in int64, got {arr.max()}")
+    if wide or arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max:
+        # max(v, -1 - v) passes 2**63 - 1 just where v lies past int64: report the farthest
+        past = max(map(int, values), key=lambda v: max(v, -1 - v))
+        raise ValidationError(f"{name} must fit in int64, got {past}")
     arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
@@ -61,7 +76,7 @@ def _series(name: str, values) -> np.ndarray:
     """`values` as a new, read-only, one-dimensional float array, refusing with a
     ValidationError that names `name` a value that is not numbers, not
     one-dimensional, empty, or holding a NaN or an infinity."""
-    arr = np.asarray(values)
+    arr = _array(name, values)
     if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty one-dimensional array of numbers, "
                               f"got shape {arr.shape} of dtype {arr.dtype}")

@@ -20,12 +20,12 @@ orders q > 2 where the dynamic range of p^q is large.  `math.fsum` is
 correctly rounded, so any exact split of the terms gives the same sum.
 `_count_terms` gives such a split of sum term(c) over a table of positive
 integer counts c: cells with one count share one term, so each count class c
-with k cells adds k * term(c), split exactly into two floats by Dekker's
-TwoProduct (Veltkamp split, splitter 2^27 + 1).  A table of at most
-1,000 cells, too small to pay for grouping, and one with a class term
-strictly between 0 and 2^-900, where TwoProduct could underflow, give
-their per-cell terms instead.  Both give the same sum; the transfer
-entropy estimator reads its p^q = (c / N)^q and its c * log2(c) this way.
+with k cells adds k * term(c), written exactly as the pieces term(c) * 2^i,
+one for each set bit i of k.  Scaling by a power of two moves no bit, even of
+a subnormal, and cannot overflow here: a term is at most 1 at q != 1 and
+c * log2(c) < 2^70 at q = 1.  A table of at most 1,000 cells, too small to pay
+for grouping, gives its per-cell terms instead.  Both give the same sum; the
+transfer entropy estimator reads its p^q = (c / N)^q and its c * log2(c) this way.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _series
+from .errors import ValidationError, _array, _series
 
 # Absolute tolerance on probability normalization.  Inputs off by more
 # than this are rejected, never silently renormalized.
@@ -57,7 +57,7 @@ def _order(q) -> float:
 
 
 def _as_prob_array(values, ndim=None) -> np.ndarray:
-    arr = np.asarray(values)
+    arr = _array("probability array", values)
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"expected a rank-{ndim} probability array, got rank {arr.ndim}")
     flat = _series("probability array", arr.ravel())
@@ -98,7 +98,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs)
+        arr = _array("probability array", self.probs)
         if arr.ndim < 2:
             raise ValidationError("a joint distribution needs at least two axes")
         object.__setattr__(self, "probs", _as_prob_array(arr))
@@ -119,10 +119,6 @@ class JointDistribution:
 # (4 us on a 27-cell table): over alphabets 2-5, m = l in 1..4 and 300 to
 # 50,000 windows the two broke even between 800 and 1,000 cells.
 _CLASS_MIN_CELLS = 1000
-# TwoProduct is exact only while its partial products stay normal; a class
-# term above 0 and below this floor sends the whole table to the per-cell sum.
-_TWO_PRODUCT_FLOOR = 2.0**-900
-_SPLITTER = 2.0**27 + 1.0
 
 
 def _power_sum(probs: np.ndarray, q: float) -> float:
@@ -145,27 +141,15 @@ def _finite_power_sum(terms, q: float) -> float:
 def _count_terms(counts: np.ndarray, term) -> list:
     """Exact pieces of sum term(c) over a table of positive integer counts c,
     `term` mapping an array of counts to floats elementwise: the per-cell terms,
-    or two floats per count class, its k * term(c) by TwoProduct (see the module
-    docstring)."""
-    if counts.size > _CLASS_MIN_CELLS:
-        multiplicity = np.bincount(counts)
-        classes = np.flatnonzero(multiplicity)
-        terms = term(classes)
-        if not np.any((terms > 0.0) & (terms < _TWO_PRODUCT_FLOOR)):
-            k = multiplicity[classes].astype(float)
-            product = k * terms
-            k_hi, k_lo = _veltkamp(k)
-            t_hi, t_lo = _veltkamp(terms)
-            error = ((k_hi * t_hi - product) + k_hi * t_lo + k_lo * t_hi) + k_lo * t_lo
-            return [*product.tolist(), *error.tolist()]
-    return term(counts).tolist()
-
-
-def _veltkamp(a: np.ndarray):
-    """Split each float into a high half of 26 bits and an exact low remainder."""
-    scaled = _SPLITTER * a
-    high = scaled - (scaled - a)
-    return high, a - high
+    or for each count class c of k cells the term(c) * 2^i of each set bit i of k
+    (see the module docstring)."""
+    if counts.size <= _CLASS_MIN_CELLS:
+        return term(counts).tolist()
+    multiplicity = np.bincount(counts)
+    classes = np.flatnonzero(multiplicity)
+    k = multiplicity[classes]
+    bits = 1 << np.arange(int(k.max()).bit_length())
+    return np.outer(term(classes), bits)[(k[:, None] & bits) != 0].tolist()
 
 
 def _shannon_bits(probs: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _series
+from .errors import ValidationError, _array, _integer, _series
 from .infocore import _order
 from .ingest import reading
 from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
@@ -58,7 +58,7 @@ def _freeze_grid(matrix, kind: str) -> np.ndarray:
     """Check a matrix's labels and square float grid, finite off the diagonal, and store
     them as a tuple and a read-only copy; return the copy for the caller's diagonal rule."""
     labels = _check_labels(matrix.labels, kind)
-    values = np.asarray(matrix.values)
+    values = _array(kind, matrix.values)
     if values.shape != (len(labels), len(labels)):
         raise ValidationError(f"{kind} shape {values.shape} does not match {len(labels)} labels")
     _series(f"{kind} off-diagonal entries", values[~np.eye(len(labels), dtype=bool)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _integer_fields, _integers, _series
+from .errors import ValidationError, _array, _integer, _integer_fields, _integers, _series
 
 BIN_MODES = ("width", "quantile")
 
@@ -57,7 +57,7 @@ class SymbolSeries:
 
     def __post_init__(self):
         _integer_fields(self, alphabet_size=2, block_size=1)
-        arr = np.asarray(self.symbols)
+        arr = _array("symbols", self.symbols)
         floats = arr.dtype.kind == "f"  # as a symbol column read from CSV (--pre-symbolized)
         arr = _series("symbols", arr) if floats else _integers("symbols", arr)
         if floats and np.any(arr != np.rint(arr)):
@@ -134,7 +134,7 @@ def symbolize(values, spec: BinningSpec, label: str = "", block_size: int = 1) -
     NaN and infinity have no bin and are rejected.
     """
     arr = _series("values", values)
-    symbols = np.searchsorted(np.asarray(spec.edges), arr, side="left")
+    symbols = np.searchsorted(spec.edges, arr, side="left")
     return SymbolSeries(
         symbols=symbols,
         alphabet_size=spec.alphabet_size,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, _integer, _integer_fields, _series
+from .errors import ConvergenceError, ValidationError, _array, _integer, _integer_fields, _series
 from .infocore import conditional_mutual_information
 from .symbolize import SymbolSeries
 
@@ -41,10 +41,7 @@ def _check_alphabet(n, power: int) -> int:
 def _check_stochastic(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """`value` as a read-only float array of `shape` whose cells follow the series
     rule, checked non-negative and stochastic."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting of lists
-        raise ValidationError(f"{name} must have shape {shape}, got a ragged array") from None
+    arr = _array(name, value)
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
     arr = _series(name, arr.ravel()).reshape(shape)

@@ -159,7 +159,7 @@ class TestGenSynthAndOracle:
          "one-dimensional array of numbers, got shape (4,) of dtype bool"),
         ('{"alphabet_size": 2, "source_transition": [[0.5, 0.5], [1.0]], '
          f'"target_transition": {HALF_TARGET}}}',
-         "source_transition must have shape (2, 2), got a ragged array"),
+         "source_transition must be a rectangular array, got a ragged nesting of sequences"),
         (f'{{{HALF_SPEC}, "initial_source": [0.5, 0.5]}}', "unknown key 'initial_source'"),
         (f'{{{HALF_SPEC}, "target_transiton": {HALF_TARGET}}}', "unknown key 'target_transiton'"),
         ('{"alphabet_size": 2, "source_transition": [[1.0, 0.0], [0.0, 1.0]], '
@@ -775,8 +775,7 @@ class TestCommandLineSurface:
         ("--data", b"timestamp,A,B\n1,1.5," + b"1" * 140_000 + b"\n",
          "field larger than field limit (131072)"),
         ("--data", b"timestamp,A,B\n1,1.5,2.5\n9223372036854775808,1.5,2.5\n",
-         "the timestamps of column 'B' must be a non-empty one-dimensional array of int64 "
-         "integers, got shape (2,) of dtype float64"),
+         "the timestamps of column 'B' must fit in int64, got 9223372036854775808"),
         ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB,\xe9,\n", "not UTF-8 text (byte 0xe9)"),
         ("--from-matrix", b"target\\source,A,B\nA,,0.1\nB," + b"1" * 140_000 + b",\n",
          "field larger than field limit (131072)"),

@@ -1,8 +1,8 @@
 """The public namespace: every exported name resolves, every module uses
 what it imports and every private function it defines, every dataclass is
 frozen, one rule refuses non-finite input and one refuses a bad integer
-array, every record holds read-only copies, and the README's library
-example runs."""
+array, one conversion refuses a ragged array, every record holds read-only
+copies, and the README's library example runs."""
 
 import ast
 import dataclasses
@@ -140,6 +140,33 @@ def test_only_the_array_rules_read_a_dtype_or_freeze_an_array():
         "errors._integers", "errors._series"}
 
 
+def test_only_the_array_conversion_calls_asarray():
+    """`np.asarray` is called only in `errors._array`, which refuses a ragged nesting
+    of sequences by name; every conversion of outside input to an array goes
+    through it, and `symbolize` hands its checked edge tuple to `np.searchsorted`."""
+    callers = {scope for scope, name in package_names() if name == "np.asarray"}
+    assert callers == {"errors._array"}
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: SymbolSeries([[0, 1], [1]], 2), "symbols"),
+    (lambda: RawSeries("A", [[1, 2], [3]], [1.0, 2.0]), "series 'A' timestamps"),
+    (lambda: RawSeries("A", [1, 2], [[1.0, 2.0], [3.0]]), "series 'A' values"),
+    (lambda: WordDistribution([[0, 3], [1]], [1, 1], 2, 2, 1, 1), "word codes"),
+    (lambda: DiscreteDistribution([[0.5, 0.5], [1.0]]), "probability array"),
+    (lambda: JointDistribution([[0.5, 0.5], [1.0]]), "probability array"),
+    (lambda: FlowMatrix(("A", "B"), [[np.nan, 0.1], [0.2]]), "flow matrix"),
+    (lambda: NetFlowMatrix(("A", "B"), [[0.0, 0.1], [-0.1]]), "net flow matrix"),
+    (lambda: CoupledMarkovSpec(2, [[0.5, 0.5], [1.0]], np.full((2, 2, 2), 0.5)),
+     "source_transition"),
+], ids=["symbols", "timestamps", "values", "codes", "probs", "joint-probs", "flow", "net-flow",
+        "transition"])
+def test_a_ragged_array_is_refused_by_name(build, name):
+    message = f"{name} must be a rectangular array, got a ragged nesting of sequences"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 INTEGER_ARRAYS = {
     "symbols": lambda v: SymbolSeries(v, 2),
     "series 'A' timestamps": lambda v: RawSeries("A", v, [1.0, 2.0]),
@@ -168,11 +195,17 @@ def test_every_integer_array_is_refused_by_one_rule(name, values):
 
 
 def test_csv_timestamps_past_int64_are_refused_by_the_integer_rule(tmp_path):
+    # numpy reads the first column as uint64, and the others, which mix int64
+    # stamps with one past it, as floats or as Python objects
     path = tmp_path / "p.csv"
-    path.write_text(f"timestamp,A\n{2**63},1.0\n{2**63 + 1},2.0\n", encoding="utf-8")
-    message = f"{path}: the timestamps of column 'A' must fit in int64, got {2**63 + 1}"
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        load_csv(path)
+    for stamps, past in (((2**63, 2**63 + 1), 2**63 + 1), ((1, 2**63), 2**63),
+                         ((-1, 2**63), 2**63), ((1, -(2**63) - 1), -(2**63) - 1),
+                         ((1, 2**64), 2**64)):
+        rows = "".join(f"{stamp},1.0\n" for stamp in stamps)
+        path.write_text(f"timestamp,A\n{rows}", encoding="utf-8")
+        message = f"{path}: the timestamps of column 'A' must fit in int64, got {past}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
 
 
 @pytest.mark.parametrize("given, build, field", [

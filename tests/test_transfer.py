@@ -51,6 +51,12 @@ def count_term(q: float, n: int):
     return c_log2_c if q == 1.0 else lambda c: np.power(c / n, q)
 
 
+def class_pieces(counts: np.ndarray) -> int:
+    """The number of pieces `_count_terms` gives a table summed by count class: one
+    for each set bit of the multiplicity of each distinct count."""
+    return sum(k.bit_count() for k in np.unique(counts, return_counts=True)[1].tolist())
+
+
 def per_cell_value(words: WordDistribution, q: float) -> float:
     """T_q from per-cell sums over the tables of `power_tables`: the float API's
     power sums of c / N at q != 1, and the c log2 c terms of each cell at q = 1."""
@@ -523,8 +529,8 @@ class TestRenyiTransferEntropy:
                 by_class = counts.size > _CLASS_MIN_CELLS
                 seen.add((name, by_class))
                 assert counts.dtype == np.int64 and counts.sum() == n and np.all(counts > 0)
-                # the class sum gives two pieces per distinct count
-                n_pieces = 2 * np.unique(counts).size if by_class else counts.size
+                # the class sum gives one piece per set bit of each multiplicity
+                n_pieces = class_pieces(counts) if by_class else counts.size
                 per_cell = {q: _power_sum(counts / n, q) for q in CLASS_ORDERS}
                 per_cell[1.0] = math.fsum(c_log2_c(counts).tolist())
                 for q, expected in per_cell.items():
@@ -538,17 +544,23 @@ class TestRenyiTransferEntropy:
         assert {("words", True), ("xw,yw", True), ("xw,x'", True), ("words", False)} <= seen
 
     @pytest.mark.parametrize("q", (65.0, 73.0))
-    def test_class_power_below_the_floor_takes_the_per_cell_sum(self, q):
+    def test_subnormal_class_terms_sum_exactly(self, q):
         # (1 / N)^q is 2^-929 at q = 65 and subnormal at q = 73, while the sum stays positive
         words = sparse_words()
-        n = words.n_windows
-        counts = power_tables(words)["words"]
-        power = count_term(q, n)
-        assert counts.size > _CLASS_MIN_CELLS
-        assert _count_terms(counts, power) == power(counts).tolist()
-        assert 0.0 < (1 / n) ** q < 2.0**-900
-        for counts in power_tables(words).values():
-            assert math.fsum(_count_terms(counts, power)) == _power_sum(counts / n, q)
+        tables = power_tables(words)
+        assert 0.0 < (1 / words.n_windows) ** q < 2.0**-900
+        # 2^16 - 1 cells of count 1 and one cell of each count 2..1,200: a multiplicity
+        # with 16 set bits, and terms that run from 0.0 through the subnormals
+        built = np.concatenate([np.ones(2**16 - 1, dtype=np.int64), np.arange(2, 1201)])
+        terms = count_term(q, built.sum())(np.unique(built))
+        assert np.any(terms == 0.0) and np.any((terms > 0.0) & (terms < 2.0**-1022))
+        for counts in (*tables.values(), built):
+            n = counts.sum()
+            pieces = _count_terms(counts, count_term(q, n))
+            by_class = counts.size > _CLASS_MIN_CELLS
+            assert len(pieces) == (class_pieces(counts) if by_class else counts.size)
+            assert math.fsum(pieces) == _power_sum(counts / n, q)
+        assert tables["words"].size > _CLASS_MIN_CELLS and built.size > _CLASS_MIN_CELLS
         assert math.isfinite(renyi_transfer_entropy(words, q))
 
     def test_relabelling_symbols_leaves_the_value_unchanged(self):
