@@ -35,6 +35,7 @@ from .surrogate import SurrogateSpec, effective_transfer_entropy
 from .symbolize import BIN_MODES, SymbolSeries, prepare_series
 from .synth import (
     CoupledMarkovSpec,
+    _fidelity,
     copy_spec,
     exact_transfer_entropy,
     generate,
@@ -51,23 +52,24 @@ def _parse_labels(value: str) -> list[str]:
     return next(csv.reader([value]))
 
 
-def _checked(kind, minimum=None):
-    """Argparse type for an int checked by `errors._integer` against `minimum`, or a
-    float checked as a Renyi order by `infocore._order`, refused under the option."""
+def _checked(kind, bound=_order):
+    """Argparse type for an int checked by `errors._integer` against the minimum `bound`,
+    or a float checked by the library rule `bound` (`infocore._order` by default), refused
+    under the option."""
     def parse(value: str):
         try:
-            return _integer("value", int(value), minimum) if kind is int else _order(float(value))
+            return _integer("value", int(value), bound) if kind is int else bound(float(value))
         except ValidationError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value: '2.5'"
     return parse
 
 
-def _list_of(kind, minimum=None):
-    """Argparse type for a comma-separated list of `_checked(kind, minimum)` values."""
+def _list_of(kind, bound=_order):
+    """Argparse type for a comma-separated list of `_checked(kind, bound)` values."""
     def parse(value: str) -> list:
         try:
-            return [_checked(kind, minimum)(v) for v in value.split(",")]
+            return [_checked(kind, bound)(v) for v in value.split(",")]
         except ValueError:
             message = f"expected comma-separated {kind.__name__} values, got {value!r}"
             raise argparse.ArgumentTypeError(message) from None
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec", default=None, help="CoupledMarkovSpec JSON file")
     source.add_argument("--preset", choices=_PRESETS, default=None)
     process.add_argument("--preset-alphabet", type=_checked(int, 2), default=3)
-    process.add_argument("--preset-fidelity", type=float, default=0.75)
+    process.add_argument("--preset-fidelity", type=_checked(float, _fidelity), default=0.75)
 
     parser = argparse.ArgumentParser(
         prog="renflow",

@@ -1,9 +1,13 @@
 """Exception types shared across the package, the one conversion of outside input
-to an array, and the integer, integer-array and series rules that raise one."""
+to an array, and the integer, real, integer-array, series and probability rules raising one."""
 
+import math
 import numbers
 
 import numpy as np
+
+# A distribution whose sum is off 1 by more than this is refused, never renormalized.
+PROB_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -32,6 +36,22 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
         value = int(value)
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """`value` as a finite float, refusing with a ValidationError that names `name` a
+    value that is not a real number (a bool, a string or a complex is not) or not
+    finite.  A plain float skips the slower abstract-class check."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or a Fraction past the float range
+            raise ValidationError(f"{name} is past the float range") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -87,4 +107,20 @@ def _series(name: str, values) -> np.ndarray:
         raise ValidationError(f"{name} must be finite, got the non-finite value {arr[at]} "
                               f"at position {at}")
     arr.flags.writeable = False
+    return arr
+
+
+def _probabilities(name: str, values, axes: int | None = None) -> np.ndarray:
+    """`values` as a new, read-only float array whose cells follow the series rule (a
+    0-d array is no distribution), refusing with a ValidationError that names `name` a
+    negative cell or a distribution over the last `axes` axes (all when None) whose sum
+    is off 1 by more than PROB_TOL."""
+    arr = _array(name, values)
+    arr = _series(name, arr.ravel() if arr.ndim else arr).reshape(arr.shape)
+    if np.any(arr < 0.0):
+        raise ValidationError(f"{name} holds a negative probability")
+    off = np.abs(arr.reshape(*arr.shape[:arr.ndim - (axes or arr.ndim)], -1).sum(axis=-1) - 1.0)
+    if np.any(off > PROB_TOL):
+        raise ValidationError(f"{name} has a distribution off 1 by {float(off.max())!r}, "
+                              f"past the tolerance {PROB_TOL}")
     return arr

@@ -13,6 +13,7 @@ of conditional Renyi entropy that keeps the chain rule
 
 exact for every order.  Conventions used throughout: 0 * log 0 := 0 and
 0^q := 0, so zero-probability cells never contribute to any sum.
+Orders and probability arrays pass the real and probability rules of `errors`.
 
 Sums of probability powers are accumulated with compensated summation
 (`math.fsum`); the chain rule then holds to well below 1e-12 even for
@@ -35,11 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _array, _series
-
-# Absolute tolerance on probability normalization.  Inputs off by more
-# than this are rejected, never silently renormalized.
-PROB_TOL = 1e-12
+from .errors import ValidationError, _probabilities, _real
 
 # |q - 1| below this is the Shannon order q = 1, evaluated by the
 # closed-form Shannon expressions instead of the 1/(1-q) prefactor.
@@ -47,26 +44,13 @@ SHANNON_WINDOW = 1e-9
 
 
 def _order(q) -> float:
-    """Renyi order q as a float, checked positive and finite; exactly 1.0
-    (Shannon) within SHANNON_WINDOW of 1, so every caller evaluates and
+    """Renyi order q as a float by the real-number rule, checked positive; exactly
+    1.0 (Shannon) within SHANNON_WINDOW of 1, so every caller evaluates and
     records an order in that window as q = 1."""
-    value = float(q)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"Renyi order must be a positive real, got {q!r}")
+    value = _real("Renyi order", q)
+    if value <= 0.0:
+        raise ValidationError(f"Renyi order must be a positive real, got {value!r}")
     return 1.0 if abs(value - 1.0) < SHANNON_WINDOW else value
-
-
-def _as_prob_array(values, ndim=None) -> np.ndarray:
-    arr = _array("probability array", values)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValidationError(f"expected a rank-{ndim} probability array, got rank {arr.ndim}")
-    flat = _series("probability array", arr.ravel())
-    if np.any(flat < 0.0):
-        raise ValidationError("probability array contains a negative entry")
-    total = math.fsum(flat.tolist())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-    return flat.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,10 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _as_prob_array(self.probs, ndim=1))
+        probs = _probabilities("probability array", self.probs)
+        if probs.ndim != 1:
+            raise ValidationError(f"expected a rank-1 probability array, got rank {probs.ndim}")
+        object.__setattr__(self, "probs", probs)
 
     @property
     def size(self) -> int:
@@ -98,10 +85,10 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _array("probability array", self.probs)
-        if arr.ndim < 2:
+        probs = _probabilities("probability array", self.probs)
+        if probs.ndim < 2:
             raise ValidationError("a joint distribution needs at least two axes")
-        object.__setattr__(self, "probs", _as_prob_array(arr))
+        object.__setattr__(self, "probs", probs)
 
     def marginal(self, axis: int) -> DiscreteDistribution:
         """Distribution of the variable on `axis`, all others summed out."""
@@ -170,10 +157,8 @@ def entropy(dist, q) -> float:
         Positive order; values within 1e-9 of 1 are q = 1, the Shannon branch.
     """
     q = _order(q)
-    if isinstance(dist, JointDistribution):
-        probs = dist.probs
-    else:
-        probs = DiscreteDistribution.coerce(dist).probs
+    records = (DiscreteDistribution, JointDistribution)
+    probs = dist.probs if isinstance(dist, records) else _probabilities("probability array", dist)
     if q == 1.0:
         return _shannon_bits(probs)
     return math.log2(_power_sum(probs, q)) / (1.0 - q)

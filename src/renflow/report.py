@@ -44,11 +44,13 @@ class FiniteSampleWarning(UserWarning):
 
 
 def _check_labels(labels, kind: str) -> tuple[str, ...]:
-    """The labels of a `kind` as a tuple: at least two, none repeated."""
+    """The labels of a `kind` as a tuple: at least two strings, none repeated."""
     labels = tuple(labels)
     if len(labels) < 2:
         raise ValidationError(f"a {kind} needs at least two labels, got {len(labels)}")
     for label in labels:
+        if not isinstance(label, str):
+            raise ValidationError(f"{kind} label {label!r} must be a string")
         if labels.count(label) > 1:
             raise ValidationError(f"{kind} label {label!r} is repeated")
     return labels

@@ -6,6 +6,7 @@ the coupled pair (x_t, y_t) is itself a first-order Markov chain, the
 exact order-q transfer entropy at histories m = l = 1 can be computed
 by enumerating the stationary joint distribution, which makes these
 processes the ground truth the estimator is verified against.
+Each row of both transition arrays passes the probability rule of `errors`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, _array, _integer, _integer_fields, _series
+from .errors import ConvergenceError, ValidationError, _integer, _integer_fields
+from .errors import _probabilities, _real
 from .infocore import conditional_mutual_information
 from .symbolize import SymbolSeries
 
-_ROW_TOL = 1e-12
 _POWER_TOL = 1e-14
 _POWER_MAX_ITER = 10**6
 _MAX_CELLS = 2**24  # largest transition array a preset or the oracle allocates
@@ -38,19 +39,12 @@ def _check_alphabet(n, power: int) -> int:
     return n
 
 
-def _check_stochastic(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """`value` as a read-only float array of `shape` whose cells follow the series
-    rule, checked non-negative and stochastic."""
-    arr = _array(name, value)
-    if arr.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    arr = _series(name, arr.ravel()).reshape(shape)
-    if np.any(arr < 0.0):
-        raise ValidationError(f"{name} must contain non-negative probabilities")
-    sums = arr.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > _ROW_TOL):
-        raise ValidationError(f"every conditional slice of {name} must sum to 1")
-    return arr
+def _fidelity(value) -> float:
+    """Copy fidelity as a float by the real-number rule, refused outside (0, 1]."""
+    value = _real("fidelity", value)
+    if not 0.0 < value <= 1.0:
+        raise ValidationError(f"fidelity must lie in (0, 1], got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,10 @@ class CoupledMarkovSpec:
         _integer_fields(self, alphabet_size=2)
         n = self.alphabet_size
         for name, shape in (("source_transition", (n, n)), ("target_transition", (n, n, n))):
-            object.__setattr__(self, name, _check_stochastic(getattr(self, name), shape, name))
+            arr = _probabilities(name, getattr(self, name), axes=1)
+            if arr.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in _SPEC_KEYS},
@@ -102,8 +99,7 @@ def copy_spec(alphabet_size: int = 3) -> CoupledMarkovSpec:
 def noisy_copy_spec(alphabet_size: int = 2, fidelity: float = 0.75) -> CoupledMarkovSpec:
     """x_{t+1} copies y_t with probability `fidelity`, else errs uniformly."""
     n = _check_alphabet(alphabet_size, 3)
-    if not 0.0 < fidelity <= 1.0:
-        raise ValidationError("fidelity must lie in (0, 1]")
+    fidelity = _fidelity(fidelity)
     a = np.full((n, n), 1.0 / n)
     b = np.full((n, n, n), (1.0 - fidelity) / (n - 1))
     for y in range(n):

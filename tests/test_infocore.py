@@ -68,6 +68,14 @@ class TestValidation:
             entropy(kind(probs), 2)
         assert str(info.value) == f"probability array {message}"
 
+    def test_entropy_takes_a_bare_probability_tensor(self):
+        """A nested list is read as a distribution over its flattened cells, as a
+        joint of the same cells is."""
+        cells = [[0.25, 0.25], [0.125, 0.375]]
+        for q in Q_GRID:
+            assert entropy(cells, q) == entropy(JointDistribution(cells), q)
+        assert entropy([[0.25, 0.25], [0.25, 0.25]], 2) == 2.0
+
     def test_joint_keeps_its_rank_read_only(self):
         joint = JointDistribution([[0.25, 0.25], [0.5, 0.0]])
         assert joint.probs.shape == (2, 2) and not joint.probs.flags.writeable

@@ -1,14 +1,16 @@
 """The public namespace: every exported name resolves, every module uses
 what it imports and every private function it defines, every dataclass is
 frozen, one rule refuses non-finite input and one refuses a bad integer
-array, one conversion refuses a ragged array, every record holds read-only
-copies, and the README's library example runs."""
+array, one rule refuses a bad real number and one a bad probability array,
+one conversion refuses a ragged array, every record holds read-only copies,
+and the README's library example runs."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +22,24 @@ from renflow import (
     CoupledMarkovSpec,
     DiscreteDistribution,
     FlowMatrix,
+    HistorySpec,
     JointDistribution,
     NetFlowMatrix,
     RawSeries,
+    SurrogateSpec,
     SymbolSeries,
     ValidationError,
     WordDistribution,
+    copy_spec,
+    entropy,
+    escort,
+    exact_transfer_entropy,
+    generate,
     load_csv,
+    m_sweep,
+    noisy_copy_spec,
+    q_sweep,
+    renyi_transfer_entropy,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -113,11 +126,11 @@ def package_names():
 
 
 def test_only_the_series_rule_refuses_a_non_finite_value():
-    """`isfinite` is read only in `errors._series`, the one refusal of a non-finite
-    input, and where a finite test refuses no input series: a scalar order, the two
-    CSV parse masks that omit a bad cell by design, and the colour range of a grid
-    whose diagonal is NaN."""
-    allowed = {"errors._series", "infocore._order", "ingest._parse_table", "ingest._parse_rows",
+    """`isfinite` is read only in `errors._series` and `errors._real`, the refusals of
+    a non-finite input series and scalar, and where a finite test refuses no input:
+    the two CSV parse masks that omit a bad cell by design, and the colour range of
+    a grid whose diagonal is NaN."""
+    allowed = {"errors._series", "errors._real", "ingest._parse_table", "ingest._parse_rows",
                "report._matrix_svg"}
     readers = {scope for scope, name in package_names() if name.rpartition(".")[2] == "isfinite"}
     assert readers == allowed
@@ -192,6 +205,100 @@ def test_every_integer_array_is_refused_by_one_rule(name, values):
         message = not_integers(name, arr.shape, arr.dtype)
     with pytest.raises(ValidationError, match=message):
         INTEGER_ARRAYS[name](values)
+
+
+def copy_pair():
+    """A short (target, source) pair of the three-symbol copy process."""
+    return generate(copy_spec(3), 200, seed=4)
+
+
+REAL_ARGUMENTS = {
+    "entropy": (lambda v: entropy([0.5, 0.5], v), "Renyi order"),
+    "escort": (lambda v: escort([0.5, 0.5], v).probs.tolist(), "Renyi order"),
+    "renyi_transfer_entropy": (
+        lambda v: renyi_transfer_entropy(WordDistribution([0, 3], [1, 1], 2, 2, 1, 1), v),
+        "Renyi order"),
+    "m_sweep": (lambda v: m_sweep(*copy_pair(), (1,), v, SurrogateSpec(0), min_windows=0).rows,
+                "Renyi order"),
+    "q_sweep": (
+        lambda v: q_sweep(*copy_pair(), HistorySpec(1, 1), (1.0, v), SurrogateSpec(0)).rows,
+        "Renyi order"),
+    "exact_transfer_entropy": (lambda v: exact_transfer_entropy(copy_spec(2), v), "Renyi order"),
+    "noisy_copy_spec": (lambda v: noisy_copy_spec(2, v).to_json(), "fidelity"),
+}
+
+
+@pytest.mark.parametrize("value", [
+    "1.5", True, b"2", [1.5], None, 1 + 0j, 10**400, np.nan, np.inf,
+], ids=["text", "bool", "bytes", "list", "none", "complex", "past-float", "nan", "inf"])
+@pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
+def test_every_real_argument_is_refused_by_one_rule(entry, value):
+    """Each order and the copy fidelity are refused by `errors._real`, naming the
+    argument, where text, bools and bytes were read as numbers and the rest died
+    with a TypeError or an OverflowError."""
+    call, name = REAL_ARGUMENTS[entry]
+    if value == 10**400:
+        message = f"{name} is past the float range"
+    elif isinstance(value, float):
+        message = f"{name} must be finite, got {value!r}"
+    else:
+        message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [
+    1, 0.75, np.float32(0.75), np.float64(0.75), np.int64(1), Fraction(3, 4),
+], ids=["int", "float", "float32", "float64", "int64", "fraction"])
+@pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
+def test_every_real_argument_takes_any_real_number(entry, value):
+    """Python and numpy integers and floats and a Fraction are read as their float."""
+    call, _ = REAL_ARGUMENTS[entry]
+    assert call(value) == call(float(value))
+
+
+PROBABILITY_ARRAYS = {
+    "probability array": (DiscreteDistribution, [0.25, 0.75]),
+    "joint probability array": (JointDistribution, [[0.25, 0.25], [0.125, 0.375]]),
+    "source_transition": (lambda a: CoupledMarkovSpec(2, a, np.full((2, 2, 2), 0.5)),
+                          [[0.5, 0.5], [0.25, 0.75]]),
+    "target_transition": (lambda a: CoupledMarkovSpec(2, np.full((2, 2), 0.5), a),
+                          [[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.5, 0.5]]]),
+}
+
+
+def spoiled(cells, value, add=False):
+    """`cells` with the first distribution's last cell set to `value`, or raised by it."""
+    arr = np.array(cells, dtype=object)
+    at = (0,) * (arr.ndim - 1) + (-1,)
+    arr[at] = arr[at] + value if add else value
+    return arr.tolist()
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (-0.25, "holds a negative probability"),
+    (np.nan, "must be finite, got the non-finite value nan at position "),
+    ("x", "must be a non-empty one-dimensional array of numbers, got shape "),
+], ids=["negative", "nan", "text"])
+@pytest.mark.parametrize("entry", list(PROBABILITY_ARRAYS))
+def test_every_probability_array_is_refused_by_one_rule(entry, spoil, message):
+    """Distributions, joints and each row of a process's transition law are refused
+    by `errors._probabilities`, naming the array."""
+    build, cells = PROBABILITY_ARRAYS[entry]
+    name = entry.removeprefix("joint ")
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} {message}')}"):
+        build(spoiled(cells, spoil))
+
+
+@pytest.mark.parametrize("entry", list(PROBABILITY_ARRAYS))
+def test_every_probability_array_has_one_normalization_tolerance(entry):
+    """A distribution or row off 1 by 2e-12 is refused and one off by 5e-13 accepted."""
+    build, cells = PROBABILITY_ARRAYS[entry]
+    name = entry.removeprefix("joint ")
+    message = f"^{name} has a distribution off 1 by [12][.0-9]*e-12, past the tolerance 1e-12$"
+    with pytest.raises(ValidationError, match=message):
+        build(spoiled(cells, 2e-12, add=True))
+    build(spoiled(cells, 5e-13, add=True))
 
 
 def test_csv_timestamps_past_int64_are_refused_by_the_integer_rule(tmp_path):

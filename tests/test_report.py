@@ -27,6 +27,7 @@ from renflow import (
     HistorySpec,
     NetFlowMatrix,
     SurrogateSpec,
+    SymbolSeries,
     ValidationError,
     copy_spec,
     effective_transfer_entropy,
@@ -134,12 +135,15 @@ class TestFlowMatrixTypes:
     @pytest.mark.parametrize("labels, spoil, message", [
         (("A", "A"), None, "label 'A' is repeated"),
         (("A",), None, "needs at least two labels, got 1"),
+        (("A", 5), None, "label 5 must be a string"),
+        (("A", None), None, "label None must be a string"),
         (("A", "B"), np.nan, "off-diagonal entries must be finite"),
         (("A", "B"), np.inf, "off-diagonal entries must be finite"),
         (("A", "B"), "columns", "shape (2, 3) does not match 2 labels"),
         (("A", "B"), "text", "off-diagonal entries must be a non-empty one-dimensional array of "
          "numbers, got shape (2,) of dtype <U32"),
-    ], ids=["repeated-label", "one-label", "nan-cell", "inf-cell", "non-square", "text-cell"])
+    ], ids=["repeated-label", "one-label", "int-label", "none-label", "nan-cell", "inf-cell",
+            "non-square", "text-cell"])
     def test_both_matrix_types_refuse_a_bad_grid(self, kind, labels, spoil, message):
         """Each grid is valid for its type but for the one fault named."""
         n = len(labels) + (spoil == "columns")
@@ -187,6 +191,14 @@ class TestPairwiseMatrix:
         rng = np.random.default_rng(3)
         with pytest.raises(ValidationError):
             pairwise_matrix([iid_symbol_series(rng, 100, 2)], H11, 1.0, FAST)
+
+    def test_label_that_is_no_string_rejected_before_any_estimate(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        series = [iid_symbol_series(rng, 100, 2, label="A"),
+                  SymbolSeries(iid_symbol_series(rng, 100, 2).symbols, 2, label=5)]
+        monkeypatch.setattr(renflow.report, "effective_transfer_entropies", None)
+        with pytest.raises(ValidationError, match="^flow matrix label 5 must be a string$"):
+            pairwise_matrix(series, H11, 1.0, FAST)
 
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(4)
