@@ -10,7 +10,11 @@ Every replica draws from its own random stream seeded by
 (rng_seed, replica_index), so a surrogate depends only on (source,
 spec, replica), never on evaluation order.  One run planner serves every
 command: a matrix over N series makes N shuffles per replica, and a
-q-sweep counts each word table once for all its orders.
+q-sweep counts each word table once for all its orders.  A shuffle leaves
+the target alone, so the target's side of T_q (its code prefix, its (xw)
+and (xw, x') tables and S_q(X'|XW)) is built once per target and history
+and shared by the raw pairs and replicas of all its sources: a matrix over
+N series builds N target parts, not N(N-1)(R+1).
 """
 
 from __future__ import annotations
@@ -24,7 +28,17 @@ import numpy as np
 from .errors import ValidationError, _integer, _integer_fields
 from .infocore import _order
 from .symbolize import SymbolSeries
-from .transfer import HistorySpec, count_words, renyi_transfer_entropy
+from .transfer import (
+    HistorySpec,
+    WordDistribution,
+    _history_codes,
+    _pair_part,
+    _radices,
+    _tally,
+    _target_part,
+    _target_prefix,
+    count_words,
+)
 
 
 @dataclass(frozen=True)
@@ -113,7 +127,9 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     """
     rng = np.random.default_rng([spec.rng_seed, _integer("replica_index", replica_index, 0)])
     block, n = spec.block_length, len(y)
-    if block > 1 and block >= n:
+    if block == 1:
+        return replace(y, symbols=rng.permutation(y.symbols))
+    if block >= n:
         raise ValidationError(
             f"surrogate block of {block} symbols cannot shuffle series {y.label or 'Y'!r} "
             f"of length {n}"
@@ -131,32 +147,57 @@ def effective_transfer_entropies(
 
     The raw pairs come first, then the replicas in order: each replica
     shuffles every distinct source once and counts each job once, and all
-    orders are evaluated from that one word table.  A job's values depend
-    only on the job, the order and `spec`, never on the other jobs or
-    their place in the list.  A failing job is named as `pair S->T`.  A
-    list passed as `timing_sink` receives each job's seconds of counting
-    and evaluation over the raw pair and every replica; the shuffles are
-    shared by the jobs of a source and charged to none.
+    orders are evaluated from that one word table.  A shuffle leaves the
+    target alone, so each (target, history, source alphabet) builds its
+    target part once, from its first raw pair: the target's code prefix and
+    its side of T_q at every order.  Every other raw pair and every replica
+    of its jobs adds a pair part to it.  Each replica codes each source's
+    history once per (l, first window, target alphabet), for every target
+    it feeds.  A job's values depend only on the job, the order and `spec`,
+    never on the other jobs or their place in the list.  A failing job is
+    named as `pair S->T`.  A list passed as `timing_sink` receives each
+    job's seconds of counting and evaluation over the raw pair and every
+    replica; a target part and a source's history codes are charged to the
+    first job that uses them, and the shuffles are shared by the jobs of a
+    source and charged to none.
     """
     orders = [_order(q) for q in orders]
     sources = {id(y): y for _, y, _ in jobs}
+    targets = {}  # (target, history, source alphabet) -> prefix, code count, side per order
     runs = [[] for _ in jobs]  # per job: the raw values, then each replica's values
     n_windows = [0] * len(jobs)
     seconds = [0.0] * len(jobs)
     for replica in [None, *range(spec.ensemble_size)]:
         if replica is not None:
             shuffled = {key: make_surrogate(y, spec, replica) for key, y in sources.items()}
+            histories = {}  # (source, l, first window, n_x) -> its codes in this replica times n_x
         for k, (x, y, h) in enumerate(jobs):
             started = time.perf_counter()
+            target = (id(x), h, y.alphabet_size)
             try:
-                words = count_words(x, y if replica is None else shuffled[id(y)], h)
-                runs[k].append([renyi_transfer_entropy(words, q) for q in orders])
+                if replica is None:
+                    words = count_words(x, y, h)
+                    n_windows[k] = words.n_windows
+                    if target not in targets:
+                        n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
+                        targets[target] = (_target_prefix(x, h, y.alphabet_size), n_possible,
+                                           [_target_part(words, q) for q in orders])
+                    sides = targets[target][2]
+                else:
+                    prefix, n_possible, sides = targets[target]
+                    start = max(h.m, h.l)
+                    source = (id(y), h.l, start, x.alphabet_size)
+                    if source not in histories:
+                        histories[source] = (_history_codes(shuffled[id(y)], h.l, start)
+                                             * x.alphabet_size)
+                    codes, counts = _tally(prefix + histories[source], n_possible)
+                    words = WordDistribution(codes, counts, x.alphabet_size, y.alphabet_size,
+                                             h.m, h.l)
+                runs[k].append([_pair_part(words, side, q) for q, side in zip(orders, sides)])
             except ValidationError as exc:
                 pair = f"{y.label or 'Y'}->{x.label or 'X'}"
                 raise ValidationError(f"pair {pair} failed: {exc}") from exc
             seconds[k] += time.perf_counter() - started
-            if replica is None:
-                n_windows[k] = words.n_windows
     if timing_sink is not None:
         timing_sink.extend(seconds)
     return [

@@ -57,6 +57,8 @@ class SymbolSeries:
 
     def __post_init__(self):
         _integer_fields(self, alphabet_size=2, block_size=1)
+        if not isinstance(self.label, str):
+            raise ValidationError(f"label must be a string, got {self.label!r}")
         arr = _array("symbols", self.symbols)
         floats = arr.dtype.kind == "f"  # as a symbol column read from CSV (--pre-symbolized)
         arr = _series("symbols", arr) if floats else _integers("symbols", arr)

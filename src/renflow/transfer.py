@@ -18,13 +18,18 @@ negative for q != 1: learning the source history can widen the sector
 of the predictive distribution that order q emphasizes.
 
 Each word is one int64 mixed-radix code with digits (x_1..x_m,
-y_1..y_l, x'), packed by Horner's rule.  A code space no larger than the
-window count is counted densely with `np.bincount`; a larger one by a
-unique-and-count sort, the only sort.  Only observed words are stored,
-so memory scales with the data, not with the alphabet power.  Both
-values come from the counts of four word groupings: (x', xw, yw),
-(xw, yw), (x', xw) and (xw).  With the conditioning history first, every
-(xw) and every (xw, yw) group is a run of the sorted codes.
+y_1..y_l, x'): the target's prefix xw * n_y^l * n_x + x' plus the source
+word's code times n_x, each packed by Horner's rule.  A code space no
+larger than the window count is counted densely with `np.bincount`; a
+larger one by a unique-and-count sort, the only sort.  Only observed
+words are stored, so memory scales with the data, not with the alphabet
+power.  Both values come from the counts of four word groupings:
+(x', xw, yw), (xw, yw), (x', xw) and (xw).  With the conditioning history
+first, every (xw) and every (xw, yw) group is a run of the sorted codes.
+The (x', xw) and (xw) tables, and with them the target's side of T_q,
+depend on the target alone.  So the estimate is a target part plus a pair
+part, and the run planner builds each target part once for every source
+and surrogate replica of that target.
 """
 
 from __future__ import annotations
@@ -133,17 +138,25 @@ class WordDistribution:
             l=l,
         )
 
-    # -- cached grouping ---------------------------------------------------
+    # -- cached groupings ---------------------------------------------------
 
     @cached_property
-    def _groups(self):
-        """Positive integer counts of the (xw, yw), (xw, x') and (xw) tables, each
-        with total n_windows.  The (xw) and (xw, yw) cells are runs of the sorted
-        codes; the (xw, x') cells are keyed xw_run * target_alphabet + x' in
-        ascending order, counted in a dense table up to the last observed key,
-        less its empty cells, when the full table has no more cells than there
-        are windows, which skips a sort of the keys, and at the observed keys
-        otherwise, which bounds the table by the data."""
+    def _pair_groups(self) -> np.ndarray:
+        """Positive integer counts of the (xw, yw) table, total n_windows: the runs
+        of the sorted codes once x' is dropped.  A surrogate replica builds only
+        this grouping; its target's tables come from `_target_groups` of the raw pair."""
+        return _runs(self.codes // self.target_alphabet, self.counts)[1]
+
+    @cached_property
+    def _target_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positive integer counts of the (xw, x') and (xw) tables, each with total
+        n_windows; they depend only on the target and the windows, never on the
+        source.  The (xw) cells are runs of the sorted codes; the (xw, x') cells
+        are keyed xw_run * target_alphabet + x' in ascending order, counted in a
+        dense table up to the last observed key, less its empty cells, when the
+        full table has no more cells than there are windows, which skips a sort of
+        the keys, and at the observed keys otherwise, which bounds the table by
+        the data."""
         n_x = self.target_alphabet
         xh_run, xh_counts = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
         fx_inv = xh_run * n_x + self.codes % n_x
@@ -151,8 +164,7 @@ class WordDistribution:
             fx_inv = np.unique(fx_inv, return_inverse=True)[1]
         fx_counts = np.zeros(fx_inv.max() + 1, dtype=np.int64)
         np.add.at(fx_counts, fx_inv, self.counts)
-        both_counts = _runs(self.codes // n_x, self.counts)[1]
-        return both_counts, fx_counts[fx_counts > 0], xh_counts
+        return fx_counts[fx_counts > 0], xh_counts
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -180,7 +192,8 @@ def count_words(
     Windows sit at t = max(m, l) .. L-2 (0-based): the future symbol is
     x_{t+1} and both history words end at t.  The first max(m, l)
     positions are skipped so every window has full histories, giving
-    L - max(m, l) - 1 windows in total.
+    L - max(m, l) - 1 windows in total.  Each window's code is the target's
+    prefix plus the source word's code times the target alphabet.
 
     `pseudo_count` > 0 additively smooths the distribution by granting
     that many extra observations to every possible word.  Off by
@@ -196,27 +209,14 @@ def count_words(
         raise ValidationError(
             f"series of length {length} too short for histories m={h.m}, l={h.l}"
         )
-    radices = _radices(x.alphabet_size, y.alphabet_size, h.m, h.l)
-    n_possible = math.prod(radices)
+    n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
     if pseudo_count > 0 and n_possible > _PSEUDO_LIMIT:
         raise ValidationError(
             "pseudo counts require enumerating every possible word; "
             f"{n_possible} words is too many (limit {_PSEUDO_LIMIT})"
         )
-
-    # Digit columns x_{t-m+1..t}, y_{t-l+1..t} and x_{t+1}, each a slice of its series.
-    columns = [x.symbols[i : i + n_windows] for i in range(start - h.m + 1, start + 1)]
-    columns += [y.symbols[i : i + n_windows] for i in range(start - h.l + 1, start + 1)]
-    full = np.zeros(n_windows, dtype=np.int64)
-    for radix, digit in zip(radices, (*columns, x.symbols[start + 1 :])):
-        full *= radix
-        full += digit
-    if n_possible <= n_windows:
-        counts = np.bincount(full)
-        codes = np.flatnonzero(counts)
-        counts = counts[codes]
-    else:
-        codes, counts = np.unique(full, return_counts=True)
+    full = _target_prefix(x, h, y.alphabet_size) + _history_codes(y, h.l, start) * x.alphabet_size
+    codes, counts = _tally(full, n_possible)
     if pseudo_count > 0:
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
         smoothed[codes] += counts
@@ -230,6 +230,68 @@ def count_words(
         m=h.m,
         l=h.l,
     )
+
+
+def _history_codes(s: SymbolSeries, length: int, start: int) -> np.ndarray:
+    """Code of the word s_{t-length+1} .. s_t at each window t = start .. len(s) - 2,
+    by Horner's rule in the series' alphabet."""
+    n_windows = len(s) - start - 1
+    codes = np.zeros(n_windows, dtype=np.int64)
+    for i in range(start - length + 1, start + 1):
+        codes *= s.alphabet_size
+        codes += s.symbols[i : i + n_windows]
+    return codes
+
+
+def _target_prefix(x: SymbolSeries, h: HistorySpec, source_alphabet: int) -> np.ndarray:
+    """The target's digits of each window's code, xw * source_alphabet^l * n_x + x'
+    in the layout of `_radices`; adding a source word's code times n_x completes it."""
+    start = max(h.m, h.l)
+    prefix = _history_codes(x, h.m, start)
+    prefix *= source_alphabet**h.l * x.alphabet_size
+    prefix += x.symbols[start + 1 :]
+    return prefix
+
+
+def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes among `full`, one a window, in ascending order, and their
+    counts: by `np.bincount` when the n_possible codes are no more than the windows,
+    and by a unique-and-count sort, the only sort, otherwise."""
+    if n_possible <= full.size:
+        counts = np.bincount(full)
+        codes = np.flatnonzero(counts)
+        return codes, counts[codes]
+    return np.unique(full, return_counts=True)
+
+
+def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: float):
+    """S_q(X'|W) from the counts of the (x', w) and (w) tables, each of total N,
+    at the order `q` (already checked by `_order`): the escort-averaged value at
+    q != 1, and at q = 1 the exact pieces whose `math.fsum` over N is H(X'|W),
+    the c log2 c terms of the (w) table and those of the (x', w) table negated."""
+    if q == 1.0:
+        joint, marginal = (_count_terms(t, lambda c: c * np.log2(c)) for t in (joint, marginal))
+        return [*marginal, *(-v for v in joint)]
+    joint, marginal = (_finite_power_sum(_count_terms(t, lambda c: np.power(c / total, q)), q)
+                       for t in (joint, marginal))
+    return _conditional_renyi(joint, marginal, q)
+
+
+def _target_part(w: WordDistribution, q: float):
+    """The target's side of T_q, S_q(X'|XW), from the (xw, x') and (xw) tables of
+    `w` (at q = 1 its pieces).  It depends only on the target, its history and
+    the windows, so every word table of that target, replicas included, shares it."""
+    return _conditional_part(*w._target_groups, w.n_windows, q)
+
+
+def _pair_part(w: WordDistribution, target, q: float) -> float:
+    """T_q of the word table `w`: the `_target_part` of its target at the same
+    order `q` less S_q(X'|XW,YW) from its words and (xw, yw) tables.  At q = 1 the
+    pieces of both parts go into one `math.fsum`, so the sum is rounded once."""
+    pair = _conditional_part(w.counts, w._pair_groups, w.n_windows, q)
+    if q == 1.0:
+        return math.fsum([*target, *(-v for v in pair)]) / w.n_windows
+    return target - pair
 
 
 def renyi_transfer_entropy(w: WordDistribution, q) -> float:
@@ -248,14 +310,11 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     than `infocore._CLASS_MIN_CELLS` cells by count class.  No order of the
     cells changes those bits, so relabelling symbols leaves T_q as is, and
     equal tables cancel exactly: T_q(x -> x) is 0 at m = l.
+
+    The value is the target part, from the (xw, x') and (xw) tables alone,
+    combined with the pair part, from the words and (xw, yw) tables: the two
+    functions the run planner uses to share one target part among every
+    source and surrogate replica of that target.
     """
     q = _order(q)
-    total = w.n_windows
-    tables = (w.counts, *w._groups)
-    if q == 1.0:
-        words, both, fx, xh = (_count_terms(t, lambda c: c * np.log2(c)) for t in tables)
-        return math.fsum([*words, *xh, *(-v for v in both + fx)]) / total
-    words, both, fx, xh = (
-        _finite_power_sum(_count_terms(t, lambda c: np.power(c / total, q)), q) for t in tables
-    )
-    return _conditional_renyi(fx, xh, q) - _conditional_renyi(words, both, q)
+    return _pair_part(w, _target_part(w, q), q)

@@ -866,14 +866,18 @@ class TestShannonWindow:
         assert written[1] == written[0]
 
     def test_sweep_q_evaluates_a_window_order_once(self, synth_csv, tmp_path, monkeypatch):
-        orders, estimate = [], renflow.surrogate.renyi_transfer_entropy
-        monkeypatch.setattr(renflow.surrogate, "renyi_transfer_entropy",
-                            lambda words, q: orders.append(q) or estimate(words, q))
+        orders, pair_part = [], renflow.surrogate._pair_part
+        monkeypatch.setattr(renflow.surrogate, "_pair_part",
+                            lambda words, side, q: orders.append(q) or pair_part(words, side, q))
+        target_orders, target_part = [], renflow.surrogate._target_part
+        monkeypatch.setattr(renflow.surrogate, "_target_part",
+                            lambda words, q: target_orders.append(q) or target_part(words, q))
         argv, _, _ = WINDOW_RUNS["sweep-q"]
         argv = [str(synth_csv) if a == "@synth.csv" else a for a in argv]
         assert main([*argv, "1,1.0000000005,2", "--out", str(tmp_path / "q.csv")]) == 0
-        # two directions, each a raw table and two replica tables
+        # two directions, each a raw table and two replica tables, and one target part each
         assert sorted(orders) == [1.0] * 6 + [2.0] * 6
+        assert sorted(target_orders) == [1.0] * 2 + [2.0] * 2
 
 
 class TestSweeps:

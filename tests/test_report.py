@@ -194,11 +194,11 @@ class TestPairwiseMatrix:
 
     def test_label_that_is_no_string_rejected_before_any_estimate(self, monkeypatch):
         rng = np.random.default_rng(4)
-        series = [iid_symbol_series(rng, 100, 2, label="A"),
-                  SymbolSeries(iid_symbol_series(rng, 100, 2).symbols, 2, label=5)]
         monkeypatch.setattr(renflow.report, "effective_transfer_entropies", None)
-        with pytest.raises(ValidationError, match="^flow matrix label 5 must be a string$"):
-            pairwise_matrix(series, H11, 1.0, FAST)
+        with pytest.raises(ValidationError, match="^label must be a string, got 5$"):
+            pairwise_matrix([iid_symbol_series(rng, 100, 2, label="A"),
+                             SymbolSeries(iid_symbol_series(rng, 100, 2).symbols, 2, label=5)],
+                            H11, 1.0, FAST)
 
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(4)
@@ -223,6 +223,19 @@ class TestPairwiseMatrix:
         series = [iid_symbol_series(rng, n, 2) for n in (100, 100, 90)]
         with pytest.raises(ValidationError, match=re.escape("pair series2->series0 failed")):
             pairwise_matrix(series, H11, 1.0, FAST)
+
+    def test_each_target_part_built_once(self, monkeypatch):
+        prefixes, sides = count_calls(monkeypatch, "_target_prefix"), count_calls(
+            monkeypatch, "_target_part")
+        histories = count_calls(monkeypatch, "_history_codes")
+        rng = np.random.default_rng(14)
+        series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
+        pairwise_matrix(series, H11, 1.5, FAST)
+        # N target parts, not N (N - 1) (R + 1); one history code per source and replica
+        assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
+        assert [q for _, q in sides] == [1.5] * 4
+        assert sorted((s.label, l, start) for s, l, start in histories) == sorted(
+            [*product(("S0", "S1", "S2", "S3"), [1], [1])] * FAST.ensemble_size)
 
     def test_each_source_shuffled_once_per_replica(self, monkeypatch):
         calls = count_calls(monkeypatch, "make_surrogate")
@@ -296,12 +309,14 @@ class TestQSweep:
         assert [row[1:3] for row in table.rows] == [("Y", "X"), ("X", "Y")]
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
-        calls = count_calls(monkeypatch, "count_words")
+        # a raw pair is counted by count_words, a replica by one tally of its codes
+        raw, replicas = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_tally")
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 500, 3, label="X")
         y = iid_symbol_series(rng, 500, 3, label="Y")
         q_sweep(x, y, H11, ORDERS, FAST)
-        assert len(calls) == 2 * (FAST.ensemble_size + 1)
+        assert len(raw) == 2
+        assert len(replicas) == 2 * FAST.ensemble_size
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -401,6 +416,18 @@ class TestMSweep:
         with pytest.raises(ValidationError, match=f"^the {name} grid is empty$"):
             sweep(x, y)
         assert counted == []
+
+    @pytest.mark.parametrize("sweep", [
+        lambda x, y: q_sweep(x, y, H11, (1.0,), FAST),
+        lambda x, y: m_sweep(x, y, (1,), 1.0, FAST),
+    ], ids=["q_sweep", "m_sweep"])
+    def test_rows_carry_string_labels_only(self, sweep):
+        rng = np.random.default_rng(17)
+        x, y = (iid_symbol_series(rng, 300, 2, label=label) for label in "XY")
+        with pytest.raises(ValidationError, match="^label must be a string, got 5$"):
+            sweep(SymbolSeries(x.symbols, 2, label=5), y)
+        rows = sweep(x, SymbolSeries(y.symbols, 2)).rows
+        assert [row[1:3] for row in rows] == [("Y", "X"), ("X", "Y")]
 
     @pytest.mark.parametrize("m_grid", [(1.5, 2.9), (1, 2.0), (True,)])
     def test_fractional_history_length_rejected(self, m_grid):

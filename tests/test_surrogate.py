@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import iid_symbol_series, reference_block_shuffle, reference_effective
@@ -17,10 +17,12 @@ from renflow import (
     SymbolSeries,
     ValidationError,
     copy_spec,
+    count_words,
     effective_transfer_entropy,
     generate,
     make_surrogate,
 )
+from renflow.infocore import _CLASS_MIN_CELLS
 from renflow.surrogate import effective_transfer_entropies
 
 H11 = HistorySpec(1, 1)
@@ -222,6 +224,43 @@ class TestRunPlanner:
         split = (effective_transfer_entropies(jobs[:cut], orders, spec)
                  + effective_transfer_entropies(jobs[cut:], orders, spec))
         assert split == results
+
+    def test_shared_target_parts_equal_reference_loop(self):
+        seen = set()
+
+        @settings(max_examples=12, deadline=None)
+        @given(
+            alphabets=st.lists(st.integers(2, 4), min_size=3, max_size=4),
+            history=st.sampled_from(((1, 1), (1, 3), (3, 1), (2, 3), (3, 3))),
+            length=st.one_of(st.integers(100, 400), st.integers(3_000, 20_000)),
+            ensemble=st.integers(0, 2),
+            block=st.integers(1, 3),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        # source alphabets that differ from the target's, with l != m
+        @example(alphabets=[2, 4, 3], history=(1, 3), length=300, ensemble=2, block=1, seed=5)
+        # alphabet 4 at m = l = 3: word tables on both sides of the class-sum gate
+        @example(alphabets=[4, 4, 4, 4], history=(3, 3), length=12_000, ensemble=2, block=1,
+                 seed=8)
+        def check(alphabets, history, length, ensemble, block, seed):
+            rng = np.random.default_rng(seed)
+            series = [iid_symbol_series(rng, length, n, label=f"S{i}")
+                      for i, n in enumerate(alphabets)]
+            h = HistorySpec(*history)
+            jobs = [(series[i], series[j], h) for i, j in permutations(range(len(series)), 2)]
+            spec = SurrogateSpec(ensemble_size=ensemble, rng_seed=seed, block_length=block)
+            orders = (0.5, 1.0, 1.5, 2.5)
+            for (x, y, h), row in zip(jobs, effective_transfer_entropies(jobs, orders, spec)):
+                for q, result in zip(orders, row):
+                    raw, *_, windows, replicas = reference_effective(x, y, h, q, spec)
+                    assert (result.raw, result.replicas, result.n_windows) == (
+                        raw, replicas, windows)
+                words = count_words(x, y, h)
+                tables = (words.counts, words._pair_groups, *words._target_groups)
+                seen.update(t.size > _CLASS_MIN_CELLS for t in tables)
+
+        check()
+        assert seen == {False, True}
 
     def test_result_fields_are_raw_replicas_and_windows(self):
         assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas", "n_windows"]

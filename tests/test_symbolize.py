@@ -271,6 +271,12 @@ class TestSymbolSeries:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
             SymbolSeries([0, 1, 2], alphabet, block_size=block)
 
+    @pytest.mark.parametrize("label", [5, None, b"A", ("A",)])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ValidationError,
+                           match=f"^label must be a string, got {re.escape(repr(label))}$"):
+            SymbolSeries([0, 1, 2], 3, label=label)
+
     @pytest.mark.parametrize("block", (0, -3))
     def test_block_size_must_be_positive(self, block):
         with pytest.raises(ValidationError, match=f"^block_size must be at least 1, got {block}$"):

@@ -38,7 +38,7 @@ CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
 def power_tables(words: WordDistribution) -> dict:
     """The four integer count tables, each of total N, that make T_q at every order,
     as `renyi_transfer_entropy` reads them."""
-    both_counts, fx_counts, xh_counts = words._groups
+    both_counts, (fx_counts, xh_counts) = words._pair_groups, words._target_groups
     return {"words": words.counts, "xw,yw": both_counts, "xw,x'": fx_counts, "xw": xh_counts}
 
 
