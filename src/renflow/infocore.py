@@ -19,14 +19,16 @@ Sums of probability powers are accumulated with compensated summation
 (`math.fsum`); the chain rule then holds to well below 1e-12 even for
 orders q > 2 where the dynamic range of p^q is large.  `math.fsum` is
 correctly rounded, so any exact split of the terms gives the same sum.
-`_count_terms` gives such a split of sum term(c) over a table of positive
-integer counts c: cells with one count share one term, so each count class c
+`_count_terms` gives such a split of sum term(c) over a table of integer
+counts c: cells with one count share one term, so each count class c
 with k cells adds k * term(c), written exactly as the pieces term(c) * 2^i,
 one for each set bit i of k.  Scaling by a power of two moves no bit, even of
 a subnormal, and cannot overflow here: a term is at most 1 at q != 1 and
 c * log2(c) < 2^70 at q = 1.  A table of at most 1,000 cells, too small to pay
-for grouping, gives its per-cell terms instead.  Both give the same sum; the
-transfer entropy estimator reads its p^q = (c / N)^q and its c * log2(c) this way.
+for grouping, gives its per-cell terms instead, row by row for a 2-D table of
+such rows; an empty cell's term is an exact 0.0, which changes no sum.  Both
+give the same sum; the transfer entropy estimator reads its p^q = (c / N)^q and
+its c * log2(c) this way.
 """
 
 from __future__ import annotations
@@ -126,12 +128,15 @@ def _finite_power_sum(terms, q: float) -> float:
 
 
 def _count_terms(counts: np.ndarray, term) -> list:
-    """Exact pieces of sum term(c) over a table of positive integer counts c,
+    """Exact pieces of sum term(c) over a table of non-negative integer counts c,
     `term` mapping an array of counts to floats elementwise: the per-cell terms,
     or for each count class c of k cells the term(c) * 2^i of each set bit i of k
-    (see the module docstring)."""
-    if counts.size <= _CLASS_MIN_CELLS:
+    (see the module docstring).  A 2-D table gives the pieces of each row, in a
+    list per row; an empty cell adds term(0), which is 0.0 for every term here."""
+    if counts.shape[-1] <= _CLASS_MIN_CELLS:
         return term(counts).tolist()
+    if counts.ndim == 2:
+        return [_count_terms(row, term) for row in counts]
     multiplicity = np.bincount(counts)
     classes = np.flatnonzero(multiplicity)
     k = multiplicity[classes]

@@ -143,9 +143,10 @@ def pairwise_matrix(
     labels; an unlabeled series i is "series<i>" in the matrix, errors and
     timings.  A failure on any pair aborts the run, naming the pair.  A
     dict passed as `timing_sink` receives each directed pair's seconds of
-    counting and evaluation over the raw pair and every replica; a target's
-    shared part is charged to its first pair, and the shared source shuffles
-    to no pair.
+    counting and evaluation over the raw pair and every replica.  A target's
+    shared part is charged to its first pair.  A replica counts and evaluates
+    a target's pairs as one batch, whose seconds are split equally among them.
+    The shared source shuffles are charged to no pair.
     """
     labels = _check_labels((s.label or f"series{i}" for i, s in enumerate(series)), "flow matrix")
     series = [replace(s, label=label) for s, label in zip(series, labels)]

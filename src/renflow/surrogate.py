@@ -14,19 +14,24 @@ q-sweep counts each word table once for all its orders.  A shuffle leaves
 the target alone, so the target's side of T_q (its code prefix, its (xw)
 and (xw, x') tables and S_q(X'|XW)) is built once per target and history
 and shared by the raw pairs and replicas of all its sources: a matrix over
-N series builds N target parts, not N(N-1)(R+1).
+N series builds N target parts, not N(N-1)(R+1).  Where a target's code
+space has at most 1,000 possible words, as at the paper's alphabet 3 and
+m = l = 1 (27 words), each replica counts all the target's jobs into one
+dense table, a row per job, and evaluates the rows at once; a timing
+splits that batch's seconds equally among its jobs.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _integer_fields
-from .infocore import _order
+from .errors import ValidationError, _integer, _integer_fields, _real
+from .infocore import _CLASS_MIN_CELLS, _order
 from .symbolize import SymbolSeries
 from .transfer import (
     HistorySpec,
@@ -37,6 +42,7 @@ from .transfer import (
     _tally,
     _target_part,
     _target_prefix,
+    _word_row,
     count_words,
 )
 
@@ -78,7 +84,8 @@ class EffectiveResult:
 
     `replicas` holds the surrogate values in replica order, stored as a
     tuple of floats; the ensemble statistics and the effective value are
-    computed from them.
+    computed from them.  `raw` and every replica follow the real-number rule,
+    so a string, a bool, a NaN or an infinity is refused by its field's name.
     """
 
     raw: float
@@ -88,7 +95,8 @@ class EffectiveResult:
     FIELDS = ("raw", "surrogate_mean", "surrogate_std", "effective", "n_windows")
 
     def __post_init__(self):
-        object.__setattr__(self, "replicas", tuple(map(float, self.replicas)))
+        object.__setattr__(self, "raw", _real("raw", self.raw))
+        object.__setattr__(self, "replicas", tuple(_real("replicas", v) for v in self.replicas))
         _integer_fields(self, n_windows=1)
 
     def fields(self) -> dict:
@@ -144,6 +152,7 @@ def effective_transfer_entropies(
     """Effective transfer entropy of each (target, source, history) job at each
     order; `result[k][i]` is `jobs[k]` at `orders[i]`, and its `replicas`
     are the job's surrogate values at that order, one per replica in order.
+    An empty list of orders is refused before anything is counted.
 
     The raw pairs come first, then the replicas in order: each replica
     shuffles every distinct source once and counts each job once, and all
@@ -153,51 +162,72 @@ def effective_transfer_entropies(
     its side of T_q at every order.  Every other raw pair and every replica
     of its jobs adds a pair part to it.  Each replica codes each source's
     history once per (l, first window, target alphabet), for every target
-    it feeds.  A job's values depend only on the job, the order and `spec`,
-    never on the other jobs or their place in the list.  A failing job is
-    named as `pair S->T`.  A list passed as `timing_sink` receives each
-    job's seconds of counting and evaluation over the raw pair and every
-    replica; a target part and a source's history codes are charged to the
-    first job that uses them, and the shuffles are shared by the jobs of a
-    source and charged to none.
+    it feeds.  When the target's code space has no more than
+    `infocore._CLASS_MIN_CELLS` words, a replica counts the target's jobs into
+    one dense table, a row of every possible word per job, and evaluates every
+    row at once; a larger space counts each job's observed words on its own.
+    A job's values depend only on the job, the order and `spec`, never on the
+    other jobs or their place in the list.  A failing job is named as
+    `pair S->T`.  A list passed as `timing_sink` receives each job's seconds of
+    counting and evaluation over the raw pair and every replica: a target part
+    is charged to the first job that uses it, a replica's work on a target,
+    history codes included, is split equally among that target's jobs, and the
+    shuffles are shared by the jobs of a source and charged to none.
     """
     orders = [_order(q) for q in orders]
+    if not orders:
+        raise ValidationError("the list of orders is empty")
     sources = {id(y): y for _, y, _ in jobs}
-    targets = {}  # (target, history, source alphabet) -> prefix, code count, side per order
+    targets = {}  # (target, history, source alphabet) -> its jobs, prefix, code count, sides
     runs = [[] for _ in jobs]  # per job: the raw values, then each replica's values
     n_windows = [0] * len(jobs)
     seconds = [0.0] * len(jobs)
-    for replica in [None, *range(spec.ensemble_size)]:
-        if replica is not None:
-            shuffled = {key: make_surrogate(y, spec, replica) for key, y in sources.items()}
-            histories = {}  # (source, l, first window, n_x) -> its codes in this replica times n_x
-        for k, (x, y, h) in enumerate(jobs):
-            started = time.perf_counter()
+    for k, (x, y, h) in enumerate(jobs):
+        started = time.perf_counter()
+        with _named(jobs[k]):
+            words = count_words(x, y, h)
+            n_windows[k] = words.n_windows
             target = (id(x), h, y.alphabet_size)
-            try:
-                if replica is None:
-                    words = count_words(x, y, h)
-                    n_windows[k] = words.n_windows
-                    if target not in targets:
-                        n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
-                        targets[target] = (_target_prefix(x, h, y.alphabet_size), n_possible,
-                                           [_target_part(words, q) for q in orders])
-                    sides = targets[target][2]
-                else:
-                    prefix, n_possible, sides = targets[target]
-                    start = max(h.m, h.l)
-                    source = (id(y), h.l, start, x.alphabet_size)
+            if target not in targets:
+                n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
+                targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible,
+                                   [_target_part(words, q) for q in orders])
+            ks, _, _, sides = targets[target]
+            ks.append(k)
+            runs[k].append(_word_values(words, sides, orders))
+        seconds[k] += time.perf_counter() - started
+    for replica in range(spec.ensemble_size):
+        shuffled = {key: make_surrogate(y, spec, replica) for key, y in sources.items()}
+        histories = {}  # (source, l, first window, n_x) -> its codes in this replica times n_x
+        for ks, prefix, n_possible, sides in targets.values():
+            started = time.perf_counter()
+            x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
+            start, n_x = max(h.m, h.l), x.alphabet_size
+            rows = []  # the dense word table's rows, one per job
+            for k in ks:
+                y = jobs[k][1]
+                with _named(jobs[k]):
+                    source = (id(y), h.l, start, n_x)
                     if source not in histories:
-                        histories[source] = (_history_codes(shuffled[id(y)], h.l, start)
-                                             * x.alphabet_size)
-                    codes, counts = _tally(prefix + histories[source], n_possible)
-                    words = WordDistribution(codes, counts, x.alphabet_size, y.alphabet_size,
-                                             h.m, h.l)
-                runs[k].append([_pair_part(words, side, q) for q, side in zip(orders, sides)])
-            except ValidationError as exc:
-                pair = f"{y.label or 'Y'}->{x.label or 'X'}"
-                raise ValidationError(f"pair {pair} failed: {exc}") from exc
-            seconds[k] += time.perf_counter() - started
+                        histories[source] = _history_codes(shuffled[id(y)], h.l, start) * n_x
+                    full = prefix + histories[source]
+                    if n_possible <= _CLASS_MIN_CELLS:
+                        rows.append(_word_row(full, n_possible, n_windows[k]))
+                    else:
+                        words = WordDistribution(*_tally(full, n_possible), n_x, y.alphabet_size,
+                                                 h.m, h.l)
+                        runs[k].append(_word_values(words, sides, orders))
+            if rows:
+                table = np.array(rows)
+                # x' is the last digit of a code, so summing it out gives the (xw, yw) table
+                marginal = table.reshape(len(ks), -1, n_x).sum(axis=2)
+                values = _values(table, marginal, n_windows[ks[0]], sides, orders)
+                for k in ks:
+                    with _named(jobs[k]):
+                        runs[k].append(next(values))
+            share = (time.perf_counter() - started) / len(ks)
+            for k in ks:
+                seconds[k] += share
     if timing_sink is not None:
         timing_sink.extend(seconds)
     return [
@@ -205,6 +235,30 @@ def effective_transfer_entropies(
          for i, raw in enumerate(first)]
         for (first, *replicas), windows in zip(runs, n_windows)
     ]
+
+
+@contextmanager
+def _named(job):
+    """Name the pair of the (target, source, history) `job` in a ValidationError
+    raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        x, y, _ = job
+        raise ValidationError(f"pair {y.label or 'Y'}->{x.label or 'X'} failed: {exc}") from exc
+
+
+def _values(joint, marginal, total: int, sides, orders):
+    """T_q of each row of a words table and of its (xw, yw) table, laid out as
+    `transfer._pair_part` takes them, from the target's side at each of `orders`:
+    an iterator over the rows, each a tuple of one value per order."""
+    return zip(*(_pair_part(joint, marginal, total, side, q) for q, side in zip(orders, sides)))
+
+
+def _word_values(words: WordDistribution, sides, orders) -> tuple:
+    """The `_values` of the one word table `words`, as a batch of one row."""
+    return next(_values(words.counts[None], words._pair_groups[None], words.n_windows,
+                        sides, orders))
 
 
 def effective_transfer_entropy(

@@ -29,7 +29,10 @@ first, every (xw) and every (xw, yw) group is a run of the sorted codes.
 The (x', xw) and (xw) tables, and with them the target's side of T_q,
 depend on the target alone.  So the estimate is a target part plus a pair
 part, and the run planner builds each target part once for every source
-and surrogate replica of that target.
+and surrogate replica of that target.  The evaluator takes a batch of word
+tables, one a row: a single estimate is a batch of one row of observed
+words, and the planner counts a replica's tables of one target as rows of
+every possible word when there are no more than 1,000 of them.
 """
 
 from __future__ import annotations
@@ -264,34 +267,55 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(full, return_counts=True)
 
 
+def _word_row(full: np.ndarray, n_possible: int, n_windows: int) -> np.ndarray:
+    """The count of each of the n_possible codes among `full`, one a window, empty
+    cells included: one row of a dense word table, by `np.bincount`.  A row of
+    another width, or of a total other than `n_windows`, is refused."""
+    row = np.bincount(full, minlength=n_possible)
+    if row.size != n_possible or full.size != n_windows:
+        raise ValidationError(f"word table row of {row.size} cells and {full.size} windows, "
+                              f"expected {n_possible} cells and {n_windows} windows")
+    return row
+
+
 def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: float):
-    """S_q(X'|W) from the counts of the (x', w) and (w) tables, each of total N,
-    at the order `q` (already checked by `_order`): the escort-averaged value at
-    q != 1, and at q = 1 the exact pieces whose `math.fsum` over N is H(X'|W),
-    the c log2 c terms of the (w) table and those of the (x', w) table negated."""
+    """S_q(X'|W) of each row of the 2-D count tables `joint`, of the (x', w) cells,
+    and `marginal`, of the (w) cells, one row per word table and every row of total
+    N, at the order `q` (already checked by `_order`): the escort-averaged value at
+    q != 1, and at q = 1 the exact pieces whose `math.fsum` over N is H(X'|W), the
+    c log2 c terms of the (w) table and those of the (x', w) table negated.
+
+    Each term is computed over the whole table at once.  An empty cell adds an
+    exact 0.0, and `math.fsum` is correctly rounded, so a row of a dense table
+    gives the bits of the same table less its empty cells.  The result is an
+    iterator over the rows; a row's power sums are checked as it is drawn, so a
+    caller that draws each row under its own name knows which table failed."""
     if q == 1.0:
-        joint, marginal = (_count_terms(t, lambda c: c * np.log2(c)) for t in (joint, marginal))
-        return [*marginal, *(-v for v in joint)]
-    joint, marginal = (_finite_power_sum(_count_terms(t, lambda c: np.power(c / total, q)), q)
-                       for t in (joint, marginal))
-    return _conditional_renyi(joint, marginal, q)
+        joint, marginal = (_count_terms(t, lambda c: c * np.log2(np.maximum(c, 1)))
+                           for t in (joint, marginal))
+        return ([*m, *(-v for v in j)] for j, m in zip(joint, marginal))
+    joint, marginal = (_count_terms(t, lambda c: np.power(c / total, q)) for t in (joint, marginal))
+    return (_conditional_renyi(_finite_power_sum(j, q), _finite_power_sum(m, q), q)
+            for j, m in zip(joint, marginal))
 
 
 def _target_part(w: WordDistribution, q: float):
     """The target's side of T_q, S_q(X'|XW), from the (xw, x') and (xw) tables of
     `w` (at q = 1 its pieces).  It depends only on the target, its history and
     the windows, so every word table of that target, replicas included, shares it."""
-    return _conditional_part(*w._target_groups, w.n_windows, q)
+    return next(_conditional_part(*(t[None] for t in w._target_groups), w.n_windows, q))
 
 
-def _pair_part(w: WordDistribution, target, q: float) -> float:
-    """T_q of the word table `w`: the `_target_part` of its target at the same
-    order `q` less S_q(X'|XW,YW) from its words and (xw, yw) tables.  At q = 1 the
-    pieces of both parts go into one `math.fsum`, so the sum is rounded once."""
-    pair = _conditional_part(w.counts, w._pair_groups, w.n_windows, q)
+def _pair_part(joint: np.ndarray, marginal: np.ndarray, total: int, target, q: float):
+    """T_q of each row of the words table `joint` and its (xw, yw) table `marginal`,
+    laid out as `_conditional_part` takes them: the `_target_part` of their target
+    at the same order `q` less S_q(X'|XW,YW) of the row, as an iterator over the
+    rows.  At q = 1 the pieces of both parts go into one `math.fsum`, so the sum is
+    rounded once."""
+    pair = _conditional_part(joint, marginal, total, q)
     if q == 1.0:
-        return math.fsum([*target, *(-v for v in pair)]) / w.n_windows
-    return target - pair
+        return (math.fsum([*target, *(-v for v in row)]) / total for row in pair)
+    return (target - value for value in pair)
 
 
 def renyi_transfer_entropy(w: WordDistribution, q) -> float:
@@ -317,4 +341,5 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     source and surrogate replica of that target.
     """
     q = _order(q)
-    return _pair_part(w, _target_part(w, q), q)
+    return next(_pair_part(w.counts[None], w._pair_groups[None], w.n_windows,
+                           _target_part(w, q), q))

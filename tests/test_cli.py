@@ -576,6 +576,10 @@ class TestMatrixAndNetflow:
             "A->B", "A->C", "B->A", "B->C", "C->A", "C->B",
         }
         assert manifest["timings"]["total_seconds"] > 0
+        # a replica's work on a target is split among its pairs, and no second is counted twice
+        pairs = manifest["timings"]["pairs"].values()
+        assert all(type(t) is float and 0.0 < t < math.inf for t in pairs)
+        assert sum(pairs) <= manifest["timings"]["total_seconds"]
 
     def test_manifest_records_surrogate_block(self, price_csv, tmp_path):
         parameters = []
@@ -866,9 +870,11 @@ class TestShannonWindow:
         assert written[1] == written[0]
 
     def test_sweep_q_evaluates_a_window_order_once(self, synth_csv, tmp_path, monkeypatch):
+        # one order per row of each word table the pair part evaluates
         orders, pair_part = [], renflow.surrogate._pair_part
         monkeypatch.setattr(renflow.surrogate, "_pair_part",
-                            lambda words, side, q: orders.append(q) or pair_part(words, side, q))
+                            lambda joint, *args: orders.extend([args[-1]] * len(joint))
+                            or pair_part(joint, *args))
         target_orders, target_part = [], renflow.surrogate._target_part
         monkeypatch.setattr(renflow.surrogate, "_target_part",
                             lambda words, q: target_orders.append(q) or target_part(words, q))

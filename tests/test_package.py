@@ -21,6 +21,7 @@ from helpers import not_integers
 from renflow import (
     CoupledMarkovSpec,
     DiscreteDistribution,
+    EffectiveResult,
     FlowMatrix,
     HistorySpec,
     JointDistribution,
@@ -225,6 +226,9 @@ REAL_ARGUMENTS = {
         "Renyi order"),
     "exact_transfer_entropy": (lambda v: exact_transfer_entropy(copy_spec(2), v), "Renyi order"),
     "noisy_copy_spec": (lambda v: noisy_copy_spec(2, v).to_json(), "fidelity"),
+    "EffectiveResult.raw": (lambda v: EffectiveResult(v, (0.25,), 10).fields(), "raw"),
+    "EffectiveResult.replicas": (lambda v: EffectiveResult(0.5, (0.25, v), 10).replicas,
+                                 "replicas"),
 }
 
 
@@ -233,9 +237,10 @@ REAL_ARGUMENTS = {
 ], ids=["text", "bool", "bytes", "list", "none", "complex", "past-float", "nan", "inf"])
 @pytest.mark.parametrize("entry", list(REAL_ARGUMENTS))
 def test_every_real_argument_is_refused_by_one_rule(entry, value):
-    """Each order and the copy fidelity are refused by `errors._real`, naming the
-    argument, where text, bools and bytes were read as numbers and the rest died
-    with a TypeError or an OverflowError."""
+    """Each order, the copy fidelity and each value of an `EffectiveResult` are
+    refused by `errors._real`, naming the argument, where text, bools and bytes
+    were read as numbers and the rest died with a TypeError or an OverflowError
+    (or, in an `EffectiveResult`, were kept as they came)."""
     call, name = REAL_ARGUMENTS[entry]
     if value == 10**400:
         message = f"{name} is past the float range"

@@ -309,8 +309,8 @@ class TestQSweep:
         assert [row[1:3] for row in table.rows] == [("Y", "X"), ("X", "Y")]
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
-        # a raw pair is counted by count_words, a replica by one tally of its codes
-        raw, replicas = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_tally")
+        # a raw pair is counted by count_words, a replica by one dense row of its codes
+        raw, replicas = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_word_row")
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 500, 3, label="X")
         y = iid_symbol_series(rng, 500, 3, label="Y")

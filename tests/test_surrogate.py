@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import renflow.surrogate
 from helpers import iid_symbol_series, reference_block_shuffle, reference_effective
 from renflow import (
     EffectiveResult,
@@ -262,6 +263,68 @@ class TestRunPlanner:
         check()
         assert seen == {False, True}
 
+    def test_dense_and_per_row_replicas_equal_reference_loop(self, monkeypatch):
+        # (path, possible words) of every replica table the planner counts
+        seen = set()
+        for name, path in (("_word_row", "dense"), ("_tally", "per row")):
+            original = getattr(renflow.surrogate, name)
+            monkeypatch.setattr(renflow.surrogate, name, lambda full, n, *rest, original=original,
+                                path=path: seen.add((path, n)) or original(full, n, *rest))
+
+        @settings(max_examples=10, deadline=None)
+        @given(
+            alphabets=st.lists(st.sampled_from((2, 3, 4, 10, 11)), min_size=2, max_size=3),
+            history=st.sampled_from(((1, 1), (1, 2), (2, 2))),
+            length=st.one_of(st.integers(40, 400), st.integers(2_000, 5_000)),
+            ensemble=st.integers(1, 3),
+            block=st.integers(1, 3),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        # alphabet 10 at m = l = 1: 1,000 possible words, the largest dense table
+        @example(alphabets=[10, 10], history=(1, 1), length=3_000, ensemble=2, block=1, seed=1)
+        # alphabet 4 at m = l = 2: 1,024 possible words, the smallest space counted per row
+        @example(alphabets=[4, 4], history=(2, 2), length=3_000, ensemble=2, block=2, seed=2)
+        # fewer windows than possible words, on both sides of the gate
+        @example(alphabets=[10, 10], history=(1, 1), length=300, ensemble=3, block=1, seed=3)
+        @example(alphabets=[4, 4], history=(2, 2), length=300, ensemble=3, block=3, seed=4)
+        # targets of different alphabets, one of them with a dense and a per-row source
+        @example(alphabets=[2, 10, 11], history=(1, 1), length=2_000, ensemble=2, block=2,
+                 seed=5)
+        def check(alphabets, history, length, ensemble, block, seed):
+            rng = np.random.default_rng(seed)
+            series = [iid_symbol_series(rng, length, n, label=f"S{i}")
+                      for i, n in enumerate(alphabets)]
+            h = HistorySpec(*history)
+            jobs = [(series[i], series[j], h) for i, j in permutations(range(len(series)), 2)]
+            spec = SurrogateSpec(ensemble_size=ensemble, rng_seed=seed, block_length=block)
+            orders = (0.5, 1.0, 2.5)
+            for (x, y, h), row in zip(jobs, effective_transfer_entropies(jobs, orders, spec)):
+                for q, result in zip(orders, row):
+                    raw, *_, windows, replicas = reference_effective(x, y, h, q, spec)
+                    assert (result.raw, result.replicas, result.n_windows) == (
+                        raw, replicas, windows)
+
+        check()
+        assert {("dense", 1000), ("per row", 1024)} <= seen
+        assert {path for path, n in seen if n <= _CLASS_MIN_CELLS} == {"dense"}
+        assert {path for path, n in seen if n > _CLASS_MIN_CELLS} == {"per row"}
+
+    def test_failing_replica_row_names_its_own_job(self):
+        # X copies S1 with a lag of one, and S2 is almost always 0: at q = 450 every raw
+        # pair and every replica of S2 keeps a word of p near 1/4, while a shuffled S1
+        # spreads the words to p near 1/8, whose p^q all underflow to 0
+        rng = np.random.default_rng(21)
+        symbols = rng.integers(0, 2, 2_001)
+        x = SymbolSeries(symbols[:-1], 2, label="X")
+        s1 = SymbolSeries(symbols[1:], 2, label="S1")
+        s2 = SymbolSeries((rng.random(2_000) < 0.01).astype(np.int64), 2, label="S2")
+        jobs = [(x, s2, H11), (x, s1, H11)]
+        assert len(effective_transfer_entropies(jobs, [450.0], SurrogateSpec(0))) == 2
+        assert len(effective_transfer_entropies(jobs[:1], [450.0], SurrogateSpec(3))) == 1
+        message = "^pair S1->X failed: sum of p\\^q is 0.0 at Renyi order q=450.0"
+        with pytest.raises(ValidationError, match=message):
+            effective_transfer_entropies(jobs, [450.0], SurrogateSpec(1))
+
     def test_result_fields_are_raw_replicas_and_windows(self):
         assert [f.name for f in fields(EffectiveResult)] == ["raw", "replicas", "n_windows"]
 
@@ -270,6 +333,21 @@ class TestRunPlanner:
         assert result.replicas == (0.1, 0.2)
         assert all(type(v) is float for v in result.replicas)
         assert type(result.n_windows) is int
+
+    def test_replicas_given_as_a_string_are_refused(self):
+        # a string is iterable, so its characters must not be read as the values
+        with pytest.raises(ValidationError, match="^replicas must be a real number, got '1'$"):
+            EffectiveResult(0.5, "12", 5)
+
+    def test_empty_order_list_is_refused_before_any_count(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(renflow.surrogate, "count_words",
+                            lambda *args: counted.append(args) or count_words(*args))
+        rng = np.random.default_rng(16)
+        x, y = (iid_symbol_series(rng, 60, 2, label=label) for label in "XY")
+        with pytest.raises(ValidationError, match="^the list of orders is empty$"):
+            effective_transfer_entropies([(x, y, H11)], [], SurrogateSpec(ensemble_size=2))
+        assert counted == []
 
     @pytest.mark.parametrize("windows, message", [
         (2.5, "^n_windows must be an integer, got 2.5$"),
