@@ -81,6 +81,7 @@ def _freeze(obj, *names: str) -> None:
 class FlowMatrix:
     """Square grid of effective transfer entropies between labelled series, and the
     `EffectiveResult` of each computed (target, source) cell; a parsed matrix has none.
+    A `results` key must be an off-diagonal cell, a pair of integer indices in range.
     `params` and `results` are read-only mappings."""
 
     labels: tuple[str, ...]
@@ -92,8 +93,19 @@ class FlowMatrix:
         if not np.all(np.isnan(np.diag(_freeze_grid(self, "flow matrix")))):
             raise ValidationError("diagonal entries are undefined and must be NaN")
         _freeze(self, "params", "results")
-        if any(self.values[cell] != r.effective for cell, r in self.results.items()):
-            raise ValidationError("flow matrix values differ from their results' effective values")
+        n = len(self.labels)
+        for cell, result in self.results.items():
+            if not (type(cell) is tuple and len(cell) == 2 and cell[0] != cell[1] and all(
+                    isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+                    for i in cell)):
+                raise ValidationError(f"flow matrix result key {cell!r} is not an off-diagonal "
+                                      f"(target, source) cell of {n} labels")
+            if not isinstance(result, EffectiveResult):
+                raise ValidationError(f"flow matrix result of cell {cell} must be an "
+                                      f"EffectiveResult, got {type(result).__name__}")
+            if self.values[cell] != result.effective:
+                raise ValidationError(
+                    "flow matrix values differ from their results' effective values")
 
 
 @dataclass(frozen=True)
@@ -144,9 +156,10 @@ def pairwise_matrix(
     timings.  A failure on any pair aborts the run, naming the pair.  A
     dict passed as `timing_sink` receives each directed pair's seconds of
     counting and evaluation over the raw pair and every replica.  A target's
-    shared part is charged to its first pair.  A replica counts and evaluates
-    a target's pairs as one batch, whose seconds are split equally among them.
-    The shared source shuffles are charged to no pair.
+    shared part is charged to its first pair.  Each draw, the raw sources
+    first and then each replica, counts and evaluates a target's pairs as one
+    batch, whose seconds are split equally among them.  The shared source
+    shuffles are charged to no pair.
     """
     labels = _check_labels((s.label or f"series{i}" for i, s in enumerate(series)), "flow matrix")
     series = [replace(s, label=label) for s, label in zip(series, labels)]

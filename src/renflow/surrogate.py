@@ -9,36 +9,40 @@ the raw value yields the effective transfer entropy.
 Every replica draws from its own random stream seeded by
 (rng_seed, replica_index), so a surrogate depends only on (source,
 spec, replica), never on evaluation order.  One run planner serves every
-command: a matrix over N series makes N shuffles per replica, and a
-q-sweep counts each word table once for all its orders.  A shuffle leaves
-the target alone, so the target's side of T_q (its code prefix, its (xw)
-and (xw, x') tables and S_q(X'|XW)) is built once per target and history
-and shared by the raw pairs and replicas of all its sources: a matrix over
-N series builds N target parts, not N(N-1)(R+1).  Where a target's code
-space has at most 1,000 possible words, as at the paper's alphabet 3 and
-m = l = 1 (27 words), each replica counts all the target's jobs into one
-dense table, a row per job, and evaluates the rows at once; a timing
-splits that batch's seconds equally among its jobs.
+command, and it treats the raw value and the replicas as the same
+statistic over different source draws: one loop whose draw 0 is the
+sources as given and whose draw r + 1 is replica r.  A matrix over N series
+makes N shuffles per replica, and a q-sweep counts each word table once for
+all its orders.  A shuffle leaves the target alone, so the target's side of
+T_q (its code prefix, its (xw) and (xw, x') tables and S_q(X'|XW)) is built
+once per target and history and shared by every draw of all its sources: a
+matrix over N series builds N target parts, not N(N-1)(R+1).  Every word
+table follows one layout rule: a dense row of every possible code when the
+codes are no more than the windows, as at the paper's alphabet 3 and
+m = l = 1 (27 words), and the observed codes, by sort, otherwise.  A draw
+counts a target's dense rows into one table and evaluates them at once; a
+timing splits a draw's seconds on a target equally among its jobs.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError, _integer, _integer_fields, _real
-from .infocore import _CLASS_MIN_CELLS, _order
+from .infocore import _order
 from .symbolize import SymbolSeries
 from .transfer import (
     HistorySpec,
-    WordDistribution,
     _history_codes,
     _pair_part,
     _radices,
+    _runs,
     _tally,
     _target_part,
     _target_prefix,
@@ -84,8 +88,10 @@ class EffectiveResult:
 
     `replicas` holds the surrogate values in replica order, stored as a
     tuple of floats; the ensemble statistics and the effective value are
-    computed from them.  `raw` and every replica follow the real-number rule,
-    so a string, a bool, a NaN or an infinity is refused by its field's name.
+    computed from them.  It is given as a tuple, a list or a one-dimensional
+    array; an object with no replica order, such as a number, a mapping or a
+    set, is refused by name.  `raw` and every replica follow the real-number
+    rule, so a string, a bool, a NaN or an infinity is refused by its field's name.
     """
 
     raw: float
@@ -96,7 +102,11 @@ class EffectiveResult:
 
     def __post_init__(self):
         object.__setattr__(self, "raw", _real("raw", self.raw))
-        object.__setattr__(self, "replicas", tuple(_real("replicas", v) for v in self.replicas))
+        replicas = self.replicas
+        if not isinstance(replicas, Sequence) and getattr(replicas, "ndim", 0) != 1:
+            raise ValidationError("replicas must be a sequence of real numbers in replica "
+                                  f"order, got {type(replicas).__name__}")
+        object.__setattr__(self, "replicas", tuple(_real("replicas", v) for v in replicas))
         _integer_fields(self, n_windows=1)
 
     def fields(self) -> dict:
@@ -154,55 +164,56 @@ def effective_transfer_entropies(
     are the job's surrogate values at that order, one per replica in order.
     An empty list of orders is refused before anything is counted.
 
-    The raw pairs come first, then the replicas in order: each replica
-    shuffles every distinct source once and counts each job once, and all
-    orders are evaluated from that one word table.  A shuffle leaves the
-    target alone, so each (target, history, source alphabet) builds its
-    target part once, from its first raw pair: the target's code prefix and
-    its side of T_q at every order.  Every other raw pair and every replica
-    of its jobs adds a pair part to it.  Each replica codes each source's
-    history once per (l, first window, target alphabet), for every target
-    it feeds.  When the target's code space has no more than
-    `infocore._CLASS_MIN_CELLS` words, a replica counts the target's jobs into
-    one dense table, a row of every possible word per job, and evaluates every
-    row at once; a larger space counts each job's observed words on its own.
-    A job's values depend only on the job, the order and `spec`, never on the
-    other jobs or their place in the list.  A failing job is named as
-    `pair S->T`.  A list passed as `timing_sink` receives each job's seconds of
-    counting and evaluation over the raw pair and every replica: a target part
-    is charged to the first job that uses it, a replica's work on a target,
-    history codes included, is split equally among that target's jobs, and the
-    shuffles are shared by the jobs of a source and charged to none.
+    The raw pair and the replicas are draws of one loop: draw 0 takes the
+    sources as given, and draw r + 1 shuffles every distinct source once, as
+    replica r.  A shuffle leaves the target alone, so each (target, history,
+    source alphabet) builds its target part once, before the draws, from
+    `count_words` of its first job: the target's code prefix, its window count
+    and its side of T_q at every order.  Every other job of the part has its
+    series lengths checked there.  Each draw codes each source's history once
+    per (l, first window, target alphabet), for every target it feeds, counts
+    each job's word table once and evaluates every order from it.  A table
+    whose n_possible codes are no more than the windows is a dense row of every
+    code, and a target's dense rows are evaluated at once; a larger space holds
+    the observed codes, by sort, as a batch of one row.  A job's values depend
+    only on the job, the order and `spec`, never on the other jobs or their
+    place in the list.  A failing job is named as `pair S->T`.  A list passed as
+    `timing_sink` receives each job's seconds of counting and evaluation over
+    every draw: a target part is charged to the first job that uses it, a
+    draw's work on a target, history codes included, is split equally among
+    that target's jobs, and the shuffles are shared by the jobs of a source and
+    charged to none.
     """
     orders = [_order(q) for q in orders]
     if not orders:
         raise ValidationError("the list of orders is empty")
     sources = {id(y): y for _, y, _ in jobs}
     targets = {}  # (target, history, source alphabet) -> its jobs, prefix, code count, sides
-    runs = [[] for _ in jobs]  # per job: the raw values, then each replica's values
     n_windows = [0] * len(jobs)
     seconds = [0.0] * len(jobs)
     for k, (x, y, h) in enumerate(jobs):
         started = time.perf_counter()
         with _named(jobs[k]):
-            words = count_words(x, y, h)
-            n_windows[k] = words.n_windows
             target = (id(x), h, y.alphabet_size)
             if target not in targets:
+                words = count_words(x, y, h)
                 n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
                 targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible,
                                    [_target_part(words, q) for q in orders])
-            ks, _, _, sides = targets[target]
-            ks.append(k)
-            runs[k].append(_word_values(words, sides, orders))
+            elif len(x) != len(y):
+                raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
+            targets[target][0].append(k)
+            n_windows[k] = targets[target][1].size
         seconds[k] += time.perf_counter() - started
-    for replica in range(spec.ensemble_size):
-        shuffled = {key: make_surrogate(y, spec, replica) for key, y in sources.items()}
-        histories = {}  # (source, l, first window, n_x) -> its codes in this replica times n_x
+    runs = [[] for _ in jobs]  # per job: the values of each draw, raw first
+    for draw in range(spec.ensemble_size + 1):
+        shuffled = sources if draw == 0 else {
+            key: make_surrogate(y, spec, draw - 1) for key, y in sources.items()}
+        histories = {}  # (source, l, first window, n_x) -> its codes in this draw times n_x
         for ks, prefix, n_possible, sides in targets.values():
             started = time.perf_counter()
             x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
-            start, n_x = max(h.m, h.l), x.alphabet_size
+            start, n_x, windows = max(h.m, h.l), x.alphabet_size, prefix.size
             rows = []  # the dense word table's rows, one per job
             for k in ks:
                 y = jobs[k][1]
@@ -210,18 +221,21 @@ def effective_transfer_entropies(
                     source = (id(y), h.l, start, n_x)
                     if source not in histories:
                         histories[source] = _history_codes(shuffled[id(y)], h.l, start) * n_x
-                    full = prefix + histories[source]
-                    if n_possible <= _CLASS_MIN_CELLS:
-                        rows.append(_word_row(full, n_possible, n_windows[k]))
+                    codes = histories[source]
+                    if codes.size != windows:
+                        raise ValidationError(f"word table of {codes.size} windows, "
+                                              f"expected {windows}")
+                    if n_possible <= windows:
+                        rows.append(_word_row(prefix + codes, n_possible))
                     else:
-                        words = WordDistribution(*_tally(full, n_possible), n_x, y.alphabet_size,
-                                                 h.m, h.l)
-                        runs[k].append(_word_values(words, sides, orders))
+                        observed, counts = _tally(prefix + codes, n_possible)
+                        pairs = _runs(observed // n_x, counts)[1][None]
+                        runs[k].append(next(_values(counts[None], pairs, windows, sides, orders)))
             if rows:
                 table = np.array(rows)
                 # x' is the last digit of a code, so summing it out gives the (xw, yw) table
                 marginal = table.reshape(len(ks), -1, n_x).sum(axis=2)
-                values = _values(table, marginal, n_windows[ks[0]], sides, orders)
+                values = _values(table, marginal, windows, sides, orders)
                 for k in ks:
                     with _named(jobs[k]):
                         runs[k].append(next(values))
@@ -253,12 +267,6 @@ def _values(joint, marginal, total: int, sides, orders):
     `transfer._pair_part` takes them, from the target's side at each of `orders`:
     an iterator over the rows, each a tuple of one value per order."""
     return zip(*(_pair_part(joint, marginal, total, side, q) for q, side in zip(orders, sides)))
-
-
-def _word_values(words: WordDistribution, sides, orders) -> tuple:
-    """The `_values` of the one word table `words`, as a batch of one row."""
-    return next(_values(words.counts[None], words._pair_groups[None], words.n_windows,
-                        sides, orders))
 
 
 def effective_transfer_entropy(

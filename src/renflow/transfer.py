@@ -31,8 +31,10 @@ depend on the target alone.  So the estimate is a target part plus a pair
 part, and the run planner builds each target part once for every source
 and surrogate replica of that target.  The evaluator takes a batch of word
 tables, one a row: a single estimate is a batch of one row of observed
-words, and the planner counts a replica's tables of one target as rows of
-every possible word when there are no more than 1,000 of them.
+words.  The planner lays out a table of its raw pair or of a replica by the
+rule that picks the counting: rows of every possible word, a target's rows
+counted and evaluated as one table, when the code space is no larger than
+the window count, and one row of the observed words otherwise.
 """
 
 from __future__ import annotations
@@ -146,8 +148,9 @@ class WordDistribution:
     @cached_property
     def _pair_groups(self) -> np.ndarray:
         """Positive integer counts of the (xw, yw) table, total n_windows: the runs
-        of the sorted codes once x' is dropped.  A surrogate replica builds only
-        this grouping; its target's tables come from `_target_groups` of the raw pair."""
+        of the sorted codes once x' is dropped.  It is the pair's side alone; the
+        run planner groups a sorted word table of any draw by the same `_runs`, and
+        takes the target's tables from `_target_groups` of its first job."""
         return _runs(self.codes // self.target_alphabet, self.counts)[1]
 
     @cached_property
@@ -267,14 +270,14 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(full, return_counts=True)
 
 
-def _word_row(full: np.ndarray, n_possible: int, n_windows: int) -> np.ndarray:
+def _word_row(full: np.ndarray, n_possible: int) -> np.ndarray:
     """The count of each of the n_possible codes among `full`, one a window, empty
-    cells included: one row of a dense word table, by `np.bincount`.  A row of
-    another width, or of a total other than `n_windows`, is refused."""
+    cells included: one row of a dense word table, by `np.bincount`, the planner's
+    layout whenever the codes are no more than the windows.  A row of another width
+    is refused; the planner checks the window count for both of its layouts."""
     row = np.bincount(full, minlength=n_possible)
-    if row.size != n_possible or full.size != n_windows:
-        raise ValidationError(f"word table row of {row.size} cells and {full.size} windows, "
-                              f"expected {n_possible} cells and {n_windows} windows")
+    if row.size != n_possible:
+        raise ValidationError(f"word table row of {row.size} cells, expected {n_possible}")
     return row
 
 

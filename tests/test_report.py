@@ -103,6 +103,31 @@ class TestFlowMatrixTypes:
         with pytest.raises(ValidationError, match="values differ from their results"):
             FlowMatrix(labels=("A", "B"), values=values, results={(0, 1): result})
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, 2), (5, 5), (1, 1), "10", (0,), (0, 1, 0),
+                                     (True, 0), (1.0, 0), ("0", "1")],
+                             ids=repr)
+    def test_result_key_must_be_an_off_diagonal_cell(self, key):
+        result = EffectiveResult(raw=0.5, replicas=(), n_windows=10)
+        values = np.array([[np.nan, 0.5], [0.5, np.nan]])
+        message = f"flow matrix result key {key!r} is not an off-diagonal (target, source) cell"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)} of 2 labels$"):
+            FlowMatrix(labels=("A", "B"), values=values, results={key: result})
+
+    def test_result_key_may_be_a_numpy_integer_pair(self):
+        result = EffectiveResult(raw=0.5, replicas=(), n_windows=10)
+        values = np.array([[np.nan, 0.5], [0.5, np.nan]])
+        matrix = FlowMatrix(labels=("A", "B"), values=values,
+                            results={(np.int64(1), np.int64(0)): result})
+        assert matrix.results == {(1, 0): result}
+
+    @pytest.mark.parametrize("value", [0.5, None, (0.5, (), 10)], ids=["float", "none", "tuple"])
+    def test_result_must_be_an_effective_result(self, value):
+        values = np.array([[np.nan, 0.5], [0.5, np.nan]])
+        message = (f"flow matrix result of cell (0, 1) must be an EffectiveResult, "
+                   f"got {type(value).__name__}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FlowMatrix(labels=("A", "B"), values=values, results={(0, 1): value})
+
     def test_results_and_params_are_read_only(self):
         rng = np.random.default_rng(19)
         x, y = (iid_symbol_series(rng, 300, 3, label=label) for label in "AB")
@@ -224,6 +249,15 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError, match=re.escape("pair series2->series0 failed")):
             pairwise_matrix(series, H11, 1.0, FAST)
 
+    def test_length_of_a_pair_after_a_targets_first_is_checked(self):
+        # series0's target part is built from its pair with series1; its pair with the
+        # shorter series2 is checked before any draw is counted
+        rng = np.random.default_rng(5)
+        series = [iid_symbol_series(rng, n, 2) for n in (100, 100, 90)]
+        message = "pair series2->series0 failed: series lengths differ: 100 vs 90"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            pairwise_matrix(series, H11, 1.0, FAST)
+
     def test_each_target_part_built_once(self, monkeypatch):
         prefixes, sides = count_calls(monkeypatch, "_target_prefix"), count_calls(
             monkeypatch, "_target_part")
@@ -231,11 +265,12 @@ class TestPairwiseMatrix:
         rng = np.random.default_rng(14)
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
         pairwise_matrix(series, H11, 1.5, FAST)
-        # N target parts, not N (N - 1) (R + 1); one history code per source and replica
+        # N target parts, not N (N - 1) (R + 1); one history code per source and draw,
+        # the raw sources and then each replica
         assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
         assert [q for _, q in sides] == [1.5] * 4
         assert sorted((s.label, l, start) for s, l, start in histories) == sorted(
-            [*product(("S0", "S1", "S2", "S3"), [1], [1])] * FAST.ensemble_size)
+            [*product(("S0", "S1", "S2", "S3"), [1], [1])] * (FAST.ensemble_size + 1))
 
     def test_each_source_shuffled_once_per_replica(self, monkeypatch):
         calls = count_calls(monkeypatch, "make_surrogate")
@@ -309,14 +344,15 @@ class TestQSweep:
         assert [row[1:3] for row in table.rows] == [("Y", "X"), ("X", "Y")]
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
-        # a raw pair is counted by count_words, a replica by one dense row of its codes
-        raw, replicas = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_word_row")
+        # count_words builds each target part; every draw, the raw pair as draw 0, counts
+        # one dense row of its codes per job
+        parts, rows = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_word_row")
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 500, 3, label="X")
         y = iid_symbol_series(rng, 500, 3, label="Y")
         q_sweep(x, y, H11, ORDERS, FAST)
-        assert len(raw) == 2
-        assert len(replicas) == 2 * FAST.ensemble_size
+        assert len(parts) == 2
+        assert len(rows) == 2 * (FAST.ensemble_size + 1)
 
     @settings(max_examples=30, deadline=None)
     @given(

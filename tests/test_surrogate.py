@@ -1,6 +1,7 @@
 """Surrogate generation and effective transfer entropy."""
 
 import math
+import re
 from dataclasses import fields
 from itertools import permutations
 
@@ -264,32 +265,35 @@ class TestRunPlanner:
         assert seen == {False, True}
 
     def test_dense_and_per_row_replicas_equal_reference_loop(self, monkeypatch):
-        # (path, possible words) of every replica table the planner counts
-        seen = set()
-        for name, path in (("_word_row", "dense"), ("_tally", "per row")):
+        # (layout, possible words, windows) of every word table the planner counts, raw
+        # pairs included: a dense row exactly when the possible words are no more than
+        # the windows, and the observed words by sort otherwise
+        seen = []
+        for name, path in (("_word_row", "dense"), ("_tally", "sorted")):
             original = getattr(renflow.surrogate, name)
-            monkeypatch.setattr(renflow.surrogate, name, lambda full, n, *rest, original=original,
-                                path=path: seen.add((path, n)) or original(full, n, *rest))
+            monkeypatch.setattr(renflow.surrogate, name, lambda full, n, original=original,
+                                path=path: seen.append((path, n, full.size)) or original(full, n))
 
         @settings(max_examples=10, deadline=None)
         @given(
             alphabets=st.lists(st.sampled_from((2, 3, 4, 10, 11)), min_size=2, max_size=3),
             history=st.sampled_from(((1, 1), (1, 2), (2, 2))),
             length=st.one_of(st.integers(40, 400), st.integers(2_000, 5_000)),
-            ensemble=st.integers(1, 3),
+            ensemble=st.integers(0, 3),
             block=st.integers(1, 3),
             seed=st.integers(0, 2**32 - 1),
         )
-        # alphabet 10 at m = l = 1: 1,000 possible words, the largest dense table
-        @example(alphabets=[10, 10], history=(1, 1), length=3_000, ensemble=2, block=1, seed=1)
-        # alphabet 4 at m = l = 2: 1,024 possible words, the smallest space counted per row
-        @example(alphabets=[4, 4], history=(2, 2), length=3_000, ensemble=2, block=2, seed=2)
-        # fewer windows than possible words, on both sides of the gate
-        @example(alphabets=[10, 10], history=(1, 1), length=300, ensemble=3, block=1, seed=3)
-        @example(alphabets=[4, 4], history=(2, 2), length=300, ensemble=3, block=3, seed=4)
-        # targets of different alphabets, one of them with a dense and a per-row source
-        @example(alphabets=[2, 10, 11], history=(1, 1), length=2_000, ensemble=2, block=2,
-                 seed=5)
+        # alphabet 10 at m = l = 1: 1,000 possible words, as many as the windows, and one more
+        @example(alphabets=[10, 10], history=(1, 1), length=1_002, ensemble=2, block=1, seed=1)
+        @example(alphabets=[10, 10], history=(1, 1), length=1_001, ensemble=2, block=2, seed=2)
+        # alphabet 4 at m = l = 2: 1,024 possible words, dense at 2,997 windows
+        @example(alphabets=[4, 4], history=(2, 2), length=3_000, ensemble=2, block=2, seed=3)
+        # fewer windows than possible words, raw pairs alone and with replicas
+        @example(alphabets=[4, 4], history=(2, 2), length=300, ensemble=0, block=1, seed=4)
+        @example(alphabets=[10, 10], history=(1, 1), length=300, ensemble=3, block=3, seed=5)
+        # targets of different alphabets, one of them with a dense and a sorted source
+        @example(alphabets=[2, 10, 11], history=(1, 1), length=1_150, ensemble=2, block=2,
+                 seed=6)
         def check(alphabets, history, length, ensemble, block, seed):
             rng = np.random.default_rng(seed)
             series = [iid_symbol_series(rng, length, n, label=f"S{i}")
@@ -298,16 +302,20 @@ class TestRunPlanner:
             jobs = [(series[i], series[j], h) for i, j in permutations(range(len(series)), 2)]
             spec = SurrogateSpec(ensemble_size=ensemble, rng_seed=seed, block_length=block)
             orders = (0.5, 1.0, 2.5)
-            for (x, y, h), row in zip(jobs, effective_transfer_entropies(jobs, orders, spec)):
+            counted = len(seen)
+            results = effective_transfer_entropies(jobs, orders, spec)
+            # one table per job and draw: the raw pair, then each replica
+            assert len(seen) - counted == len(jobs) * (ensemble + 1)
+            for (x, y, h), row in zip(jobs, results):
                 for q, result in zip(orders, row):
                     raw, *_, windows, replicas = reference_effective(x, y, h, q, spec)
                     assert (result.raw, result.replicas, result.n_windows) == (
                         raw, replicas, windows)
 
         check()
-        assert {("dense", 1000), ("per row", 1024)} <= seen
-        assert {path for path, n in seen if n <= _CLASS_MIN_CELLS} == {"dense"}
-        assert {path for path, n in seen if n > _CLASS_MIN_CELLS} == {"per row"}
+        assert all((path == "dense") == (n <= windows) for path, n, windows in seen)
+        assert {("dense", 1000, 1000), ("sorted", 1000, 999), ("dense", 1024, 2997),
+                ("sorted", 1024, 297), ("dense", 242, 1148), ("sorted", 1210, 1148)} <= set(seen)
 
     def test_failing_replica_row_names_its_own_job(self):
         # X copies S1 with a lag of one, and S2 is almost always 0: at q = 450 every raw
@@ -333,6 +341,22 @@ class TestRunPlanner:
         assert result.replicas == (0.1, 0.2)
         assert all(type(v) is float for v in result.replicas)
         assert type(result.n_windows) is int
+
+    @pytest.mark.parametrize("replicas, kind", [
+        (10, "int"), (None, "NoneType"), ({0.1: "a", 0.2: "b"}, "dict"), ({0.1, 0.2}, "set"),
+        (frozenset({0.1}), "frozenset"), (np.array(0.1), "ndarray"),
+        (np.zeros((2, 2)), "ndarray"), (iter([0.1]), "list_iterator"),
+    ], ids=["number", "none", "mapping", "set", "frozenset", "0-d-array", "2-d-array",
+            "iterator"])
+    def test_replicas_with_no_replica_order_are_refused(self, replicas, kind):
+        message = f"replicas must be a sequence of real numbers in replica order, got {kind}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EffectiveResult(0.5, replicas, 10)
+
+    @pytest.mark.parametrize("replicas", [(0.1, 0.2), [0.1, 0.2], np.array([0.1, 0.2])],
+                             ids=["tuple", "list", "array"])
+    def test_replicas_in_order_are_taken(self, replicas):
+        assert EffectiveResult(0.5, replicas, 10).replicas == (0.1, 0.2)
 
     def test_replicas_given_as_a_string_are_refused(self):
         # a string is iterable, so its characters must not be read as the values
