@@ -180,8 +180,9 @@ def _parse_table(body: str, ts_idx: int, value_idx: list[int]):
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    for i in [i for i, line in enumerate(lines) if ",," in line or line[-1:] == ","]:
-        lines[i] = ",".join(cell or "nan" for cell in lines[i].split(","))
+    if ",," in text or ",\n" in text or text.endswith(","):  # no ",," spans a newline
+        for i in [i for i, line in enumerate(lines) if ",," in line or line[-1:] == ","]:
+            lines[i] = ",".join(cell or "nan" for cell in lines[i].split(","))
     row = [("", np.int64)] + [("", np.float64)] * len(value_idx)
     try:
         with warnings.catch_warnings():
@@ -223,20 +224,22 @@ def align_many(series: list[RawSeries]) -> list[RawSeries]:
 
     Instants missing from any series are dropped; the output is then
     treated as contiguous downstream, which is the usual approximation
-    when gaps (closed hours, holidays) are cut out.
+    when gaps (closed hours, holidays) are cut out.  Each series is looked up
+    once, by `searchsorted` of the stamps common to the series before it.
     """
     if not series:
         raise ValidationError("need at least one series to align")
     common = series[0].timestamps
+    positions = [np.arange(common.size)]
     for s in series[1:]:
-        common = np.intersect1d(common, s.timestamps, assume_unique=True)
+        at = np.searchsorted(s.timestamps, common)
+        found = s.timestamps[np.minimum(at, s.timestamps.size - 1)] == common
+        common = common[found]
+        positions = [idx[found] for idx in positions] + [at[found]]
     if common.size == 0:
         raise ValidationError("no timestamp is present in every series")
-    out = []
-    for s in series:
-        idx = np.searchsorted(s.timestamps, common)
-        out.append(RawSeries(label=s.label, timestamps=common, values=s.values[idx]))
-    return out
+    return [RawSeries(label=s.label, timestamps=common, values=s.values[idx])
+            for s, idx in zip(series, positions)]
 
 
 def sha256_file(path) -> str:

@@ -19,7 +19,6 @@ import html
 import io
 import json
 import math
-import re
 import sys
 import warnings
 from collections.abc import Mapping
@@ -320,8 +319,6 @@ def _lerp_color(a: tuple, b: tuple, t: float) -> str:
 _LOW = (59, 76, 192)    # blue end of the diverging scale
 _HIGH = (180, 4, 38)    # red end
 _WHITE = (255, 255, 255)
-# Characters outside XML 1.0's Char production, which no escape can carry.
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
@@ -339,9 +336,11 @@ def _cell_color(value: float, lo: float, hi: float, diverging: bool) -> str:
 
 
 def check_svg_labels(labels) -> None:
-    """Refuse a label holding a character that XML 1.0, and so SVG, cannot carry."""
+    """Refuse a label holding a character outside XML 1.0's Char production, which
+    no escape can carry, and so SVG cannot."""
     for label in labels:
-        if _NOT_XML.search(label):
+        if not all(0x20 <= c <= 0xD7FF or c in (0x9, 0xA, 0xD) or 0xE000 <= c <= 0xFFFD
+                   or c >= 0x10000 for c in map(ord, label)):
             raise ValidationError(f"label {label!r} holds a character that SVG cannot carry")
 
 

@@ -16,7 +16,10 @@ makes N shuffles per replica, and a q-sweep counts each word table once for
 all its orders.  A shuffle leaves the target alone, so the target's side of
 T_q (its code prefix, its (xw) and (xw, x') tables and S_q(X'|XW)) is built
 once per target and history and shared by every draw of all its sources: a
-matrix over N series builds N target parts, not N(N-1)(R+1).  Every word
+matrix over N series builds N target parts, not N(N-1)(R+1).  A replica
+stays a plain array: the planner shuffles a source's checked symbols and
+codes them in the source's alphabet, and builds no series around them;
+`make_surrogate` is the checked public entry for one replica.  Every word
 table follows one layout rule: a dense row of every possible code when the
 codes are no more than the windows, as at the paper's alphabet 3 and
 m = l = 1 (27 words), and the observed codes, by sort, otherwise.  A draw
@@ -42,7 +45,7 @@ from .transfer import (
     _history_codes,
     _pair_part,
     _radices,
-    _runs,
+    _run_bounds,
     _tally,
     _target_part,
     _target_prefix,
@@ -141,19 +144,26 @@ def make_surrogate(y: SymbolSeries, spec: SurrogateSpec, replica_index: int) -> 
     order; a shorter trailing block is kept so the histogram is preserved
     exactly.  A block as long as the series would leave it unshuffled and
     is refused.  The same (seed, replica_index) always yields the same
-    surrogate.
+    surrogate, and the run planner draws the same symbols as a plain array.
     """
-    rng = np.random.default_rng([spec.rng_seed, _integer("replica_index", replica_index, 0)])
+    return replace(y, symbols=_shuffled(y, spec, _integer("replica_index", replica_index, 0)))
+
+
+def _shuffled(y: SymbolSeries, spec: SurrogateSpec, replica: int) -> np.ndarray:
+    """The symbols of `make_surrogate(y, spec, replica)` as a new int64 array, with no
+    series built around them: a shuffle of checked symbols needs no second check, so
+    the run planner codes this array with the source's alphabet."""
+    rng = np.random.default_rng([spec.rng_seed, replica])
     block, n = spec.block_length, len(y)
     if block == 1:
-        return replace(y, symbols=rng.permutation(y.symbols))
+        return rng.permutation(y.symbols)
     if block >= n:
         raise ValidationError(
             f"surrogate block of {block} symbols cannot shuffle series {y.label or 'Y'!r} "
             f"of length {n}"
         )
     index = (rng.permutation(-(-n // block))[:, None] * block + np.arange(block)).ravel()
-    return replace(y, symbols=y.symbols[index[index < n]])
+    return y.symbols[index[index < n]]
 
 
 def effective_transfer_entropies(
@@ -207,8 +217,8 @@ def effective_transfer_entropies(
         seconds[k] += time.perf_counter() - started
     runs = [[] for _ in jobs]  # per job: the values of each draw, raw first
     for draw in range(spec.ensemble_size + 1):
-        shuffled = sources if draw == 0 else {
-            key: make_surrogate(y, spec, draw - 1) for key, y in sources.items()}
+        shuffled = {key: y.symbols if draw == 0 else _shuffled(y, spec, draw - 1)
+                    for key, y in sources.items()}
         histories = {}  # (source, l, first window, n_x) -> its codes in this draw times n_x
         for ks, prefix, n_possible, sides in targets.values():
             started = time.perf_counter()
@@ -220,7 +230,9 @@ def effective_transfer_entropies(
                 with _named(jobs[k]):
                     source = (id(y), h.l, start, n_x)
                     if source not in histories:
-                        histories[source] = _history_codes(shuffled[id(y)], h.l, start) * n_x
+                        histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,
+                                                           h.l, start)
+                        histories[source] *= n_x  # in place: the codes are a new array
                     codes = histories[source]
                     if codes.size != windows:
                         raise ValidationError(f"word table of {codes.size} windows, "
@@ -228,8 +240,10 @@ def effective_transfer_entropies(
                     if n_possible <= windows:
                         rows.append(_word_row(prefix + codes, n_possible))
                     else:
-                        observed, counts = _tally(prefix + codes, n_possible)
-                        pairs = _runs(observed // n_x, counts)[1][None]
+                        full = prefix + codes
+                        counts = _tally(full, n_possible)[1]  # sorts full in place
+                        full //= n_x  # x' is the last digit: each (xw, yw) cell is a run
+                        pairs = np.diff(_run_bounds(full))[None]
                         runs[k].append(next(_values(counts[None], pairs, windows, sides, orders)))
             if rows:
                 table = np.array(rows)

@@ -133,10 +133,12 @@ def generate(spec: CoupledMarkovSpec, length: int, seed: int) -> tuple[SymbolSer
     cum_b = np.cumsum(spec.target_transition, axis=2).tolist()
     cum_init = np.cumsum(np.full(n, 1.0 / n)).tolist()
     last = n - 1
-    xs, ys = [bisect_right(cum_init, ux[0], 0, last)], [bisect_right(cum_init, uy[0], 0, last)]
-    for t in range(1, length):
-        xs.append(bisect_right(cum_b[xs[-1]][ys[-1]], ux[t], 0, last))
-        ys.append(bisect_right(cum_a[ys[-1]], uy[t], 0, last))
+    x, y = bisect_right(cum_init, ux[0], 0, last), bisect_right(cum_init, uy[0], 0, last)
+    xs, ys = [x], [y]
+    for u, v in zip(ux[1:], uy[1:]):
+        x, y = bisect_right(cum_b[x][y], u, 0, last), bisect_right(cum_a[y], v, 0, last)
+        xs.append(x)
+        ys.append(y)
     return (
         SymbolSeries(symbols=xs, alphabet_size=n, label="X"),
         SymbolSeries(symbols=ys, alphabet_size=n, label="Y"),

@@ -21,7 +21,8 @@ Each word is one int64 mixed-radix code with digits (x_1..x_m,
 y_1..y_l, x'): the target's prefix xw * n_y^l * n_x + x' plus the source
 word's code times n_x, each packed by Horner's rule.  A code space no
 larger than the window count is counted densely with `np.bincount`; a
-larger one by a unique-and-count sort, the only sort.  Only observed
+larger one by sorting the window codes in place, the only sort, and
+reading off each run of equal codes.  Only observed
 words are stored, so memory scales with the data, not with the alphabet
 power.  Both values come from the counts of four word groupings:
 (x', xw, yw), (xw, yw), (x', xw) and (xw).  With the conditioning history
@@ -149,7 +150,7 @@ class WordDistribution:
     def _pair_groups(self) -> np.ndarray:
         """Positive integer counts of the (xw, yw) table, total n_windows: the runs
         of the sorted codes once x' is dropped.  It is the pair's side alone; the
-        run planner groups a sorted word table of any draw by the same `_runs`, and
+        run planner reads the same runs off the sorted window codes of any draw, and
         takes the target's tables from `_target_groups` of its first job."""
         return _runs(self.codes // self.target_alphabet, self.counts)[1]
 
@@ -190,6 +191,15 @@ def _runs(keys: np.ndarray, counts: np.ndarray):
     return np.cumsum(new_run) - 1, np.add.reduceat(counts, np.flatnonzero(new_run))
 
 
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the non-decreasing `keys` starts, then
+    `keys.size`: their differences are the run lengths."""
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
 def count_words(
     x: SymbolSeries, y: SymbolSeries, h: HistorySpec, pseudo_count: int = 0
 ) -> WordDistribution:
@@ -221,7 +231,8 @@ def count_words(
             "pseudo counts require enumerating every possible word; "
             f"{n_possible} words is too many (limit {_PSEUDO_LIMIT})"
         )
-    full = _target_prefix(x, h, y.alphabet_size) + _history_codes(y, h.l, start) * x.alphabet_size
+    full = _target_prefix(x, h, y.alphabet_size) + _history_codes(
+        y.symbols, y.alphabet_size, h.l, start) * x.alphabet_size
     codes, counts = _tally(full, n_possible)
     if pseudo_count > 0:
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
@@ -238,14 +249,14 @@ def count_words(
     )
 
 
-def _history_codes(s: SymbolSeries, length: int, start: int) -> np.ndarray:
-    """Code of the word s_{t-length+1} .. s_t at each window t = start .. len(s) - 2,
-    by Horner's rule in the series' alphabet."""
-    n_windows = len(s) - start - 1
-    codes = np.zeros(n_windows, dtype=np.int64)
-    for i in range(start - length + 1, start + 1):
-        codes *= s.alphabet_size
-        codes += s.symbols[i : i + n_windows]
+def _history_codes(symbols: np.ndarray, alphabet: int, length: int, start: int) -> np.ndarray:
+    """Code of the word s_{t-length+1} .. s_t of the checked `symbols` at each window
+    t = start .. len(symbols) - 2, by Horner's rule in their alphabet, as a new array."""
+    n_windows, first = symbols.size - start - 1, start - length + 1
+    codes = symbols[first : first + n_windows].astype(np.int64)
+    for i in range(first + 1, start + 1):
+        codes *= alphabet
+        codes += symbols[i : i + n_windows]
     return codes
 
 
@@ -253,7 +264,7 @@ def _target_prefix(x: SymbolSeries, h: HistorySpec, source_alphabet: int) -> np.
     """The target's digits of each window's code, xw * source_alphabet^l * n_x + x'
     in the layout of `_radices`; adding a source word's code times n_x completes it."""
     start = max(h.m, h.l)
-    prefix = _history_codes(x, h.m, start)
+    prefix = _history_codes(x.symbols, x.alphabet_size, h.m, start)
     prefix *= source_alphabet**h.l * x.alphabet_size
     prefix += x.symbols[start + 1 :]
     return prefix
@@ -262,12 +273,16 @@ def _target_prefix(x: SymbolSeries, h: HistorySpec, source_alphabet: int) -> np.
 def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes among `full`, one a window, in ascending order, and their
     counts: by `np.bincount` when the n_possible codes are no more than the windows,
-    and by a unique-and-count sort, the only sort, otherwise."""
+    and otherwise by sorting `full` in place, the only sort, and reading each run of
+    equal codes.  Both callers, `count_words` and the run planner, pass a temporary
+    prefix + codes; the planner reads the (xw, yw) runs off the sorted array."""
     if n_possible <= full.size:
         counts = np.bincount(full)
         codes = np.flatnonzero(counts)
         return codes, counts[codes]
-    return np.unique(full, return_counts=True)
+    full.sort()
+    bounds = _run_bounds(full)
+    return full[bounds[:-1]], np.diff(bounds)
 
 
 def _word_row(full: np.ndarray, n_possible: int) -> np.ndarray:

@@ -321,6 +321,19 @@ class TestParsePaths:
         assert series.timestamps.tolist() == ([1, 2, 3] if cell.startswith('"') else [1, 3])
 
 
+    @pytest.mark.parametrize("body, value_idx", [
+        ("1,1.0,2.0\n2,3.0,4.0\n", [1, 2]),  # no blank cell
+        ("1,,2.0\n2,3.0,4.0\n3,5.0,6.0", [1, 2]),  # ",," mid-line
+        ("1,1.0,2.0\n2,3.0,", [1, 2]),  # a trailing "," on the last line, no newline
+        ("1,,,\n2,3.0,4.0,5.0\n", [1, 2, 3]),  # ",,,"
+    ], ids=["no-blank", "mid-line", "trailing", "three-commas"])
+    def test_fast_path_equals_the_per_cell_loop(self, body, value_idx):
+        table = ingest._parse_table(body, 0, value_idx)
+        assert table is not None
+        rows = ingest._parse_rows(body, 0, value_idx)
+        assert [(s.tolist(), v.tolist()) for s, v in table] == rows
+
+
 class TestAlign:
     def a(self, ts, vals, label="A"):
         return RawSeries(label=label, timestamps=np.asarray(ts), values=np.asarray(vals, float))
@@ -374,6 +387,21 @@ class TestAlign:
     def test_series_invariants(self):
         with pytest.raises(ValidationError):
             RawSeries(label="A", timestamps=np.array([1, 2]), values=np.array([1.0, np.inf]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sets(st.integers(-5, 40), min_size=1), min_size=1, max_size=5))
+    def test_equals_the_join_of_the_stamp_sets(self, stamp_sets):
+        stamps = [sorted(stamp_set) for stamp_set in stamp_sets]
+        series = [self.a(ts, np.arange(len(ts)) + 100.0 * k, f"S{k}")
+                  for k, ts in enumerate(stamps)]
+        common = sorted(set.intersection(*stamp_sets))
+        if not common:
+            with pytest.raises(ValidationError, match="^no timestamp is present in every series$"):
+                align_many(series)
+            return
+        for k, out in enumerate(align_many(series)):
+            assert out.label == f"S{k}" and out.timestamps.tolist() == common
+            assert out.values.tolist() == [100.0 * k + stamps[k].index(t) for t in common]
 
 
 class TestRawSeries:

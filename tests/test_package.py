@@ -79,6 +79,34 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_no_module_compiles_a_pattern_at_import():
+    """A module-level `re.compile` costs every run's start-up, so none is allowed:
+    only function bodies, which run when called, are skipped."""
+
+    def evaluated_at_import(node):
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            children = [*getattr(node, "decorator_list", []), *node.args.defaults,
+                        *filter(None, node.args.kw_defaults)]
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            yield from evaluated_at_import(child)
+
+    compiled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names if alias.name == "re"}
+        compiled += [
+            f"{path.name}:{node.lineno}" for node in evaluated_at_import(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in names
+        ]
+    assert compiled == []
+
+
 def test_every_private_function_is_used():
     """A private function or method that nothing in the package names any
     more, such as a helper whose caller was folded away, is refused."""

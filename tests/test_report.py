@@ -34,6 +34,7 @@ from renflow import (
     emit,
     generate,
     m_sweep,
+    make_surrogate,
     net_flow,
     pairwise_matrix,
     parse_matrix_csv,
@@ -41,6 +42,7 @@ from renflow import (
     render,
     renyi_transfer_entropy,
 )
+from renflow.report import check_svg_labels
 
 H11 = HistorySpec(1, 1)
 FAST = SurrogateSpec(ensemble_size=5, rng_seed=3)
@@ -266,20 +268,27 @@ class TestPairwiseMatrix:
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
         pairwise_matrix(series, H11, 1.5, FAST)
         # N target parts, not N (N - 1) (R + 1); one history code per source and draw,
-        # the raw sources and then each replica
+        # the raw sources and then each replica, in the source's alphabet
         assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
         assert [q for _, q in sides] == [1.5] * 4
-        assert sorted((s.label, l, start) for s, l, start in histories) == sorted(
-            [*product(("S0", "S1", "S2", "S3"), [1], [1])] * (FAST.ensemble_size + 1))
+        draws = {(s.label, 0): s.symbols for s in series} | {
+            (s.label, r + 1): make_surrogate(s, FAST, r).symbols
+            for s in series for r in range(FAST.ensemble_size)}
+        assert sorted((*[key for key, d in draws.items() if np.array_equal(d, symbols)], n, l,
+                       start) for symbols, n, l, start in histories) == sorted(
+            product(draws, [3], [1], [1]))
 
     def test_each_source_shuffled_once_per_replica(self, monkeypatch):
-        calls = count_calls(monkeypatch, "make_surrogate")
+        calls = count_calls(monkeypatch, "_shuffled")
+        checked = count_calls(monkeypatch, "make_surrogate")
         rng = np.random.default_rng(14)
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
         pairwise_matrix(series, H11, 1.0, FAST)
         assert len(calls) == 4 * FAST.ensemble_size
         shuffled = sorted((y.label, replica) for y, _, replica in calls)
         assert shuffled == sorted(product(("S0", "S1", "S2", "S3"), range(FAST.ensemble_size)))
+        # a replica stays an array: no series is built or checked around it
+        assert checked == []
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -534,6 +543,21 @@ class TestEmission:
         matrix = FlowMatrix(labels=("A\tB", "C\u00e9\U0001d400"), values=values)
         document = minidom.parseString(render(matrix, "svg"))
         assert len(document.getElementsByTagName("text")) == 7
+
+    @pytest.mark.parametrize("char, carried", [
+        ("\x08", False), ("\t", True), ("\n", True), ("\x0b", False), ("\x0c", False),
+        ("\r", True), ("\x0e", False), ("\x1f", False), ("\x20", True), ("\ud7ff", True),
+        ("\ud800", False), ("\udfff", False), ("\ue000", True), ("\ufffd", True),
+        ("\ufffe", False), ("\U00010000", True), ("\U0010ffff", True),
+    ])
+    def test_svg_label_rule_at_every_range_boundary(self, char, carried):
+        # XML 1.0's Char: tab, LF, CR, U+0020..U+D7FF, U+E000..U+FFFD, U+10000..U+10FFFF
+        label = f"A{char}B"
+        if carried:
+            check_svg_labels([label])
+        else:
+            with pytest.raises(ValidationError, match=re.escape(f"label {label!r} holds a")):
+                check_svg_labels([label])
 
     def test_csv_round_trip_of_label_with_comma(self, tmp_path):
         values = np.array([[np.nan, 0.5], [0.25, np.nan]])

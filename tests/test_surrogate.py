@@ -129,6 +129,17 @@ class TestMakeSurrogate:
                                       make_surrogate(y, spec, 1).symbols)
 
 
+    @pytest.mark.parametrize("length, block", [(500, 1), (103, 3), (102, 3)])
+    def test_planner_shuffle_equals_make_surrogate(self, length, block):
+        # 103 symbols in blocks of 3 end in a partial block of one; 102 in whole blocks
+        y = iid_symbol_series(np.random.default_rng(17), length, 4, label="y")
+        spec = SurrogateSpec(rng_seed=9, block_length=block)
+        for replica in range(4):
+            out = renflow.surrogate._shuffled(y, spec, replica)
+            assert out.dtype == np.int64 and not np.shares_memory(out, y.symbols)
+            np.testing.assert_array_equal(out, make_surrogate(y, spec, replica).symbols)
+
+
 class TestEffectiveTransferEntropy:
     def test_zero_ensemble_equals_raw(self):
         rng = np.random.default_rng(3)

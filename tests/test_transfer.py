@@ -29,7 +29,7 @@ from renflow import (
 )
 from renflow.cli import main
 from renflow.infocore import _CLASS_MIN_CELLS, _count_terms, _power_sum
-from renflow.transfer import _radices
+from renflow.transfer import _radices, _tally
 
 LOG2_3 = math.log2(3)
 CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
@@ -627,3 +627,23 @@ class TestRenyiTransferEntropy:
         assert peak < 10 * 2**20
         for q, value in values.items():
             assert value == pytest.approx(renyi_transfer_entropy_escort(words, q), abs=1e-12)
+
+
+class TestTally:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 1_000), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(windows=1, n_possible=1, equal=False, seed=0)  # one window, dense
+    @example(windows=1, n_possible=2, equal=False, seed=0)  # one window, sorted
+    @example(windows=300, n_possible=300, equal=False, seed=1)  # as many codes as windows
+    @example(windows=300, n_possible=301, equal=False, seed=1)  # one code more
+    @example(windows=50, n_possible=20, equal=True, seed=2)  # all codes equal, dense
+    @example(windows=50, n_possible=900, equal=True, seed=2)  # all codes equal, sorted
+    def test_equals_unique_on_both_sides_of_the_dense_rule(self, windows, n_possible, equal,
+                                                             seed):
+        rng = np.random.default_rng(seed)
+        full = (np.full(windows, n_possible - 1) if equal
+                else rng.integers(0, n_possible, windows))
+        expected = np.unique(full, return_counts=True)
+        got = _tally(full.copy(), n_possible)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
