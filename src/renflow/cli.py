@@ -18,11 +18,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConvergenceError, ValidationError, _integer
 from .ingest import align_many, load_csv, reading, sha256_file
 from .infocore import _order
 from .report import (
+    IntegerTable,
     check_svg_labels,
     emit,
     m_sweep,
@@ -154,9 +157,8 @@ def _cmd_symbolize(args) -> None:
             ]
         }
     else:
-        payload = [("label", "position", "symbol")]
-        for s in symbols:
-            payload.extend((s.label, i, v) for i, v in enumerate(s.symbols.tolist()))
+        payload = IntegerTable(("label", "position", "symbol"),
+                               [((s.label,), (np.arange(len(s)), s.symbols)) for s in symbols])
     emit(payload, args.out, args.format)
 
 
@@ -257,8 +259,8 @@ def _load_process_spec(args) -> CoupledMarkovSpec:
 def _cmd_gen_synth(args) -> None:
     spec = _load_process_spec(args)
     x, y = generate(spec, args.length, args.seed)
-    rows = [("t", "x", "y"), *zip(range(len(x)), x.symbols.tolist(), y.symbols.tolist())]
-    emit(rows, args.out, "csv")
+    table = IntegerTable(("t", "x", "y"), [((), (np.arange(len(x)), x.symbols, y.symbols))])
+    emit(table, args.out, "csv")
 
 
 def _cmd_oracle(args) -> None:

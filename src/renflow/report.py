@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ValidationError, _array, _integer, _series
+from .errors import ValidationError, _array, _integer, _integers, _series
 from .infocore import _order
 from .ingest import reading
 from .surrogate import EffectiveResult, SurrogateSpec, effective_transfer_entropies
@@ -139,6 +139,42 @@ class SweepTable:
             raise ValidationError("sweep parameter must be 'q' or 'm'")
         object.__setattr__(self, "rows", tuple(self.rows))
         _freeze(self, "params")
+
+
+def _integer_column(values) -> np.ndarray:
+    """A column of an `IntegerTable`: an empty one-dimensional array as an empty int64
+    array, any other by the integer-array rule."""
+    name = "integer table column"
+    values = _array(name, values)
+    return np.empty(0, np.int64) if values.shape == (0,) else _integers(name, values)
+
+
+@dataclass(frozen=True)
+class IntegerTable:
+    """A CSV table of integers: the `header` row, then, for each (text cells, integer
+    columns) block of `blocks`, one row per position of the block's equal-length
+    columns, each row the block's text cells followed by the columns' values there.
+    The header and the text cells are strings and a block has at least one column.
+    Each column follows the integer-array rule and is kept as a read-only int64 array,
+    except that a column of no rows, which holds no cell to check, is an empty one.
+    `render` writes it to CSV."""
+
+    header: tuple[str, ...]
+    blocks: tuple[tuple[tuple[str, ...], tuple[np.ndarray, ...]], ...]
+
+    def __post_init__(self):
+        header = tuple(self.header)
+        blocks = tuple((tuple(text), tuple(map(_integer_column, columns)))
+                       for text, columns in self.blocks)
+        for cell in (*header, *(cell for text, _ in blocks for cell in text)):
+            if not isinstance(cell, str):
+                raise ValidationError(f"integer table text cell {cell!r} must be a string")
+        for _, columns in blocks:
+            if not columns or len({column.size for column in columns}) > 1:
+                raise ValidationError("an integer table block needs one or more columns of "
+                                      f"equal length, got lengths {[c.size for c in columns]}")
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def pairwise_matrix(
@@ -396,14 +432,39 @@ def _matrix_svg(matrix, diverging: bool) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _integer_csv(table: IntegerTable) -> str:
+    """The bytes `csv.writer(lineterminator="\\n").writerows` gives for the rows of
+    `table`, with the integers formatted in one pass: one `csv.writer` encodes the
+    header and, for each block, a row template of its text cells, each `%` doubled
+    so the template reads it literally, then one `%d` cell per column; that line
+    repeated once per row is filled from the block's cells, row by row, by `%`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def line(row) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        return buffer.getvalue()
+
+    parts = [line(table.header)]
+    for text, columns in table.blocks:
+        template = line([cell.replace("%", "%%") for cell in text] + ["%d"] * len(columns))
+        parts.append(template * columns[0].size % tuple(np.column_stack(columns).ravel().tolist()))
+    return "".join(parts)
+
+
 def render(obj, fmt: str) -> str:
     """Render a result to CSV, JSON, or SVG text.
 
     Matrices render to all three formats and sweep tables to CSV and
-    JSON.  A dict (a run manifest or a single result) renders to JSON
-    and a list of rows to CSV.  Every CSV goes through one
-    `csv.writer`, so labels holding commas or quotes are quoted; every
-    JSON document is sorted, indented by two and ends in a newline.
+    JSON.  A dict (a run manifest or a single result) renders to JSON,
+    and a list of rows and an `IntegerTable` to CSV.  Every CSV is
+    encoded by `csv.writer`, so labels holding commas or quotes are
+    quoted: a list of rows cell by cell, and an `IntegerTable` by its
+    header and text cells, its integer cells formatted by one `%d`
+    template per block into the same bytes.  Every JSON document is
+    sorted, indented by two and ends in a newline.
     """
     kind = type(obj).__name__
     if isinstance(obj, (FlowMatrix, NetFlowMatrix)):
@@ -414,6 +475,8 @@ def render(obj, fmt: str) -> str:
         obj = _sweep_rows(obj) if fmt == "csv" else _sweep_payload(obj)
     if fmt == "json" and isinstance(obj, dict):
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv" and isinstance(obj, IntegerTable):
+        return _integer_csv(obj)
     if fmt == "csv" and isinstance(obj, list):
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(obj)
@@ -422,7 +485,9 @@ def render(obj, fmt: str) -> str:
 
 
 def emit(obj, path, fmt: str = "csv") -> Path | None:
-    """Write `render(obj, fmt)` to `path`, making its directory, or to stdout if None."""
+    """Write `render(obj, fmt)` to `path`, making its directory, or to stdout if None:
+    every CSV, JSON and SVG byte the CLI writes, an `IntegerTable` such as
+    `gen-synth`'s series and `symbolize`'s symbols included, goes through here."""
     text = render(obj, fmt)
     if path is None:
         sys.stdout.write(text)

@@ -179,7 +179,8 @@ def effective_transfer_entropies(
     replica r.  A shuffle leaves the target alone, so each (target, history,
     source alphabet) builds its target part once, before the draws, from
     `count_words` of its first job: the target's code prefix, its window count
-    and its side of T_q at every order.  Every other job of the part has its
+    and its side of T_q at every order.  Those words are also that job's draw 0
+    table, so no raw pair is counted twice.  Every other job of the part has its
     series lengths checked there.  Each draw codes each source's history once
     per (l, first window, target alphabet), for every target it feeds, counts
     each job's word table once and evaluates every order from it.  A table
@@ -209,7 +210,7 @@ def effective_transfer_entropies(
                 words = count_words(x, y, h)
                 n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
                 targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible,
-                                   [_target_part(words, q) for q in orders])
+                                   [_target_part(words, q) for q in orders], words)
             elif len(x) != len(y):
                 raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
             targets[target][0].append(k)
@@ -220,7 +221,7 @@ def effective_transfer_entropies(
         shuffled = {key: y.symbols if draw == 0 else _shuffled(y, spec, draw - 1)
                     for key, y in sources.items()}
         histories = {}  # (source, l, first window, n_x) -> its codes in this draw times n_x
-        for ks, prefix, n_possible, sides in targets.values():
+        for ks, prefix, n_possible, sides, words in targets.values():
             started = time.perf_counter()
             x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
             start, n_x, windows = max(h.m, h.l), x.alphabet_size, prefix.size
@@ -228,6 +229,16 @@ def effective_transfer_entropies(
             for k in ks:
                 y = jobs[k][1]
                 with _named(jobs[k]):
+                    if draw == 0 and k == ks[0]:  # the table the target part was built from
+                        if n_possible <= windows:
+                            row = np.zeros(n_possible, dtype=np.int64)
+                            row[words.codes] = words.counts
+                            rows.append(row)
+                        else:
+                            runs[k].append(next(_values(words.counts[None],
+                                                        words._pair_groups[None],
+                                                        windows, sides, orders)))
+                        continue
                     source = (id(y), h.l, start, n_x)
                     if source not in histories:
                         histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,

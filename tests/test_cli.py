@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -111,6 +112,18 @@ class TestGenSynthAndOracle:
         lines = synth_csv.read_text().strip().splitlines()
         assert lines[0] == "t,x,y"
         assert len(lines) == 8001
+
+    @pytest.mark.parametrize("alphabet", [2, 5])
+    def test_gen_synth_writes_the_csv_writer_bytes(self, tmp_path, alphabet):
+        # past the 200-row golden: t runs to five digits
+        out = tmp_path / "synth.csv"
+        assert main(["gen-synth", "--preset", "noisy-copy", "--preset-alphabet", str(alphabet),
+                     "--length", "12345", "--seed", "8", "--out", str(out)]) == 0
+        x, y = synth.generate(synth.noisy_copy_spec(alphabet, 0.75), 12345, 8)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [("t", "x", "y"), *zip(range(12345), x.symbols.tolist(), y.symbols.tolist())])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_oracle_copy_process(self, capsys):
         assert main(["oracle", "--preset", "copy", "--q", "1.5"]) == 0
@@ -363,6 +376,24 @@ class TestSymbolizeCommand:
         rows = read_csv_rows(out)
         assert {len(row) for row in rows} == {3}
         assert {row[0] for row in rows[1:]} == {"S&P,500", "DAX"}
+
+    def test_csv_output_is_the_csv_writer_bytes_of_the_json_symbols(self, tmp_path):
+        # labels that the csv module quotes, and % signs that a format template must not read
+        data = tmp_path / "percent.csv"
+        rng = np.random.default_rng(30)
+        lines = ['timestamp,"50%,""A""",B%d%%,%']
+        lines += [f"{t},{a:.4f},{b:.4f},{c:.4f}" for t, (a, b, c) in enumerate(rng.random((40, 3)))]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = {fmt: tmp_path / f"symbols.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in out.items():
+            assert main(["symbolize", "--data", str(data), "--format", fmt, "--out", str(path)]) == 0
+        series = json.loads(out["json"].read_text(encoding="utf-8"))["series"]
+        assert [s["label"] for s in series] == ['50%,"A"', "B%d%%", "%"]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [("label", "position", "symbol"),
+             *((s["label"], i, v) for s in series for i, v in enumerate(s["symbols"]))])
+        assert out["csv"].read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_labels_option_selects_quoted_comma_label(self, comma_label_csv, tmp_path):
         out = tmp_path / "symbols.csv"

@@ -182,6 +182,16 @@ def test_only_the_array_rules_read_a_dtype_or_freeze_an_array():
         "errors._integers", "errors._series"}
 
 
+def test_only_report_encodes_csv():
+    """`csv.writer` is named only in `report`, so `render` and `emit` stay the one CSV
+    encoder, and no module imports a name from `csv` that would hide a writer."""
+    callers = {scope.partition(".")[0] for scope, name in package_names() if name == "csv.writer"}
+    imported = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert callers == {"report"} and imported == []
+
+
 def test_only_the_array_conversion_calls_asarray():
     """`np.asarray` is called only in `errors._array`, which refuses a ragged nesting
     of sequences by name; every conversion of outside input to an array goes

@@ -1,5 +1,7 @@
 """Matrix drivers, sweeps, and emission formats."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -7,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renflow.surrogate
@@ -42,7 +44,7 @@ from renflow import (
     render,
     renyi_transfer_entropy,
 )
-from renflow.report import check_svg_labels
+from renflow.report import IntegerTable, check_svg_labels
 
 H11 = HistorySpec(1, 1)
 FAST = SurrogateSpec(ensemble_size=5, rng_seed=3)
@@ -54,6 +56,11 @@ surrogate_specs = st.builds(
     rng_seed=st.integers(0, 2**32 - 1),
     block_length=st.integers(1, 7),
 )
+
+INT64 = np.iinfo(np.int64)
+# CSV text cells: the characters the csv module quotes or doubles, the % a template
+# reads, the empty string and non-ASCII
+csv_texts = st.text(st.one_of(st.sampled_from(',"%\n\r'), st.characters()), max_size=6)
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -268,10 +275,12 @@ class TestPairwiseMatrix:
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
         pairwise_matrix(series, H11, 1.5, FAST)
         # N target parts, not N (N - 1) (R + 1); one history code per source and draw,
-        # the raw sources and then each replica, in the source's alphabet
+        # the raw sources and then each replica, in the source's alphabet.  A target
+        # part's first job takes draw 0 from the words its part was built from, and S0
+        # is the first source of every other target, so its raw codes are never needed
         assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
         assert [q for _, q in sides] == [1.5] * 4
-        draws = {(s.label, 0): s.symbols for s in series} | {
+        draws = {(s.label, 0): s.symbols for s in series[1:]} | {
             (s.label, r + 1): make_surrogate(s, FAST, r).symbols
             for s in series for r in range(FAST.ensemble_size)}
         assert sorted((*[key for key, d in draws.items() if np.array_equal(d, symbols)], n, l,
@@ -353,15 +362,15 @@ class TestQSweep:
         assert [row[1:3] for row in table.rows] == [("Y", "X"), ("X", "Y")]
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
-        # count_words builds each target part; every draw, the raw pair as draw 0, counts
-        # one dense row of its codes per job
+        # count_words builds each target part, and its words are the raw pair's table;
+        # every replica counts one dense row of its codes per job
         parts, rows = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_word_row")
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 500, 3, label="X")
         y = iid_symbol_series(rng, 500, 3, label="Y")
         q_sweep(x, y, H11, ORDERS, FAST)
         assert len(parts) == 2
-        assert len(rows) == 2 * (FAST.ensemble_size + 1)
+        assert len(rows) == 2 * FAST.ensemble_size
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -481,6 +490,55 @@ class TestMSweep:
         y = iid_symbol_series(rng, 60, 2, label="Y")
         with pytest.raises(ValidationError, match="^m must be an integer"):
             m_sweep(x, y, m_grid, 1.0, SurrogateSpec(ensemble_size=0), min_windows=0)
+
+
+@st.composite
+def integer_blocks(draw):
+    """A block of an `IntegerTable`: text cells and equal-length int64 columns."""
+    n_rows = draw(st.integers(0, 5))
+    column = st.lists(st.integers(INT64.min, INT64.max), min_size=n_rows, max_size=n_rows)
+    return draw(st.lists(csv_texts, max_size=3)), draw(st.lists(column, min_size=1, max_size=4))
+
+
+def csv_writer_text(rows) -> str:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+class TestIntegerTable:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(csv_texts, max_size=4), st.lists(integer_blocks(), max_size=3))
+    @example(["t", "x", "y"], [([], [[], [], []])])
+    @example(["label", "%d", "100%"], [(["a,%s"], [[INT64.min], [INT64.max]]),
+                                      (["", '"%%"\r\n'], [[-1, 0, 7]])])
+    def test_renders_the_csv_writer_bytes(self, header, blocks):
+        table = IntegerTable(header, blocks)
+        rows = [header, *([*text, *row] for text, columns in blocks for row in zip(*columns))]
+        assert render(table, "csv") == csv_writer_text(rows)
+
+    def test_columns_are_read_only_int64(self):
+        table = IntegerTable(("t",), [((), [np.arange(3, dtype=np.int32)])])
+        (column,) = table.blocks[0][1]
+        assert column.dtype == np.int64 and not column.flags.writeable
+
+    @pytest.mark.parametrize("header, blocks, message", [
+        (("t",), [((), [])], "one or more columns of equal length, got lengths \\[\\]"),
+        (("t",), [((), [[1, 2], [3]])], "equal length, got lengths \\[2, 1\\]"),
+        (("t",), [((), [[1.5]])], "integer table column must be a non-empty"),
+        (("t",), [((), [[[1], [2]]])], "integer table column must be a non-empty"),
+        (("t",), [((), [[2**63]])], "integer table column must fit in int64"),
+        ((1,), [((), [[1]])], "text cell 1 must be a string"),
+        (("t",), [((None,), [[1]])], "text cell None must be a string"),
+    ], ids=["no-column", "ragged", "float", "two-dimensional", "past-int64", "header-number",
+            "text-none"])
+    def test_bad_table_is_refused(self, header, blocks, message):
+        with pytest.raises(ValidationError, match=message):
+            IntegerTable(header, blocks)
+
+    def test_renders_to_csv_only(self):
+        with pytest.raises(ValidationError, match="cannot render IntegerTable as 'json'"):
+            render(IntegerTable(("t",), [((), [[1]])]), "json")
 
 
 class TestEmission:

@@ -301,6 +301,7 @@ class TestRunPlanner:
         @example(alphabets=[4, 4], history=(2, 2), length=3_000, ensemble=2, block=2, seed=3)
         # fewer windows than possible words, raw pairs alone and with replicas
         @example(alphabets=[4, 4], history=(2, 2), length=300, ensemble=0, block=1, seed=4)
+        @example(alphabets=[4, 4], history=(2, 2), length=300, ensemble=1, block=1, seed=4)
         @example(alphabets=[10, 10], history=(1, 1), length=300, ensemble=3, block=3, seed=5)
         # targets of different alphabets, one of them with a dense and a sorted source
         @example(alphabets=[2, 10, 11], history=(1, 1), length=1_150, ensemble=2, block=2,
@@ -315,8 +316,10 @@ class TestRunPlanner:
             orders = (0.5, 1.0, 2.5)
             counted = len(seen)
             results = effective_transfer_entropies(jobs, orders, spec)
-            # one table per job and draw: the raw pair, then each replica
-            assert len(seen) - counted == len(jobs) * (ensemble + 1)
+            # one table per job and draw, the raw pair, then each replica, except the raw
+            # pair of each target part's first job: that table is the part's own words
+            parts = {(i, alphabets[j]) for i, j in permutations(range(len(series)), 2)}
+            assert len(seen) - counted == len(jobs) * (ensemble + 1) - len(parts)
             for (x, y, h), row in zip(jobs, results):
                 for q, result in zip(orders, row):
                     raw, *_, windows, replicas = reference_effective(x, y, h, q, spec)
