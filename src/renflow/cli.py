@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -271,8 +272,13 @@ def _cmd_oracle(args) -> None:
     emit(payload, args.out, "json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Each option group is declared once and given to the commands that act on it.
+    """The process's one parser, built on the first call and returned by every later one.
+
+    Parsing keeps no state in the parser, so `main` may run any number of commands on
+    it; every caller shares it, so none may change it. Each option group is declared
+    once and given to the commands that act on it."""
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="input CSV file")
     data.add_argument("--timestamp-column", default="timestamp")
@@ -381,6 +387,10 @@ _INERT = (
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code: 0, or 2 for a refused input.
+
+    A usage error exits 2 through argparse. The parser is built on the first call, not
+    at import, and every later call in the process reuses it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     offset_labels = [label for label, _ in vars(args).get("tz_offset", [])]

@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -955,3 +958,67 @@ class TestSweeps:
         rows = read_csv_rows(out)
         assert {len(row) for row in rows} == {8}
         assert {(row[1], row[2]) for row in rows[1:]} == {("S&P,500", "DAX"), ("DAX", "S&P,500")}
+
+
+class TestOneParser:
+    """`main` builds the parser on its first call in a process, and no call leaves
+    state in it for the next."""
+
+    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+        build_parser.cache_clear()
+        counts = []
+        for _ in range(3):
+            assert main(["oracle", "--preset", "copy"]) == 0
+            counts.append(len(built))
+            built.clear()
+        # 8 option groups, the top parser and 8 subcommands, then none
+        assert counts == [17, 0, 0]
+
+    def test_import_builds_no_parser(self):
+        script = "\n".join([
+            "import argparse",
+            "built, init = [], argparse.ArgumentParser.__init__",
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *args, **kw: built.append(self) or init(self, *args, **kw)",
+            "import renflow.cli",
+            "at_import = len(built)",
+            "renflow.cli.build_parser()",
+            "print(at_import, len(built), renflow.cli.__file__)",
+        ])
+        src = str(Path(renflow.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0", "17", renflow.cli.__file__]
+
+    def test_an_offset_does_not_outlive_its_call(self, price_csv, tmp_path):
+        out = tmp_path / "flow.csv"
+        argv = ["matrix", "--data", str(price_csv), "--surrogates", "1", "--out", str(out)]
+        offsets = []
+        for extra in (["--tz-offset", "A=60"], []):
+            assert main([*argv, *extra]) == 0
+            manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+            offsets.append(manifest["parameters"]["alignment"]["tz_offsets_minutes"])
+        assert offsets == [{"A": 60}, {}]
+
+    def test_failed_calls_leave_the_next_output_unchanged(self, price_csv, tmp_path, capsys):
+        out = tmp_path / "symbols.csv"
+        good = ["symbolize", "--data", str(price_csv), "--out", str(out)]
+        assert main(good) == 0
+        first = out.read_bytes()
+        out.unlink()
+        refused = ["--data", str(price_csv), "--tz-offset", "C=60", "--out", str(tmp_path / "x")]
+        # a ValidationError from ingest, after the parse
+        assert main(["matrix", "--labels", "A,B", *refused]) == 2
+        assert "column 'C' has a clock offset but is not read" in capsys.readouterr().err
+        # a usage error after the parse: --surrogate-block has no effect with --surrogates 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["te", *PAIR, *refused, "--surrogates", "0", "--surrogate-block", "2"])
+        assert exit_info.value.code == 2
+        assert "--surrogate-block: has no effect" in capsys.readouterr().err
+        assert main(good) == 0
+        assert out.read_bytes() == first
