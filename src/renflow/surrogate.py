@@ -19,12 +19,12 @@ once per target and history and shared by every draw of all its sources: a
 matrix over N series builds N target parts, not N(N-1)(R+1).  A replica
 stays a plain array: the planner shuffles a source's checked symbols and
 codes them in the source's alphabet, and builds no series around them;
-`make_surrogate` is the checked public entry for one replica.  Every word
-table follows one layout rule: a dense row of every possible code when the
-codes are no more than the windows, as at the paper's alphabet 3 and
-m = l = 1 (27 words), and the observed codes, by sort, otherwise.  A draw
-counts a target's dense rows into one table and evaluates them at once; a
-timing splits a draw's seconds on a target equally among its jobs.
+`make_surrogate` is the checked public entry for one replica.  The planner
+hands each draw's codes on a target to `transfer`, which lays out every word
+table by one rule: a dense row of every possible code when the codes are no
+more than the windows, as at the paper's alphabet 3 and m = l = 1
+(27 words), and the observed codes, by sort, otherwise.  A timing splits a
+draw's seconds on a target equally among the jobs it counts.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ from .infocore import _order
 from .symbolize import SymbolSeries
 from .transfer import (
     HistorySpec,
+    _draw_values,
     _history_codes,
-    _pair_part,
+    _pair_values,
     _radices,
-    _run_bounds,
-    _tally,
     _target_part,
     _target_prefix,
-    _word_row,
     count_words,
 )
 
@@ -180,19 +178,17 @@ def effective_transfer_entropies(
     source alphabet) builds its target part once, before the draws, from
     `count_words` of its first job: the target's code prefix, its window count
     and its side of T_q at every order.  Those words are also that job's draw 0
-    table, so no raw pair is counted twice.  Every other job of the part has its
-    series lengths checked there.  Each draw codes each source's history once
-    per (l, first window, target alphabet), for every target it feeds, counts
-    each job's word table once and evaluates every order from it.  A table
-    whose n_possible codes are no more than the windows is a dense row of every
-    code, and a target's dense rows are evaluated at once; a larger space holds
-    the observed codes, by sort, as a batch of one row.  A job's values depend
-    only on the job, the order and `spec`, never on the other jobs or their
-    place in the list.  A failing job is named as `pair S->T`.  A list passed as
-    `timing_sink` receives each job's seconds of counting and evaluation over
-    every draw: a target part is charged to the first job that uses it, a
-    draw's work on a target, history codes included, is split equally among
-    that target's jobs, and the shuffles are shared by the jobs of a source and
+    table, evaluated there, so draw 0 counts the part's other jobs only; each of
+    those has its series lengths checked as it joins the part.  Each draw codes
+    each source's history once per (l, first window, target alphabet), for every
+    target it feeds, and `transfer._draw_values` counts each job's word table
+    once and evaluates every order from it.  A job's values depend only on the
+    job, the order and `spec`, never on the other jobs or their place in the
+    list.  A failing job is named as `pair S->T`.  A list passed as `timing_sink`
+    receives each job's seconds of counting and evaluation over every draw: a
+    target part, with its first job's draw 0 table, is charged to that job, a
+    draw's work on a target, history codes included, is split equally among the
+    jobs it counts, and the shuffles are shared by the jobs of a source and
     charged to none.
     """
     orders = [_order(q) for q in orders]
@@ -202,70 +198,53 @@ def effective_transfer_entropies(
     targets = {}  # (target, history, source alphabet) -> its jobs, prefix, code count, sides
     n_windows = [0] * len(jobs)
     seconds = [0.0] * len(jobs)
+    runs = [[] for _ in jobs]  # per job: the values of each draw, raw first
     for k, (x, y, h) in enumerate(jobs):
         started = time.perf_counter()
         with _named(jobs[k]):
             target = (id(x), h, y.alphabet_size)
             if target not in targets:
                 words = count_words(x, y, h)
+                sides = [_target_part(words, q) for q in orders]
+                runs[k].append(next(_pair_values(words.counts[None], words._pair_groups[None],
+                                                 words.n_windows, sides, orders)))
                 n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
-                targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible,
-                                   [_target_part(words, q) for q in orders], words)
+                targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible, sides)
             elif len(x) != len(y):
                 raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
             targets[target][0].append(k)
             n_windows[k] = targets[target][1].size
         seconds[k] += time.perf_counter() - started
-    runs = [[] for _ in jobs]  # per job: the values of each draw, raw first
     for draw in range(spec.ensemble_size + 1):
         shuffled = {key: y.symbols if draw == 0 else _shuffled(y, spec, draw - 1)
                     for key, y in sources.items()}
         histories = {}  # (source, l, first window, n_x) -> its codes in this draw times n_x
-        for ks, prefix, n_possible, sides, words in targets.values():
+        for ks, prefix, n_possible, sides in targets.values():
+            drawn = ks[1:] if draw == 0 else ks  # the first job's draw 0 came with the part
+            if not drawn:
+                continue
             started = time.perf_counter()
             x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
-            start, n_x, windows = max(h.m, h.l), x.alphabet_size, prefix.size
-            rows = []  # the dense word table's rows, one per job
-            for k in ks:
+            start, n_x = max(h.m, h.l), x.alphabet_size
+            codes = []
+            for k in drawn:
                 y = jobs[k][1]
                 with _named(jobs[k]):
-                    if draw == 0 and k == ks[0]:  # the table the target part was built from
-                        if n_possible <= windows:
-                            row = np.zeros(n_possible, dtype=np.int64)
-                            row[words.codes] = words.counts
-                            rows.append(row)
-                        else:
-                            runs[k].append(next(_values(words.counts[None],
-                                                        words._pair_groups[None],
-                                                        windows, sides, orders)))
-                        continue
                     source = (id(y), h.l, start, n_x)
                     if source not in histories:
                         histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,
                                                            h.l, start)
                         histories[source] *= n_x  # in place: the codes are a new array
-                    codes = histories[source]
-                    if codes.size != windows:
-                        raise ValidationError(f"word table of {codes.size} windows, "
-                                              f"expected {windows}")
-                    if n_possible <= windows:
-                        rows.append(_word_row(prefix + codes, n_possible))
-                    else:
-                        full = prefix + codes
-                        counts = _tally(full, n_possible)[1]  # sorts full in place
-                        full //= n_x  # x' is the last digit: each (xw, yw) cell is a run
-                        pairs = np.diff(_run_bounds(full))[None]
-                        runs[k].append(next(_values(counts[None], pairs, windows, sides, orders)))
-            if rows:
-                table = np.array(rows)
-                # x' is the last digit of a code, so summing it out gives the (xw, yw) table
-                marginal = table.reshape(len(ks), -1, n_x).sum(axis=2)
-                values = _values(table, marginal, windows, sides, orders)
-                for k in ks:
-                    with _named(jobs[k]):
-                        runs[k].append(next(values))
-            share = (time.perf_counter() - started) / len(ks)
-            for k in ks:
+                    codes.append(histories[source])
+                    if codes[-1].size != prefix.size:
+                        raise ValidationError(f"word table of {codes[-1].size} windows, "
+                                              f"expected {prefix.size}")
+            values = _draw_values(prefix, codes, n_x, n_possible, sides, orders)
+            for k in drawn:
+                with _named(jobs[k]):
+                    runs[k].append(next(values))
+            share = (time.perf_counter() - started) / len(drawn)
+            for k in drawn:
                 seconds[k] += share
     if timing_sink is not None:
         timing_sink.extend(seconds)
@@ -285,13 +264,6 @@ def _named(job):
     except ValidationError as exc:
         x, y, _ = job
         raise ValidationError(f"pair {y.label or 'Y'}->{x.label or 'X'} failed: {exc}") from exc
-
-
-def _values(joint, marginal, total: int, sides, orders):
-    """T_q of each row of a words table and of its (xw, yw) table, laid out as
-    `transfer._pair_part` takes them, from the target's side at each of `orders`:
-    an iterator over the rows, each a tuple of one value per order."""
-    return zip(*(_pair_part(joint, marginal, total, side, q) for q, side in zip(orders, sides)))
 
 
 def effective_transfer_entropy(

@@ -32,10 +32,10 @@ depend on the target alone.  So the estimate is a target part plus a pair
 part, and the run planner builds each target part once for every source
 and surrogate replica of that target.  The evaluator takes a batch of word
 tables, one a row: a single estimate is a batch of one row of observed
-words.  The planner lays out a table of its raw pair or of a replica by the
-rule that picks the counting: rows of every possible word, a target's rows
-counted and evaluated as one table, when the code space is no larger than
-the window count, and one row of the observed words otherwise.
+words.  `_draw_values` lays out the tables of one draw on a target by the
+rule that picks the counting: rows of every possible word, counted and
+evaluated as one table, when the code space is no larger than the window
+count, and one row of the observed words otherwise.
 """
 
 from __future__ import annotations
@@ -149,29 +149,27 @@ class WordDistribution:
     @cached_property
     def _pair_groups(self) -> np.ndarray:
         """Positive integer counts of the (xw, yw) table, total n_windows: the runs
-        of the sorted codes once x' is dropped.  It is the pair's side alone; the
-        run planner reads the same runs off the sorted window codes of any draw, and
-        takes the target's tables from `_target_groups` of its first job."""
-        return _runs(self.codes // self.target_alphabet, self.counts)[1]
+        of the sorted codes once x' is dropped, as `_draw_values` reads them off
+        the sorted window codes of a replica."""
+        return np.add.reduceat(self.counts, _run_bounds(self.codes // self.target_alphabet)[:-1])
 
     @cached_property
     def _target_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """Positive integer counts of the (xw, x') and (xw) tables, each with total
         n_windows; they depend only on the target and the windows, never on the
-        source.  The (xw) cells are runs of the sorted codes; the (xw, x') cells
-        are keyed xw_run * target_alphabet + x' in ascending order, counted in a
-        dense table up to the last observed key, less its empty cells, when the
-        full table has no more cells than there are windows, which skips a sort of
-        the keys, and at the observed keys otherwise, which bounds the table by
-        the data."""
+        source.  The (xw) cells are runs of the sorted codes.  The (xw, x') cells,
+        keyed xw * target_alphabet + x' in ascending order, follow the layout rule
+        of the words: counted in a dense table, less its empty cells, when its
+        target_alphabet^(m+1) keys are no more than the windows, and at the
+        observed keys, by `np.unique`, otherwise."""
         n_x = self.target_alphabet
-        xh_run, xh_counts = _runs(self.codes // (n_x * self.source_alphabet**self.l), self.counts)
-        fx_inv = xh_run * n_x + self.codes % n_x
-        if xh_counts.size * n_x > self.n_windows:
-            fx_inv = np.unique(fx_inv, return_inverse=True)[1]
-        fx_counts = np.zeros(fx_inv.max() + 1, dtype=np.int64)
-        np.add.at(fx_counts, fx_inv, self.counts)
-        return fx_counts[fx_counts > 0], xh_counts
+        xw = self.codes // (n_x * self.source_alphabet**self.l)
+        cells = xw * n_x + self.codes % n_x
+        if n_x ** (self.m + 1) > self.n_windows:
+            cells = np.unique(cells, return_inverse=True)[1]
+        fx_counts = np.zeros(cells.max() + 1, dtype=np.int64)
+        np.add.at(fx_counts, cells, self.counts)
+        return fx_counts[fx_counts > 0], np.add.reduceat(self.counts, _run_bounds(xw)[:-1])
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -183,12 +181,6 @@ def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tupl
         if math.prod(radices) <= _CODE_LIMIT:
             return radices
     raise ValidationError("alphabet^history too large to encode")
-
-
-def _runs(keys: np.ndarray, counts: np.ndarray):
-    """Run index of each word in the non-decreasing `keys`, and each run's total."""
-    new_run = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return np.cumsum(new_run) - 1, np.add.reduceat(counts, np.flatnonzero(new_run))
 
 
 def _run_bounds(keys: np.ndarray) -> np.ndarray:
@@ -274,8 +266,8 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes among `full`, one a window, in ascending order, and their
     counts: by `np.bincount` when the n_possible codes are no more than the windows,
     and otherwise by sorting `full` in place, the only sort, and reading each run of
-    equal codes.  Both callers, `count_words` and the run planner, pass a temporary
-    prefix + codes; the planner reads the (xw, yw) runs off the sorted array."""
+    equal codes.  Both callers, `count_words` and `_draw_values`, pass a temporary
+    prefix + codes; `_draw_values` reads the (xw, yw) runs off the sorted array."""
     if n_possible <= full.size:
         counts = np.bincount(full)
         codes = np.flatnonzero(counts)
@@ -287,9 +279,9 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _word_row(full: np.ndarray, n_possible: int) -> np.ndarray:
     """The count of each of the n_possible codes among `full`, one a window, empty
-    cells included: one row of a dense word table, by `np.bincount`, the planner's
-    layout whenever the codes are no more than the windows.  A row of another width
-    is refused; the planner checks the window count for both of its layouts."""
+    cells included: one row of a dense word table, by `np.bincount`, the layout of
+    `_draw_values` whenever the codes are no more than the windows.  A row of
+    another width is refused."""
     row = np.bincount(full, minlength=n_possible)
     if row.size != n_possible:
         raise ValidationError(f"word table row of {row.size} cells, expected {n_possible}")
@@ -301,7 +293,9 @@ def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: fl
     and `marginal`, of the (w) cells, one row per word table and every row of total
     N, at the order `q` (already checked by `_order`): the escort-averaged value at
     q != 1, and at q = 1 the exact pieces whose `math.fsum` over N is H(X'|W), the
-    c log2 c terms of the (w) table and those of the (x', w) table negated.
+    c log2 c terms of the (w) table and those of the (x', w) table negated.  At
+    q = 1 the cells must be integer counts: the term is c log2 max(c, 1), so a
+    table of probabilities, every cell below 1, gives pieces of 0.
 
     Each term is computed over the whole table at once.  An empty cell adds an
     exact 0.0, and `math.fsum` is correctly rounded, so a row of a dense table
@@ -334,6 +328,35 @@ def _pair_part(joint: np.ndarray, marginal: np.ndarray, total: int, target, q: f
     if q == 1.0:
         return (math.fsum([*target, *(-v for v in row)]) / total for row in pair)
     return (target - value for value in pair)
+
+
+def _pair_values(joint: np.ndarray, marginal: np.ndarray, total: int, sides, orders):
+    """T_q of each row of the words table `joint` and its (xw, yw) table `marginal`,
+    laid out as `_pair_part` takes them, from their target's side at each of
+    `orders`: an iterator over the rows, each a tuple of one value per order."""
+    return zip(*(_pair_part(joint, marginal, total, side, q) for q, side in zip(orders, sides)))
+
+
+def _draw_values(prefix: np.ndarray, codes: list, n_x: int, n_possible: int, sides, orders):
+    """T_q at each of `orders` of each job of one draw on a target, from the target's
+    `_target_prefix`, each job's source word codes times n_x and the target's side
+    at each order: an iterator over the jobs, each checked as it is drawn.  By the
+    rule of `count_words`, the jobs' tables are dense rows of every code, counted
+    and evaluated as one table whose (xw, yw) cells sum out x', the last digit,
+    when the n_possible codes are no more than the windows, and otherwise each
+    job's sorted codes, whose (xw, yw) cells are runs once x' is dropped."""
+    windows = prefix.size
+    if n_possible <= windows:
+        table = np.array([_word_row(prefix + c, n_possible) for c in codes])
+        yield from _pair_values(table, table.reshape(len(codes), -1, n_x).sum(axis=2),
+                                windows, sides, orders)
+    else:
+        for c in codes:
+            full = prefix + c
+            counts = _tally(full, n_possible)[1]  # sorts full in place
+            full //= n_x
+            yield next(_pair_values(counts[None], np.diff(_run_bounds(full))[None], windows,
+                                    sides, orders))
 
 
 def renyi_transfer_entropy(w: WordDistribution, q) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import renflow.surrogate
+import renflow.transfer
 from renflow import synth
 from renflow.cli import build_parser, main
 
@@ -905,8 +906,8 @@ class TestShannonWindow:
 
     def test_sweep_q_evaluates_a_window_order_once(self, synth_csv, tmp_path, monkeypatch):
         # one order per row of each word table the pair part evaluates
-        orders, pair_part = [], renflow.surrogate._pair_part
-        monkeypatch.setattr(renflow.surrogate, "_pair_part",
+        orders, pair_part = [], renflow.transfer._pair_part
+        monkeypatch.setattr(renflow.transfer, "_pair_part",
                             lambda joint, *args: orders.extend([args[-1]] * len(joint))
                             or pair_part(joint, *args))
         target_orders, target_part = [], renflow.surrogate._target_part

@@ -182,6 +182,19 @@ def test_only_the_array_rules_read_a_dtype_or_freeze_an_array():
         "errors._integers", "errors._series"}
 
 
+def test_only_transfer_lays_out_a_word_table():
+    """The run planner hands each draw's codes to `transfer._draw_values`, which alone
+    picks a table's layout: `surrogate` imports none of the helpers that count or
+    group a table and calls no `np.bincount`, sort or `np.unique` itself."""
+    tree = ast.parse((PACKAGE / "surrogate.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"_tally", "_run_bounds", "_word_row", "_pair_part"})
+    counted = {name for scope, name in package_names() if scope.startswith("surrogate.")
+               and name.rpartition(".")[2] in ("bincount", "sort", "argsort", "unique")}
+    assert counted == set()
+
+
 def test_only_report_encodes_csv():
     """`csv.writer` is named only in `report`, so `render` and `emit` stay the one CSV
     encoder, and no module imports a name from `csv` that would hide a writer."""

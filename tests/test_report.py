@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renflow.surrogate
+import renflow.transfer
 from helpers import (
     iid_symbol_series,
     lag2_xor_exact_te,
@@ -63,16 +64,17 @@ INT64 = np.iinfo(np.int64)
 csv_texts = st.text(st.one_of(st.sampled_from(',"%\n\r'), st.characters()), max_size=6)
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record the arguments of every call the planner makes to `renflow.surrogate.<name>`."""
+def count_calls(monkeypatch, name: str, module=renflow.surrogate) -> list:
+    """Record the arguments of every call to `<module>.<name>`, by default a name the
+    planner calls in `renflow.surrogate`."""
     calls = []
-    original = getattr(renflow.surrogate, name)
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(renflow.surrogate, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -363,8 +365,9 @@ class TestQSweep:
 
     def test_words_counted_once_for_every_order(self, monkeypatch):
         # count_words builds each target part, and its words are the raw pair's table;
-        # every replica counts one dense row of its codes per job
-        parts, rows = count_calls(monkeypatch, "count_words"), count_calls(monkeypatch, "_word_row")
+        # every replica counts one dense row of its codes per job, in `transfer`
+        parts = count_calls(monkeypatch, "count_words")
+        rows = count_calls(monkeypatch, "_word_row", renflow.transfer)
         rng = np.random.default_rng(15)
         x = iid_symbol_series(rng, 500, 3, label="X")
         y = iid_symbol_series(rng, 500, 3, label="Y")

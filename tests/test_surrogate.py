@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import fields
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renflow.surrogate
+import renflow.transfer
 from helpers import iid_symbol_series, reference_block_shuffle, reference_effective
 from renflow import (
     EffectiveResult,
@@ -276,14 +278,20 @@ class TestRunPlanner:
         assert seen == {False, True}
 
     def test_dense_and_per_row_replicas_equal_reference_loop(self, monkeypatch):
-        # (layout, possible words, windows) of every word table the planner counts, raw
-        # pairs included: a dense row exactly when the possible words are no more than
-        # the windows, and the observed words by sort otherwise
+        # (layout, possible words, windows) of every word table `transfer` counts for the
+        # planner's draws, raw pairs included: a dense row exactly when the possible words
+        # are no more than the windows, and the observed words by sort otherwise.  The
+        # tally of a target part's own words inside `count_words` is not a draw's table
         seen = []
         for name, path in (("_word_row", "dense"), ("_tally", "sorted")):
-            original = getattr(renflow.surrogate, name)
-            monkeypatch.setattr(renflow.surrogate, name, lambda full, n, original=original,
-                                path=path: seen.append((path, n, full.size)) or original(full, n))
+            original = getattr(renflow.transfer, name)
+
+            def counted(full, n, original=original, path=path):
+                if sys._getframe(1).f_code.co_name != "count_words":
+                    seen.append((path, n, full.size))
+                return original(full, n)
+
+            monkeypatch.setattr(renflow.transfer, name, counted)
 
         @settings(max_examples=10, deadline=None)
         @given(

@@ -358,6 +358,29 @@ class TestWordDistribution:
         np.testing.assert_array_equal(rebuilt.codes, words.codes)
         np.testing.assert_array_equal(rebuilt.counts, words.counts)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6), st.integers(2, 4), st.integers(1, 3), st.integers(1, 2),
+        st.integers(5, 300), st.integers(0, 2**32 - 1),
+    )
+    @example(nx=3, ny=2, m=2, l=1, length=30, seed=1)  # 27 (xw, x') keys, 27 windows: dense
+    @example(nx=3, ny=2, m=2, l=1, length=29, seed=1)  # 26 windows: the observed keys
+    def test_groupings_equal_a_per_word_reference(self, nx, ny, m, l, length, seed):
+        # the (xw, yw), (xw, x') and (xw) counts in ascending key order, on both sides
+        # of the rule that counts the (xw, x') table densely
+        rng = np.random.default_rng(seed)
+        x, y = iid_symbol_series(rng, length, nx), iid_symbol_series(rng, length, ny)
+        words = count_words(x, y, HistorySpec(m, l))
+        pair, target, history = Counter(), Counter(), Counter()
+        for (x_next, xw, yw), count in word_items(words):
+            pair[xw, yw] += count
+            target[xw, x_next] += count
+            history[xw] += count
+        fx_counts, xh_counts = words._target_groups
+        assert words._pair_groups.tolist() == [pair[key] for key in sorted(pair)]
+        assert fx_counts.tolist() == [target[key] for key in sorted(target)]
+        assert xh_counts.tolist() == [history[key] for key in sorted(history)]
+
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(1)
         words = random_word_distribution(rng)
