@@ -75,16 +75,17 @@ def load_csv(
     column named at two header positions, a label selected twice, and an
     offset for a column that is not read are rejected.
 
-    The header is read with `csv`.  The body has two parse paths: numpy's
-    C reader (`np.loadtxt`) takes the whole body at once, and where numpy
-    raises or warns on any cell, or the file holds a character that
-    `csv`, `int()` or `float()` read differently from numpy, a per-cell
-    loop reads it row by row with `csv`, `int()` and `float()`.  The
+    The header is read with `csv`, after a UTF-8 byte-order mark if the file
+    starts with one, as a spreadsheet's "CSV UTF-8" export does.  The body has
+    two parse paths: numpy's C reader (`np.loadtxt`) takes the whole body at
+    once, and where numpy raises or warns on any cell, or the file holds a
+    character that `csv`, `int()` or `float()` read differently from numpy, a
+    per-cell loop reads it row by row with `csv`, `int()` and `float()`.  The
     output does not depend on which path ran.
     """
     path = Path(path)
     offsets = tz_offsets or {}
-    with open(path, newline="", encoding="utf-8") as fh, reading(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, reading(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

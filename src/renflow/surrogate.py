@@ -44,10 +44,9 @@ from .transfer import (
     HistorySpec,
     _draw_values,
     _history_codes,
-    _pair_values,
     _radices,
-    _target_part,
     _target_prefix,
+    _word_values,
     count_words,
 )
 
@@ -178,18 +177,20 @@ def effective_transfer_entropies(
     source alphabet) builds its target part once, before the draws, from
     `count_words` of its first job: the target's code prefix, its window count
     and its side of T_q at every order.  Those words are also that job's draw 0
-    table, evaluated there, so draw 0 counts the part's other jobs only; each of
-    those has its series lengths checked as it joins the part.  Each draw codes
-    each source's history once per (l, first window, target alphabet), for every
-    target it feeds, and `transfer._draw_values` counts each job's word table
-    once and evaluates every order from it.  A job's values depend only on the
-    job, the order and `spec`, never on the other jobs or their place in the
-    list.  A failing job is named as `pair S->T`.  A list passed as `timing_sink`
-    receives each job's seconds of counting and evaluation over every draw: a
-    target part, with its first job's draw 0 table, is charged to that job, a
-    draw's work on a target, history codes included, is split equally among the
-    jobs it counts, and the shuffles are shared by the jobs of a source and
-    charged to none.
+    table, which `transfer._word_values` evaluates with the side, so draw 0
+    counts the part's other jobs only.  Every job has its series lengths checked
+    as it joins the part, the first by `count_words`, and a shuffle keeps a
+    source's length, so each draw's codes span the target's windows.  Each draw
+    codes each source's history once per (l, first window, target alphabet), for
+    every target it feeds, and `transfer._draw_values` counts each job's word
+    table once and evaluates every order from it.  A job's values depend only on
+    the job, the order and `spec`, never on the other jobs or their place in the
+    list.  A failing job is named as `pair S->T`.  A list passed as
+    `timing_sink` receives each job's seconds of counting and evaluation over
+    every draw: a target part, with its first job's draw 0 table, is charged to
+    that job, a draw's work on a target, history codes included, is split
+    equally among the jobs it counts, and the shuffles are shared by the jobs of
+    a source and charged to none.
     """
     orders = [_order(q) for q in orders]
     if not orders:
@@ -204,10 +205,8 @@ def effective_transfer_entropies(
         with _named(jobs[k]):
             target = (id(x), h, y.alphabet_size)
             if target not in targets:
-                words = count_words(x, y, h)
-                sides = [_target_part(words, q) for q in orders]
-                runs[k].append(next(_pair_values(words.counts[None], words._pair_groups[None],
-                                                 words.n_windows, sides, orders)))
+                sides, values = _word_values(count_words(x, y, h), orders)
+                runs[k].append(values)
                 n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
                 targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible, sides)
             elif len(x) != len(y):
@@ -229,16 +228,12 @@ def effective_transfer_entropies(
             codes = []
             for k in drawn:
                 y = jobs[k][1]
-                with _named(jobs[k]):
-                    source = (id(y), h.l, start, n_x)
-                    if source not in histories:
-                        histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,
-                                                           h.l, start)
-                        histories[source] *= n_x  # in place: the codes are a new array
-                    codes.append(histories[source])
-                    if codes[-1].size != prefix.size:
-                        raise ValidationError(f"word table of {codes[-1].size} windows, "
-                                              f"expected {prefix.size}")
+                source = (id(y), h.l, start, n_x)
+                if source not in histories:
+                    histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,
+                                                       h.l, start)
+                    histories[source] *= n_x  # in place: the codes are a new array
+                codes.append(histories[source])
             values = _draw_values(prefix, codes, n_x, n_possible, sides, orders)
             for k in drawn:
                 with _named(jobs[k]):

@@ -28,11 +28,11 @@ power.  Both values come from the counts of four word groupings:
 (x', xw, yw), (xw, yw), (x', xw) and (xw).  With the conditioning history
 first, every (xw) and every (xw, yw) group is a run of the sorted codes.
 The (x', xw) and (xw) tables, and with them the target's side of T_q,
-depend on the target alone.  So the estimate is a target part plus a pair
-part, and the run planner builds each target part once for every source
-and surrogate replica of that target.  The evaluator takes a batch of word
-tables, one a row: a single estimate is a batch of one row of observed
-words.  `_draw_values` lays out the tables of one draw on a target by the
+depend on the target alone, so the run planner builds that side once for
+every source and surrogate replica of the target.  `_word_values` is the one
+evaluation of a counted table: the target's side and T_q at every order.
+`_pair_values` evaluates a batch of word tables, one a row, against a given
+side.  `_draw_values` lays out the tables of one draw on a target by the
 rule that picks the counting: rows of every possible word, counted and
 evaluated as one table, when the code space is no larger than the window
 count, and one row of the observed words otherwise.
@@ -73,8 +73,8 @@ class WordDistribution:
 
     Stored sparsely as read-only packed int64 codes of the observed triples,
     in strictly ascending order below target_alphabet^(m+1) * source_alphabet^l,
-    plus their counts; the window count and the marginal groupings needed by
-    the entropy formulas are derived lazily and cached.
+    plus their counts; the window count is derived lazily and cached, and the
+    groupings the entropy formulas need are built by `_groups` when evaluated.
     """
 
     codes: np.ndarray
@@ -143,33 +143,6 @@ class WordDistribution:
             m=m,
             l=l,
         )
-
-    # -- cached groupings ---------------------------------------------------
-
-    @cached_property
-    def _pair_groups(self) -> np.ndarray:
-        """Positive integer counts of the (xw, yw) table, total n_windows: the runs
-        of the sorted codes once x' is dropped, as `_draw_values` reads them off
-        the sorted window codes of a replica."""
-        return np.add.reduceat(self.counts, _run_bounds(self.codes // self.target_alphabet)[:-1])
-
-    @cached_property
-    def _target_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positive integer counts of the (xw, x') and (xw) tables, each with total
-        n_windows; they depend only on the target and the windows, never on the
-        source.  The (xw) cells are runs of the sorted codes.  The (xw, x') cells,
-        keyed xw * target_alphabet + x' in ascending order, follow the layout rule
-        of the words: counted in a dense table, less its empty cells, when its
-        target_alphabet^(m+1) keys are no more than the windows, and at the
-        observed keys, by `np.unique`, otherwise."""
-        n_x = self.target_alphabet
-        xw = self.codes // (n_x * self.source_alphabet**self.l)
-        cells = xw * n_x + self.codes % n_x
-        if n_x ** (self.m + 1) > self.n_windows:
-            cells = np.unique(cells, return_inverse=True)[1]
-        fx_counts = np.zeros(cells.max() + 1, dtype=np.int64)
-        np.add.at(fx_counts, cells, self.counts)
-        return fx_counts[fx_counts > 0], np.add.reduceat(self.counts, _run_bounds(xw)[:-1])
 
 
 def _radices(target_alphabet: int, source_alphabet: int, m: int, l: int) -> tuple[int, ...]:
@@ -311,30 +284,42 @@ def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: fl
             for j, m in zip(joint, marginal))
 
 
-def _target_part(w: WordDistribution, q: float):
-    """The target's side of T_q, S_q(X'|XW), from the (xw, x') and (xw) tables of
-    `w` (at q = 1 its pieces).  It depends only on the target, its history and
-    the windows, so every word table of that target, replicas included, shares it."""
-    return next(_conditional_part(*(t[None] for t in w._target_groups), w.n_windows, q))
+def _groups(w: WordDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive integer counts of the (xw, yw), (xw, x') and (xw) tables of `w`, each
+    of total n_windows.  The (xw, yw) and (xw) cells are runs of the sorted codes, as
+    `_draw_values` reads the (xw, yw) runs off a replica's sorted codes.  The (xw, x')
+    cells, keyed xw * n_x + x' in ascending order, follow the layout rule of the words:
+    a dense table, less its empty cells, when its n_x^(m+1) keys are no more than the
+    windows, and the observed keys, by `np.unique`, otherwise."""
+    n_x = w.target_alphabet
+    xw = w.codes // (n_x * w.source_alphabet**w.l)
+    cells = xw * n_x + w.codes % n_x
+    if n_x ** (w.m + 1) > w.n_windows:
+        cells = np.unique(cells, return_inverse=True)[1]
+    fx_counts = np.zeros(cells.max() + 1, dtype=np.int64)
+    np.add.at(fx_counts, cells, w.counts)
+    return (np.add.reduceat(w.counts, _run_bounds(w.codes // n_x)[:-1]),
+            fx_counts[fx_counts > 0], np.add.reduceat(w.counts, _run_bounds(xw)[:-1]))
 
 
-def _pair_part(joint: np.ndarray, marginal: np.ndarray, total: int, target, q: float):
-    """T_q of each row of the words table `joint` and its (xw, yw) table `marginal`,
-    laid out as `_conditional_part` takes them: the `_target_part` of their target
-    at the same order `q` less S_q(X'|XW,YW) of the row, as an iterator over the
-    rows.  At q = 1 the pieces of both parts go into one `math.fsum`, so the sum is
-    rounded once."""
-    pair = _conditional_part(joint, marginal, total, q)
-    if q == 1.0:
-        return (math.fsum([*target, *(-v for v in row)]) / total for row in pair)
-    return (target - value for value in pair)
+def _word_values(w: WordDistribution, orders) -> tuple[list, tuple]:
+    """The target's side S_q(X'|XW) of `w` (at q = 1 its pieces), from its (xw, x') and
+    (xw) tables, and T_q of `w`, each at every one of `orders` (checked by `_order`).
+    Every word table of the target, replicas included, shares the side."""
+    pair, *target = _groups(w)
+    sides = [next(_conditional_part(*(t[None] for t in target), w.n_windows, q)) for q in orders]
+    return sides, next(_pair_values(w.counts[None], pair[None], w.n_windows, sides, orders))
 
 
 def _pair_values(joint: np.ndarray, marginal: np.ndarray, total: int, sides, orders):
     """T_q of each row of the words table `joint` and its (xw, yw) table `marginal`,
-    laid out as `_pair_part` takes them, from their target's side at each of
-    `orders`: an iterator over the rows, each a tuple of one value per order."""
-    return zip(*(_pair_part(joint, marginal, total, side, q) for q, side in zip(orders, sides)))
+    laid out as `_conditional_part` takes them, from their target's side at each of
+    `orders`: its side less S_q(X'|XW,YW) of the row, as an iterator over the rows,
+    each a tuple of one value per order.  At q = 1 the pieces of both sides go into
+    one `math.fsum`, so the sum is rounded once."""
+    rows = zip(*(_conditional_part(joint, marginal, total, q) for q in orders))
+    return (tuple(math.fsum([*side, *(-v for v in pair)]) / total if q == 1.0 else side - pair
+                  for q, side, pair in zip(orders, sides, row)) for row in rows)
 
 
 def _draw_values(prefix: np.ndarray, codes: list, n_x: int, n_possible: int, sides, orders):
@@ -376,11 +361,10 @@ def renyi_transfer_entropy(w: WordDistribution, q) -> float:
     cells changes those bits, so relabelling symbols leaves T_q as is, and
     equal tables cancel exactly: T_q(x -> x) is 0 at m = l.
 
-    The value is the target part, from the (xw, x') and (xw) tables alone,
-    combined with the pair part, from the words and (xw, yw) tables: the two
-    functions the run planner uses to share one target part among every
-    source and surrogate replica of that target.
+    The value comes from `_word_values`, the one evaluation of a counted table,
+    which the run planner also calls on a target part's first job: the target's
+    side, from the (xw, x') and (xw) tables alone, less the side of the words
+    and (xw, yw) tables.  The planner shares that target side among every
+    source and surrogate replica of the target.
     """
-    q = _order(q)
-    return next(_pair_part(w.counts[None], w._pair_groups[None], w.n_windows,
-                           _target_part(w, q), q))
+    return _word_values(w, [_order(q)])[1][0]

@@ -331,7 +331,7 @@ def reference_load_csv(
     and `float()` on each selected cell."""
     path = Path(path)
     offsets = tz_offsets or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

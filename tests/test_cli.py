@@ -905,14 +905,14 @@ class TestShannonWindow:
         assert written[1] == written[0]
 
     def test_sweep_q_evaluates_a_window_order_once(self, synth_csv, tmp_path, monkeypatch):
-        # one order per row of each word table the pair part evaluates
-        orders, pair_part = [], renflow.transfer._pair_part
-        monkeypatch.setattr(renflow.transfer, "_pair_part",
-                            lambda joint, *args: orders.extend([args[-1]] * len(joint))
-                            or pair_part(joint, *args))
-        target_orders, target_part = [], renflow.surrogate._target_part
-        monkeypatch.setattr(renflow.surrogate, "_target_part",
-                            lambda words, q: target_orders.append(q) or target_part(words, q))
+        # each order once per row of each word table evaluated against a target side
+        orders, pair_values = [], renflow.transfer._pair_values
+        monkeypatch.setattr(renflow.transfer, "_pair_values",
+                            lambda joint, *args: orders.extend(args[-1] * len(joint))
+                            or pair_values(joint, *args))
+        target_orders, word_values = [], renflow.surrogate._word_values
+        monkeypatch.setattr(renflow.surrogate, "_word_values",
+                            lambda words, qs: target_orders.extend(qs) or word_values(words, qs))
         argv, _, _ = WINDOW_RUNS["sweep-q"]
         argv = [str(synth_csv) if a == "@synth.csv" else a for a in argv]
         assert main([*argv, "1,1.0000000005,2", "--out", str(tmp_path / "q.csv")]) == 0

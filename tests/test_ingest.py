@@ -52,6 +52,16 @@ class TestLoadCsv:
         (series,) = load_csv(path)
         np.testing.assert_array_equal(series.timestamps, [1, 4])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 BOM, U+FEFF
+        text = "timestamp,A,B\n1,1.0,2.0\n2,,4.0\n3,5.0,6.0\n"
+        plain = write(tmp_path, "plain.csv", text)
+        marked = write(tmp_path, "marked.csv", "\ufeff" + text)
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbftimestamp,")
+        expected = outcome(load_csv, plain)
+        assert [label for label, _, _ in expected] == ["A", "B"]
+        assert outcome(load_csv, marked) == outcome(reference_load_csv, marked) == expected
+
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "empty.csv", "")
         with pytest.raises(MalformedHeaderError):

@@ -195,6 +195,20 @@ def test_only_transfer_lays_out_a_word_table():
     assert counted == set()
 
 
+def test_only_transfer_evaluates_a_counted_word_table():
+    """The run planner hands a target part's counted words to `transfer._word_values`,
+    the one evaluation of a counted table: `surrogate` reads no field of a word
+    table and imports neither the table groupings nor the batch evaluator."""
+    tree = ast.parse((PACKAGE / "surrogate.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"_pair_values", "_groups"})
+    assert "_word_values" in imported
+    fields = {name for scope, name in package_names() if scope.startswith("surrogate.")
+              and name.partition(".")[2] in ("counts", "codes", "_pair_groups", "_target_groups")}
+    assert fields == set()
+
+
 def test_only_report_encodes_csv():
     """`csv.writer` is named only in `report`, so `render` and `emit` stay the one CSV
     encoder, and no module imports a name from `csv` that would hide a writer."""

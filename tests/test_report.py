@@ -271,7 +271,7 @@ class TestPairwiseMatrix:
 
     def test_each_target_part_built_once(self, monkeypatch):
         prefixes, sides = count_calls(monkeypatch, "_target_prefix"), count_calls(
-            monkeypatch, "_target_part")
+            monkeypatch, "_word_values")
         histories = count_calls(monkeypatch, "_history_codes")
         rng = np.random.default_rng(14)
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
@@ -281,7 +281,7 @@ class TestPairwiseMatrix:
         # part's first job takes draw 0 from the words its part was built from, and S0
         # is the first source of every other target, so its raw codes are never needed
         assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
-        assert [q for _, q in sides] == [1.5] * 4
+        assert [orders for _, orders in sides] == [[1.5]] * 4
         draws = {(s.label, 0): s.symbols for s in series[1:]} | {
             (s.label, r + 1): make_surrogate(s, FAST, r).symbols
             for s in series for r in range(FAST.ensemble_size)}

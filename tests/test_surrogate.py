@@ -28,6 +28,7 @@ from renflow import (
 )
 from renflow.infocore import _CLASS_MIN_CELLS
 from renflow.surrogate import effective_transfer_entropies
+from renflow.transfer import _groups
 
 H11 = HistorySpec(1, 1)
 
@@ -271,7 +272,7 @@ class TestRunPlanner:
                     assert (result.raw, result.replicas, result.n_windows) == (
                         raw, replicas, windows)
                 words = count_words(x, y, h)
-                tables = (words.counts, words._pair_groups, *words._target_groups)
+                tables = (words.counts, *_groups(words))
                 seen.update(t.size > _CLASS_MIN_CELLS for t in tables)
 
         check()

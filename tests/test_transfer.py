@@ -29,7 +29,7 @@ from renflow import (
 )
 from renflow.cli import main
 from renflow.infocore import _CLASS_MIN_CELLS, _count_terms, _power_sum
-from renflow.transfer import _radices, _tally
+from renflow.transfer import _groups, _radices, _tally
 
 LOG2_3 = math.log2(3)
 CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
@@ -38,7 +38,7 @@ CLASS_ORDERS = (0.3, 0.5, 0.8, 1.5, 2.5, 7.0)
 def power_tables(words: WordDistribution) -> dict:
     """The four integer count tables, each of total N, that make T_q at every order,
     as `renyi_transfer_entropy` reads them."""
-    both_counts, (fx_counts, xh_counts) = words._pair_groups, words._target_groups
+    both_counts, fx_counts, xh_counts = _groups(words)
     return {"words": words.counts, "xw,yw": both_counts, "xw,x'": fx_counts, "xw": xh_counts}
 
 
@@ -376,8 +376,8 @@ class TestWordDistribution:
             pair[xw, yw] += count
             target[xw, x_next] += count
             history[xw] += count
-        fx_counts, xh_counts = words._target_groups
-        assert words._pair_groups.tolist() == [pair[key] for key in sorted(pair)]
+        pair_counts, fx_counts, xh_counts = _groups(words)
+        assert pair_counts.tolist() == [pair[key] for key in sorted(pair)]
         assert fx_counts.tolist() == [target[key] for key in sorted(target)]
         assert xh_counts.tolist() == [history[key] for key in sorted(history)]
 
