@@ -82,7 +82,7 @@ def _list_of(kind, bound=_order):
 
 def _offset(value: str) -> tuple[str, int]:
     """Argparse type for one LABEL=MINUTES clock offset."""
-    label, _, minutes = value.partition("=")
+    label, _, minutes = value.rpartition("=")
     try:
         if label:
             return label, int(minutes)
@@ -250,7 +250,7 @@ _PRESETS = {
 def _load_process_spec(args) -> CoupledMarkovSpec:
     if args.spec:
         with reading(args.spec):
-            text = Path(args.spec).read_text(encoding="utf-8")
+            text = Path(args.spec).read_text(encoding="utf-8-sig")
         return CoupledMarkovSpec.from_json(text)
     if args.preset:
         return _PRESETS[args.preset](args)

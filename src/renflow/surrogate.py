@@ -43,8 +43,7 @@ from .symbolize import SymbolSeries
 from .transfer import (
     HistorySpec,
     _draw_values,
-    _history_codes,
-    _radices,
+    _source_codes,
     _target_prefix,
     _word_values,
     count_words,
@@ -175,15 +174,15 @@ def effective_transfer_entropies(
     sources as given, and draw r + 1 shuffles every distinct source once, as
     replica r.  A shuffle leaves the target alone, so each (target, history,
     source alphabet) builds its target part once, before the draws, from
-    `count_words` of its first job: the target's code prefix, its window count
-    and its side of T_q at every order.  Those words are also that job's draw 0
-    table, which `transfer._word_values` evaluates with the side, so draw 0
-    counts the part's other jobs only.  Every job has its series lengths checked
-    as it joins the part, the first by `count_words`, and a shuffle keeps a
-    source's length, so each draw's codes span the target's windows.  Each draw
-    codes each source's history once per (l, first window, target alphabet), for
-    every target it feeds, and `transfer._draw_values` counts each job's word
-    table once and evaluates every order from it.  A job's values depend only on
+    `count_words` of its first job: its `transfer._target_prefix` and its side of
+    T_q at every order.  Those words are also that job's draw 0 table, which
+    `transfer._word_values` evaluates with the side, so draw 0 counts the part's
+    other jobs only.  Every job has its series lengths checked as it joins the
+    part, the first by `count_words`, and a shuffle keeps a source's length, so
+    each draw's codes span the target's windows.  Each draw codes each source by
+    `transfer._source_codes` once per (history, target alphabet), for every
+    target it feeds, and `transfer._draw_values` counts each job's word table
+    once and evaluates every order from it.  A job's values depend only on
     the job, the order and `spec`, never on the other jobs or their place in the
     list.  A failing job is named as `pair S->T`.  A list passed as
     `timing_sink` receives each job's seconds of counting and evaluation over
@@ -207,8 +206,7 @@ def effective_transfer_entropies(
             if target not in targets:
                 sides, values = _word_values(count_words(x, y, h), orders)
                 runs[k].append(values)
-                n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
-                targets[target] = ([], _target_prefix(x, h, y.alphabet_size), n_possible, sides)
+                targets[target] = ([], *_target_prefix(x, h, y.alphabet_size), sides)
             elif len(x) != len(y):
                 raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
             targets[target][0].append(k)
@@ -217,22 +215,20 @@ def effective_transfer_entropies(
     for draw in range(spec.ensemble_size + 1):
         shuffled = {key: y.symbols if draw == 0 else _shuffled(y, spec, draw - 1)
                     for key, y in sources.items()}
-        histories = {}  # (source, l, first window, n_x) -> its codes in this draw times n_x
+        histories = {}  # (source, history, n_x) -> its codes in this draw times n_x
         for ks, prefix, n_possible, sides in targets.values():
             drawn = ks[1:] if draw == 0 else ks  # the first job's draw 0 came with the part
             if not drawn:
                 continue
             started = time.perf_counter()
             x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
-            start, n_x = max(h.m, h.l), x.alphabet_size
+            n_x = x.alphabet_size
             codes = []
             for k in drawn:
                 y = jobs[k][1]
-                source = (id(y), h.l, start, n_x)
+                source = (id(y), h, n_x)
                 if source not in histories:
-                    histories[source] = _history_codes(shuffled[id(y)], y.alphabet_size,
-                                                       h.l, start)
-                    histories[source] *= n_x  # in place: the codes are a new array
+                    histories[source] = _source_codes(shuffled[id(y)], y.alphabet_size, h, n_x)
                 codes.append(histories[source])
             values = _draw_values(prefix, codes, n_x, n_possible, sides, orders)
             for k in drawn:

@@ -17,23 +17,24 @@ which recovers the Shannon value as q -> 1 and, unlike it, may be
 negative for q != 1: learning the source history can widen the sector
 of the predictive distribution that order q emphasizes.
 
-Each word is one int64 mixed-radix code with digits (x_1..x_m,
-y_1..y_l, x'): the target's prefix xw * n_y^l * n_x + x' plus the source
-word's code times n_x, each packed by Horner's rule.  A code space no
-larger than the window count is counted densely with `np.bincount`; a
-larger one by sorting the window codes in place, the only sort, and
-reading off each run of equal codes.  Only observed
-words are stored, so memory scales with the data, not with the alphabet
-power.  Both values come from the counts of four word groupings:
-(x', xw, yw), (xw, yw), (x', xw) and (xw).  With the conditioning history
-first, every (xw) and every (xw, yw) group is a run of the sorted codes.
-The (x', xw) and (xw) tables, and with them the target's side of T_q,
-depend on the target alone, so the run planner builds that side once for
-every source and surrogate replica of the target.  `_word_values` is the one
-evaluation of a counted table: the target's side and T_q at every order.
-`_pair_values` evaluates a batch of word tables, one a row, against a given
-side.  `_draw_values` lays out the tables of one draw on a target by the
-rule that picks the counting: rows of every possible word, counted and
+Each word is one int64 mixed-radix code with digits (x_1..x_m, y_1..y_l,
+x'): the target's prefix xw * n_y^l * n_x + x' plus the source word's code
+times n_x, each packed by Horner's rule.  `_target_prefix` and
+`_source_codes` are the one rule for which windows exist and how a word is
+coded, for `count_words` and the run planner alike.  A code space no larger
+than the window count is counted densely with `np.bincount`; a larger one by
+sorting the window codes in place, the only sort, and reading off each run
+of equal codes.  Only observed words are stored, so memory scales with the
+data, not with the alphabet power.  Both values come from the counts of four
+word groupings: (x', xw, yw), (xw, yw), (x', xw) and (xw).  With the
+conditioning history first, every (xw) and every (xw, yw) group is a run of
+the sorted codes.  The (x', xw) and (xw) tables, and with them the target's
+side of T_q, depend on the target alone, so the run planner builds that side
+once for every source and surrogate replica of the target.  `_word_values`
+is the one evaluation of a counted table: the target's side and T_q at every
+order.  `_pair_values` evaluates a batch of word tables, one a row, against
+a given side.  `_draw_values` lays out the tables of one draw on a target by
+the rule that picks the counting: rows of every possible word, counted and
 evaluated as one table, when the code space is no larger than the window
 count, and one row of the observed words otherwise.
 """
@@ -173,8 +174,8 @@ def count_words(
     Windows sit at t = max(m, l) .. L-2 (0-based): the future symbol is
     x_{t+1} and both history words end at t.  The first max(m, l)
     positions are skipped so every window has full histories, giving
-    L - max(m, l) - 1 windows in total.  Each window's code is the target's
-    prefix plus the source word's code times the target alphabet.
+    L - max(m, l) - 1 windows in total.  Each window's code is its
+    `_target_prefix` plus its `_source_codes`, as the run planner codes a draw.
 
     `pseudo_count` > 0 additively smooths the distribution by granting
     that many extra observations to every possible word.  Off by
@@ -183,22 +184,14 @@ def count_words(
     if len(x) != len(y):
         raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
     pseudo_count = _integer("pseudo_count", pseudo_count, 0)
-    length = len(x)
-    start = max(h.m, h.l)
-    n_windows = length - start - 1
-    if n_windows < 1:
-        raise ValidationError(
-            f"series of length {length} too short for histories m={h.m}, l={h.l}"
-        )
-    n_possible = math.prod(_radices(x.alphabet_size, y.alphabet_size, h.m, h.l))
+    prefix, n_possible = _target_prefix(x, h, y.alphabet_size)
     if pseudo_count > 0 and n_possible > _PSEUDO_LIMIT:
         raise ValidationError(
             "pseudo counts require enumerating every possible word; "
             f"{n_possible} words is too many (limit {_PSEUDO_LIMIT})"
         )
-    full = _target_prefix(x, h, y.alphabet_size) + _history_codes(
-        y.symbols, y.alphabet_size, h.l, start) * x.alphabet_size
-    codes, counts = _tally(full, n_possible)
+    prefix += _source_codes(y.symbols, y.alphabet_size, h, x.alphabet_size)
+    codes, counts = _tally(prefix, n_possible)
     if pseudo_count > 0:
         smoothed = np.full(n_possible, pseudo_count, dtype=np.int64)
         smoothed[codes] += counts
@@ -225,14 +218,28 @@ def _history_codes(symbols: np.ndarray, alphabet: int, length: int, start: int) 
     return codes
 
 
-def _target_prefix(x: SymbolSeries, h: HistorySpec, source_alphabet: int) -> np.ndarray:
-    """The target's digits of each window's code, xw * source_alphabet^l * n_x + x'
-    in the layout of `_radices`; adding a source word's code times n_x completes it."""
+def _target_prefix(x: SymbolSeries, h: HistorySpec,
+                   source_alphabet: int) -> tuple[np.ndarray, int]:
+    """Each window's target digits xw * source_alphabet^l * n_x + x', laid out as by
+    `_radices`, as a new array that `_source_codes` completes, and the count n_possible
+    of codes.  A series with no full window is refused before too large a code space."""
     start = max(h.m, h.l)
+    if len(x) <= start + 1:
+        raise ValidationError(f"series of length {len(x)} too short for histories m={h.m}, l={h.l}")
+    n_possible = math.prod(_radices(x.alphabet_size, source_alphabet, h.m, h.l))
     prefix = _history_codes(x.symbols, x.alphabet_size, h.m, start)
     prefix *= source_alphabet**h.l * x.alphabet_size
     prefix += x.symbols[start + 1 :]
-    return prefix
+    return prefix, n_possible
+
+
+def _source_codes(symbols: np.ndarray, alphabet: int, h: HistorySpec, n_x: int) -> np.ndarray:
+    """Each window's source word y_{t-l+1} .. y_t of the checked `symbols`, coded in
+    their alphabet, times the target alphabet n_x, as a new array: the source's
+    digits of each window's code, in step with `_target_prefix`."""
+    codes = _history_codes(symbols, alphabet, h.l, max(h.m, h.l))
+    codes *= n_x
+    return codes
 
 
 def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +247,7 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
     counts: by `np.bincount` when the n_possible codes are no more than the windows,
     and otherwise by sorting `full` in place, the only sort, and reading each run of
     equal codes.  Both callers, `count_words` and `_draw_values`, pass a temporary
-    prefix + codes; `_draw_values` reads the (xw, yw) runs off the sorted array."""
+    prefix plus source codes; `_draw_values` reads the (xw, yw) runs off the sorted array."""
     if n_possible <= full.size:
         counts = np.bincount(full)
         codes = np.flatnonzero(counts)
@@ -253,12 +260,9 @@ def _tally(full: np.ndarray, n_possible: int) -> tuple[np.ndarray, np.ndarray]:
 def _word_row(full: np.ndarray, n_possible: int) -> np.ndarray:
     """The count of each of the n_possible codes among `full`, one a window, empty
     cells included: one row of a dense word table, by `np.bincount`, the layout of
-    `_draw_values` whenever the codes are no more than the windows.  A row of
-    another width is refused."""
-    row = np.bincount(full, minlength=n_possible)
-    if row.size != n_possible:
-        raise ValidationError(f"word table row of {row.size} cells, expected {n_possible}")
-    return row
+    `_draw_values` whenever the codes are no more than the windows.  Every code
+    is below n_possible, as it is built from checked symbols."""
+    return np.bincount(full, minlength=n_possible)
 
 
 def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: float):

@@ -143,6 +143,23 @@ class TestGenSynthAndOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transfer_entropy_bits"] == pytest.approx(0.188722, abs=1e-6)
 
+    @pytest.mark.parametrize("command", [["oracle", "--q", "1.5"],
+                                         ["gen-synth", "--length", "300", "--seed", "2"]],
+                             ids=["oracle", "gen-synth"])
+    def test_spec_file_with_byte_order_mark_reads_as_without(self, tmp_path, command):
+        # Windows Notepad and spreadsheet tools save UTF-8 text with a leading mark
+        from renflow import noisy_copy_spec
+
+        text = noisy_copy_spec(3, 0.75).to_json()
+        outs = []
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            spec_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            spec_path.write_text(text, encoding=encoding)
+            assert main([*command, "--spec", str(spec_path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert (tmp_path / "marked.json").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outs[0] == outs[1]
+
     def test_oracle_extreme_order_is_reported(self, capsys):
         code = main(["oracle", "--preset", "noisy-copy", "--preset-alphabet", "3",
                      "--q", "2000"])
@@ -299,6 +316,16 @@ class TestTe:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_series_with_no_full_window_is_reported_as_too_short(self, tmp_path, capsys):
+        # 40 symbols at m = 40 leave no window; the refusal comes before the code space
+        # of 3^42 words, which is also too large to encode
+        path = tmp_path / "short.csv"
+        rows = "".join(f"{t},{100 + t % 7},{50 - t % 5}\n" for t in range(40))
+        path.write_text("timestamp,A,B\n" + rows, encoding="utf-8")
+        assert main(["te", *PAIR, "--data", str(path), "--m", "40", "--surrogates", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pair A->B failed: series of length 40 too short for histories m=40, l=1\n")
 
     def test_code_space_too_large_is_reported(self, synth_csv, capsys):
         code = main([
@@ -680,6 +707,20 @@ class TestMatrixAndNetflow:
         assert alignment["aligned_rows"] < alignment["loaded_rows"]["A"]
         assert alignment["rows_dropped_by_alignment"]["A"] > 0
 
+    def test_offset_of_a_label_containing_equals(self, price_csv, tmp_path):
+        # Reuters FX codes such as EUR= end in "="; the minutes follow the last "="
+        fx = tmp_path / "fx.csv"
+        fx.write_text(price_csv.read_text(encoding="utf-8").replace(
+            "timestamp,A,B,C", "timestamp,EUR=,JPY=,C", 1), encoding="utf-8")
+        out = tmp_path / "flow.csv"
+        assert main(["matrix", "--data", str(fx), "--labels", "EUR=,JPY=", "--surrogates", "1",
+                     "--tz-offset", "EUR==60", "--out", str(out)]) == 0
+        alignment = json.loads((tmp_path / "flow.manifest.json").read_text())[
+            "parameters"]["alignment"]
+        assert alignment["tz_offsets_minutes"] == {"EUR=": 60}
+        # 60 minutes move EUR='s one-second stamps by 3,600 rows off JPY='s
+        assert alignment["rows_dropped_by_alignment"] == {"EUR=": 3600, "JPY=": 3600}
+
 
 class TestNumberOptions:
     @pytest.mark.parametrize("argv, message", [
@@ -689,6 +730,10 @@ class TestNumberOptions:
          "argument --m-grid: expected comma-separated int values, got '1,x'"),
         (["te", *PAIR, "--tz-offset", "A=x"],
          "argument --tz-offset: expected LABEL=MINUTES, got 'A=x'"),
+        (["te", *PAIR, "--tz-offset", "=60"],
+         "argument --tz-offset: expected LABEL=MINUTES, got '=60'"),
+        (["te", *PAIR, "--tz-offset", "A="],
+         "argument --tz-offset: expected LABEL=MINUTES, got 'A='"),
         (["te", *PAIR, "--tz-offset", "A=1", "--tz-offset", "A=0"],
          "argument --tz-offset: column 'A' is offset more than once"),
         (["symbolize", "--labels", ""], "argument --labels: expected at least one label, got ''"),
@@ -702,7 +747,8 @@ class TestNumberOptions:
          "argument --m-grid: value must be at least 1, got 0"),
         (["oracle", "--preset", "noisy-copy", "--preset-fidelity", "0"],
          "argument --preset-fidelity: fidelity must lie in (0, 1], got 0.0"),
-    ], ids=["q-grid", "m-grid", "tz-offset", "tz-offset-twice", "empty-labels",
+    ], ids=["q-grid", "m-grid", "tz-offset", "tz-offset-no-label", "tz-offset-no-minutes",
+            "tz-offset-twice", "empty-labels",
             "surrogates-below-0", "block-below-1", "q-negative", "q-grid-entry-0", "m-grid-entry-0",
             "fidelity-0"])
     def test_bad_value_is_a_usage_error(self, price_csv, tmp_path, capsys, argv, message):

@@ -209,6 +209,22 @@ def test_only_transfer_evaluates_a_counted_word_table():
     assert fields == set()
 
 
+def test_only_transfer_sets_the_windows_and_word_codes():
+    """The run planner takes a target's code prefix and code count from
+    `transfer._target_prefix` and each draw's source codes from `transfer._source_codes`,
+    the helpers `count_words` calls: `surrogate` imports neither the history coder nor
+    the digit layout and reads no history length, so it computes no first window,
+    source-code scale or code-space size of its own."""
+    tree = ast.parse((PACKAGE / "surrogate.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"_history_codes", "_radices"})
+    assert {"_target_prefix", "_source_codes"} <= imported
+    lengths = {name for scope, name in package_names() if scope.startswith("surrogate.")
+               and "." in name and name.rpartition(".")[2] in ("m", "l")}
+    assert lengths == set()
+
+
 def test_only_report_encodes_csv():
     """`csv.writer` is named only in `report`, so `render` and `emit` stay the one CSV
     encoder, and no module imports a name from `csv` that would hide a writer."""

@@ -272,22 +272,23 @@ class TestPairwiseMatrix:
     def test_each_target_part_built_once(self, monkeypatch):
         prefixes, sides = count_calls(monkeypatch, "_target_prefix"), count_calls(
             monkeypatch, "_word_values")
-        histories = count_calls(monkeypatch, "_history_codes")
+        sources = count_calls(monkeypatch, "_source_codes")
         rng = np.random.default_rng(14)
         series = [iid_symbol_series(rng, 500, 3, label=f"S{i}") for i in range(4)]
         pairwise_matrix(series, H11, 1.5, FAST)
-        # N target parts, not N (N - 1) (R + 1); one history code per source and draw,
-        # the raw sources and then each replica, in the source's alphabet.  A target
-        # part's first job takes draw 0 from the words its part was built from, and S0
-        # is the first source of every other target, so its raw codes are never needed
+        # N target parts, not N (N - 1) (R + 1); one source coding per source and draw,
+        # the raw sources and then each replica, in the source's alphabet and scaled by
+        # the target's.  A target part's first job takes draw 0 from the words its part
+        # was built from, and S0 is the first source of every other target, so its raw
+        # codes are never needed
         assert sorted(x.label for x, _, _ in prefixes) == ["S0", "S1", "S2", "S3"]
         assert [orders for _, orders in sides] == [[1.5]] * 4
         draws = {(s.label, 0): s.symbols for s in series[1:]} | {
             (s.label, r + 1): make_surrogate(s, FAST, r).symbols
             for s in series for r in range(FAST.ensemble_size)}
-        assert sorted((*[key for key, d in draws.items() if np.array_equal(d, symbols)], n, l,
-                       start) for symbols, n, l, start in histories) == sorted(
-            product(draws, [3], [1], [1]))
+        assert sorted((*[key for key, d in draws.items() if np.array_equal(d, symbols)], n, h,
+                       n_x) for symbols, n, h, n_x in sources) == sorted(
+            product(draws, [3], [H11], [3]))
 
     def test_each_source_shuffled_once_per_replica(self, monkeypatch):
         calls = count_calls(monkeypatch, "_shuffled")

@@ -112,6 +112,15 @@ class TestCountWords:
         with pytest.raises(ValidationError):
             count_words(x, y, HistorySpec(1, 1))
 
+    @pytest.mark.parametrize("m", [4, 70], ids=["short", "short-and-too-large"])
+    def test_series_with_no_full_window_rejected_first(self, m):
+        # 5 symbols at m = 4 or 70 leave no window; at m = 70 the code space of
+        # 2^72 words is too large to encode as well, and the length is refused first
+        x = SymbolSeries(np.array([0, 1, 0, 1, 0]), 2)
+        message = f"series of length 5 too short for histories m={m}, l=1"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            count_words(x, x, HistorySpec(m, 1))
+
     def test_length_mismatch_rejected(self):
         x = SymbolSeries(np.array([0, 1, 0]), 2)
         y = SymbolSeries(np.array([1, 0]), 2)
