@@ -185,17 +185,18 @@ def _cmd_te(args) -> None:
 
 
 def _cmd_matrix(args) -> None:
-    started = time.perf_counter()
+    clock = [time.perf_counter()]  # the start, then the end of each stage of --timings
     manifest_path = Path(args.out).with_suffix(".manifest.json")
     if _same_file(args.data, manifest_path):
         raise ValidationError(f"argument --data: is the same file as the run manifest {manifest_path}")
     symbols, info = _load_aligned_symbols(args, args.labels)
     if args.format == "svg":
         check_svg_labels(s.label for s in symbols)
-    h = HistorySpec(args.m, args.l)
-    timing_sink = {} if args.timings else None
-    matrix = pairwise_matrix(symbols, h, args.q, _surrogate_spec(args), timing_sink)
+    clock.append(time.perf_counter())
+    matrix = pairwise_matrix(symbols, HistorySpec(args.m, args.l), args.q, _surrogate_spec(args))
+    clock.append(time.perf_counter())
     out = emit(matrix, args.out, args.format)
+    clock.append(time.perf_counter())
     params = {
         **matrix.params,
         "labels": list(matrix.labels),
@@ -208,7 +209,6 @@ def _cmd_matrix(args) -> None:
         "output": out.name,
         "alignment": info,
     }
-    seconds = time.perf_counter() - started
     manifest = {
         "command": "matrix",
         "version": __version__,
@@ -216,7 +216,8 @@ def _cmd_matrix(args) -> None:
         "parameters": params,
     }
     if args.timings:
-        manifest["timings"] = {"total_seconds": seconds, "pairs": timing_sink}
+        stages = dict(zip(("ingest", "estimate", "render"), np.diff(clock).tolist()))
+        manifest["timings"] = {"total_seconds": clock[-1] - clock[0], "stages": stages}
     emit(manifest, manifest_path, "json")
 
 
@@ -349,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                 [data, columns, history, order, ensemble], True, ("csv", "json", "svg"))
     p.add_argument(
         "--timings", action="store_true",
-        help="record total seconds and, per pair, counting and evaluation seconds over the raw "
-        "pair and all replicas; shared source shuffles go to no pair (breaks byte reproducibility)",
+        help="record wall-clock seconds in total and per stage (ingest: load, align, symbolize; "
+        "estimate: every pair, raw and replicas; render); breaks byte reproducibility",
     )
     p = command("netflow", _cmd_netflow, "net information flow from a stored matrix",
                 [], True, ("csv", "json", "svg"))

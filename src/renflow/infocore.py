@@ -34,6 +34,7 @@ its c * log2(c) this way.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +118,11 @@ def _power_sum(probs: np.ndarray, q: float) -> float:
 
 
 def _finite_power_sum(terms, q: float) -> float:
-    """`math.fsum` of the p^q `terms`.  A sum that underflows to 0 or overflows
-    has no logarithm and is rejected."""
+    """`math.fsum` of the p^q `terms`.  A sum below the normal floating-point range,
+    0 included, keeps too few significant bits, and an overflowing sum has no
+    logarithm: both are rejected."""
     power_sum = math.fsum(terms)
-    if not 0.0 < power_sum < math.inf:
+    if not sys.float_info.min <= power_sum < math.inf:
         raise ValidationError(
             f"sum of p^q is {power_sum!r} at Renyi order q={q!r}, beyond floating point"
         )

@@ -178,41 +178,25 @@ class IntegerTable:
 
 
 def pairwise_matrix(
-    series: list[SymbolSeries],
-    h: HistorySpec,
-    q,
-    spec: SurrogateSpec,
-    timing_sink: dict | None = None,
+    series: list[SymbolSeries], h: HistorySpec, q, spec: SurrogateSpec
 ) -> FlowMatrix:
     """Effective transfer entropy for every ordered pair of series.
 
     All series must have equal lengths (align upstream) and unique
-    labels; an unlabeled series i is "series<i>" in the matrix, errors and
-    timings.  A failure on any pair aborts the run, naming the pair.  A
-    dict passed as `timing_sink` receives each directed pair's seconds of
-    counting and evaluation over the raw pair and every replica.  A target's
-    shared part is charged to its first pair.  Each draw, the raw sources
-    first and then each replica, counts and evaluates a target's pairs as one
-    batch, whose seconds are split equally among them.  The shared source
-    shuffles are charged to no pair.
+    labels; an unlabeled series i is "series<i>" in the matrix and in
+    errors.  A failure on any pair aborts the run, naming the pair.
     """
     labels = _check_labels((s.label or f"series{i}" for i, s in enumerate(series)), "flow matrix")
     series = [replace(s, label=label) for s, label in zip(series, labels)]
     q = _order(q)
     n = len(series)
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]  # (target, source)
-    seconds = [] if timing_sink is not None else None
-    results = effective_transfer_entropies(
-        [(series[i], series[j], h) for i, j in cells], [q], spec, seconds
-    )
+    jobs = [(series[i], series[j], h) for i, j in cells]
+    results = effective_transfer_entropies(jobs, [q], spec)
     results = {cell: result for cell, (result,) in zip(cells, results)}
     values = np.full((n, n), np.nan)
     for (i, j), result in results.items():
         values[i, j] = result.effective
-    if timing_sink is not None:
-        timing_sink.update(
-            (f"{labels[j]}->{labels[i]}", t) for (i, j), t in zip(cells, seconds)
-        )
     params = {
         "q": q,
         "m": h.m,

@@ -23,14 +23,12 @@ codes them in the source's alphabet, and builds no series around them;
 hands each draw's codes on a target to `transfer`, which lays out every word
 table by one rule: a dense row of every possible code when the codes are no
 more than the windows, as at the paper's alphabet 3 and m = l = 1
-(27 words), and the observed codes, by sort, otherwise.  A timing splits a
-draw's seconds on a target equally among the jobs it counts.
+(27 words), and the observed codes, by sort, otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -163,7 +161,7 @@ def _shuffled(y: SymbolSeries, spec: SurrogateSpec, replica: int) -> np.ndarray:
 
 
 def effective_transfer_entropies(
-    jobs, orders, spec: SurrogateSpec, timing_sink: list | None = None
+    jobs, orders, spec: SurrogateSpec
 ) -> list[list[EffectiveResult]]:
     """Effective transfer entropy of each (target, source, history) job at each
     order; `result[k][i]` is `jobs[k]` at `orders[i]`, and its `replicas`
@@ -184,12 +182,7 @@ def effective_transfer_entropies(
     target it feeds, and `transfer._draw_values` counts each job's word table
     once and evaluates every order from it.  A job's values depend only on
     the job, the order and `spec`, never on the other jobs or their place in the
-    list.  A failing job is named as `pair S->T`.  A list passed as
-    `timing_sink` receives each job's seconds of counting and evaluation over
-    every draw: a target part, with its first job's draw 0 table, is charged to
-    that job, a draw's work on a target, history codes included, is split
-    equally among the jobs it counts, and the shuffles are shared by the jobs of
-    a source and charged to none.
+    list.  A failing job is named as `pair S->T`.
     """
     orders = [_order(q) for q in orders]
     if not orders:
@@ -197,10 +190,8 @@ def effective_transfer_entropies(
     sources = {id(y): y for _, y, _ in jobs}
     targets = {}  # (target, history, source alphabet) -> its jobs, prefix, code count, sides
     n_windows = [0] * len(jobs)
-    seconds = [0.0] * len(jobs)
     runs = [[] for _ in jobs]  # per job: the values of each draw, raw first
     for k, (x, y, h) in enumerate(jobs):
-        started = time.perf_counter()
         with _named(jobs[k]):
             target = (id(x), h, y.alphabet_size)
             if target not in targets:
@@ -211,16 +202,12 @@ def effective_transfer_entropies(
                 raise ValidationError(f"series lengths differ: {len(x)} vs {len(y)}")
             targets[target][0].append(k)
             n_windows[k] = targets[target][1].size
-        seconds[k] += time.perf_counter() - started
     for draw in range(spec.ensemble_size + 1):
         shuffled = {key: y.symbols if draw == 0 else _shuffled(y, spec, draw - 1)
                     for key, y in sources.items()}
         histories = {}  # (source, history, n_x) -> its codes in this draw times n_x
         for ks, prefix, n_possible, sides in targets.values():
             drawn = ks[1:] if draw == 0 else ks  # the first job's draw 0 came with the part
-            if not drawn:
-                continue
-            started = time.perf_counter()
             x, _, h = jobs[ks[0]]  # the jobs of a target part share its target and history
             n_x = x.alphabet_size
             codes = []
@@ -234,11 +221,6 @@ def effective_transfer_entropies(
             for k in drawn:
                 with _named(jobs[k]):
                     runs[k].append(next(values))
-            share = (time.perf_counter() - started) / len(drawn)
-            for k in drawn:
-                seconds[k] += share
-    if timing_sink is not None:
-        timing_sink.extend(seconds)
     return [
         [EffectiveResult(raw, tuple(values[i] for values in replicas), windows)
          for i, raw in enumerate(first)]

@@ -166,6 +166,14 @@ class TestGenSynthAndOracle:
         assert code == 2
         assert "q=2000" in capsys.readouterr().err
 
+    def test_oracle_order_with_a_subnormal_power_sum_is_reported(self, capsys):
+        # the copy table's sum of p^q leaves the normal range at q = 324: 4.4e-323 at q = 339
+        assert main(["oracle", "--preset", "copy", "--q", "323"]) == 0
+        value = json.loads(capsys.readouterr().out)["transfer_entropy_bits"]
+        assert value == pytest.approx(math.log2(3), rel=0, abs=2.3e-16)
+        assert main(["oracle", "--preset", "copy", "--q", "339"]) == 2
+        assert "at Renyi order q=339.0, beyond floating point" in capsys.readouterr().err
+
     def test_oracle_requires_spec_or_preset(self, capsys):
         assert main(["oracle", "--q", "1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -625,7 +633,7 @@ class TestMatrixAndNetflow:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: a timestamp in column 'A' overflows int64")
 
-    def test_matrix_timings_flag_records_pairs(self, price_csv, tmp_path):
+    def test_matrix_timings_flag_records_stages(self, price_csv, tmp_path):
         out = tmp_path / "flow.csv"
         code = main([
             "matrix", "--data", str(price_csv), "--alphabet", "3",
@@ -633,15 +641,12 @@ class TestMatrixAndNetflow:
             "--out", str(out), "--timings",
         ])
         assert code == 0
-        manifest = json.loads((tmp_path / "flow.manifest.json").read_text())
-        assert set(manifest["timings"]["pairs"]) == {
-            "A->B", "A->C", "B->A", "B->C", "C->A", "C->B",
-        }
-        assert manifest["timings"]["total_seconds"] > 0
-        # a replica's work on a target is split among its pairs, and no second is counted twice
-        pairs = manifest["timings"]["pairs"].values()
-        assert all(type(t) is float and 0.0 < t < math.inf for t in pairs)
-        assert sum(pairs) <= manifest["timings"]["total_seconds"]
+        timings = json.loads((tmp_path / "flow.manifest.json").read_text())["timings"]
+        assert set(timings["stages"]) == {"ingest", "estimate", "render"}
+        stages = timings["stages"].values()
+        assert all(type(t) is float and 0.0 < t < math.inf for t in stages)
+        # the stages run one after another from the command's start to the matrix written
+        assert sum(stages) == pytest.approx(timings["total_seconds"], rel=0, abs=1e-9)
 
     def test_manifest_records_surrogate_block(self, price_csv, tmp_path):
         parameters = []

@@ -145,6 +145,13 @@ class TestEntropy:
         assert abs(entropy(probs, 1.0 + 1e-5) - center) <= 1e-4
         assert abs(entropy(probs, 1.0 - 1e-5) - center) <= 1e-4
 
+    def test_order_with_a_subnormal_power_sum_is_named(self):
+        # the sum of p^q, 3**(1 - q), is subnormal from q = 646 and reads 1.5e-323 at q = 678
+        assert entropy([1 / 3] * 3, 645) == pytest.approx(math.log2(3), rel=0, abs=2.3e-16)
+        for q in (646, 678):
+            with pytest.raises(ValidationError, match=f"q={q}.0, beyond floating point"):
+                entropy([1 / 3] * 3, q)
+
 
 class TestEscort:
     @pytest.mark.parametrize("q", (0.5, 2.0, 3.0))

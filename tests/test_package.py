@@ -8,6 +8,7 @@ and the README's library example runs."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from fractions import Fraction
@@ -39,9 +40,11 @@ from renflow import (
     load_csv,
     m_sweep,
     noisy_copy_spec,
+    pairwise_matrix,
     q_sweep,
     renyi_transfer_entropy,
 )
+from renflow.surrogate import effective_transfer_entropies
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(renflow.__file__).resolve().parent
@@ -223,6 +226,20 @@ def test_only_transfer_sets_the_windows_and_word_codes():
     lengths = {name for scope, name in package_names() if scope.startswith("surrogate.")
                and "." in name and name.rpartition(".")[2] in ("m", "l")}
     assert lengths == set()
+
+
+def test_only_the_cli_reads_the_clock():
+    """`matrix --timings` times its stages in `cli._cmd_matrix`, so no other module
+    imports `time`, and neither the run planner nor `pairwise_matrix` takes a timing
+    sink: every value is a function of the inputs alone."""
+    importers = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import) and "time" in {a.name for a in node.names}
+                 or isinstance(node, ast.ImportFrom) and node.module == "time"}
+    assert importers == {"cli"}
+    assert list(inspect.signature(effective_transfer_entropies).parameters) == [
+        "jobs", "orders", "spec"]
+    assert list(inspect.signature(pairwise_matrix).parameters) == ["series", "h", "q", "spec"]
 
 
 def test_only_report_encodes_csv():
