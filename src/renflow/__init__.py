@@ -20,11 +20,9 @@ from .infocore import (
     DiscreteDistribution,
     JointDistribution,
     conditional_entropy,
-    conditional_mutual_information,
     entropy,
     entropy_gain,
     escort,
-    mutual_information,
 )
 from .ingest import RawSeries, align_many, load_csv
 from .report import (
@@ -93,7 +91,6 @@ __all__ = [
     "align_many",
     "block_coarse_grain",
     "conditional_entropy",
-    "conditional_mutual_information",
     "copy_spec",
     "count_words",
     "effective_transfer_entropy",
@@ -109,7 +106,6 @@ __all__ = [
     "log_returns",
     "m_sweep",
     "make_surrogate",
-    "mutual_information",
     "net_flow",
     "noisy_copy_spec",
     "pairwise_matrix",

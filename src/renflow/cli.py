@@ -92,7 +92,8 @@ def _offset(value: str) -> tuple[str, int]:
 
 
 def _load_aligned_symbols(args, labels: list[str] | None):
-    """Load, align, and symbolize; also return metadata for run manifests."""
+    """Load, align, and symbolize; also return metadata for run manifests.  A series
+    that cannot be symbolized is refused naming its column."""
     offsets = dict(args.tz_offset)
     raw = load_csv(
         args.data,
@@ -110,19 +111,23 @@ def _load_aligned_symbols(args, labels: list[str] | None):
             label: loaded_lengths[label] - len(raw[0]) for label in loaded_lengths
         },
     }
-    symbols = [
-        SymbolSeries(symbols=series.values, alphabet_size=args.alphabet, label=series.label)
-        if args.pre_symbolized
-        else prepare_series(
-            series.values,
-            alphabet_size=args.alphabet,
-            block_size=args.block,
-            mode=args.bins,
-            use_log_returns=args.log_returns,
-            label=series.label,
-        )
-        for series in raw
-    ]
+    symbols = []
+    for series in raw:
+        try:
+            symbols.append(
+                SymbolSeries(symbols=series.values, alphabet_size=args.alphabet, label=series.label)
+                if args.pre_symbolized
+                else prepare_series(
+                    series.values,
+                    alphabet_size=args.alphabet,
+                    block_size=args.block,
+                    mode=args.bins,
+                    use_log_returns=args.log_returns,
+                    label=series.label,
+                )
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"column {series.label!r}: {exc}") from exc
     return symbols, info
 
 

@@ -27,8 +27,10 @@ a subnormal, and cannot overflow here: a term is at most 1 at q != 1 and
 c * log2(c) < 2^70 at q = 1.  A table of at most 1,000 cells, too small to pay
 for grouping, gives its per-cell terms instead, row by row for a 2-D table of
 such rows; an empty cell's term is an exact 0.0, which changes no sum.  Both
-give the same sum; the transfer entropy estimator reads its p^q = (c / N)^q and
-its c * log2(c) this way.
+give the same sum.  `_conditional_part`, the count-table evaluator, reads
+S_q(X'|W) of a batch of count tables this way, from p^q = (c / N)^q or from
+c * log2(c); the transfer entropy estimator evaluates every word table through
+it, so this module forms every entropy term of the package.
 """
 
 from __future__ import annotations
@@ -212,39 +214,28 @@ def _conditional_renyi(joint_sum: float, marginal_sum: float, q: float) -> float
     return (math.log2(joint_sum) - math.log2(marginal_sum)) / (1.0 - q)
 
 
-def mutual_information(joint, q) -> float:
-    """Order-q mutual information S_q(X) + S_q(Y) - S_q(X, Y) in bits.
+def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: float):
+    """The count-table evaluator: S_q(X'|W) of each row of the 2-D count tables
+    `joint`, of the (x', w) cells, and `marginal`, of the (w) cells, one row per
+    table and every row of total N, at the order `q` (already checked by `_order`):
+    the escort-averaged value at q != 1, and at q = 1 the exact pieces whose
+    `math.fsum` over N is H(X'|W), the c log2 c terms of the (w) table and those of
+    the (x', w) table negated.  At q = 1 the cells must be integer counts: the term
+    is c log2 max(c, 1), so a table of probabilities, every cell below 1, gives
+    pieces of 0.
 
-    Symmetric in the two variables.  Non-negative for q = 1; for other
-    orders it can be negative, signalling that conditioning reweights
-    the distribution against the sector that order emphasizes.
-    """
-    q = _order(q)
-    j = JointDistribution.coerce(joint)
-    if j.probs.ndim != 2:
-        raise ValidationError("mutual_information expects a two-variable joint")
-    return (
-        entropy(j.marginal(0), q)
-        + entropy(j.marginal(1), q)
-        - entropy(j, q)
-    )
-
-
-def conditional_mutual_information(joint, q) -> float:
-    """Order-q conditional mutual information I_q(X; Y | Z) in bits.
-
-    `joint` carries axes (x, y, z); the third variable is the
-    conditioning one.  Evaluates S_q(X | Z) - S_q(X | Y, Z) with the
-    pair (Y, Z) flattened into a single conditioning variable.
-    """
-    q = _order(q)
-    j = JointDistribution.coerce(joint)
-    if j.probs.ndim != 3:
-        raise ValidationError("conditional_mutual_information expects a three-variable joint")
-    nx = j.probs.shape[0]
-    joint_xz = j.probs.sum(axis=1)
-    joint_x_yz = j.probs.reshape(nx, -1)
-    return conditional_entropy(joint_xz, q) - conditional_entropy(joint_x_yz, q)
+    Each term is computed over the whole table at once.  An empty cell adds an
+    exact 0.0, and `math.fsum` is correctly rounded, so a row of a dense table
+    gives the bits of the same table less its empty cells.  The result is an
+    iterator over the rows; a row's power sums are checked as it is drawn, so a
+    caller that draws each row under its own name knows which table failed."""
+    if q == 1.0:
+        joint, marginal = (_count_terms(t, lambda c: c * np.log2(np.maximum(c, 1)))
+                           for t in (joint, marginal))
+        return ([*m, *(-v for v in j)] for j, m in zip(joint, marginal))
+    joint, marginal = (_count_terms(t, lambda c: np.power(c / total, q)) for t in (joint, marginal))
+    return (_conditional_renyi(_finite_power_sum(j, q), _finite_power_sum(m, q), q)
+            for j, m in zip(joint, marginal))
 
 
 def entropy_gain(prior, posterior, q) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError, _integer, _integer_fields
 from .errors import _probabilities, _real
-from .infocore import conditional_mutual_information
+from .infocore import JointDistribution, conditional_entropy
 from .symbolize import SymbolSeries
 
 _POWER_TOL = 1e-14
@@ -189,10 +189,13 @@ def stationary_joint(spec: CoupledMarkovSpec) -> np.ndarray:
 def exact_transfer_entropy(spec: CoupledMarkovSpec, q) -> float:
     """Exact order-q transfer entropy from source to target at m = l = 1.
 
-    The conditional mutual information I_q(X'; Y | X) of the stationary
-    joint p(x', y, x) = pi(x, y) * B[x, y, x'], one transition step from
-    the stationary pair distribution.
+    S_q(X'|X) - S_q(X'|X,Y) of the stationary joint p(x', y, x) =
+    pi(x, y) * B[x, y, x'], one transition step from the stationary pair
+    distribution: two `conditional_entropy` calls, with y summed out of the
+    first and the pair (y, x) flattened into one conditioning variable in the
+    second.
     """
-    return conditional_mutual_information(
-        np.einsum("xy,xyu->uyx", stationary_joint(spec), spec.target_transition), q
-    )
+    p = JointDistribution(
+        np.einsum("xy,xyu->uyx", stationary_joint(spec), spec.target_transition)
+    ).probs
+    return conditional_entropy(p.sum(axis=1), q) - conditional_entropy(p.reshape(len(p), -1), q)

@@ -33,10 +33,11 @@ side of T_q, depend on the target alone, so the run planner builds that side
 once for every source and surrogate replica of the target.  `_word_values`
 is the one evaluation of a counted table: the target's side and T_q at every
 order.  `_pair_values` evaluates a batch of word tables, one a row, against
-a given side.  `_draw_values` lays out the tables of one draw on a target by
-the rule that picks the counting: rows of every possible word, counted and
-evaluated as one table, when the code space is no larger than the window
-count, and one row of the observed words otherwise.
+a given side; `infocore._conditional_part` gives each side.  `_draw_values`
+lays out the tables of one draw on a target by the rule that picks the
+counting: rows of every possible word, counted and evaluated as one table,
+when the code space is no larger than the window count, and one row of the
+observed words otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError, _integer, _integer_fields, _integers
-from .infocore import _conditional_renyi, _count_terms, _finite_power_sum, _order
+from .infocore import _conditional_part, _order
 from .symbolize import SymbolSeries
 
 # Guard for int64 word codes: alphabet^(m+l+1) must stay addressable.
@@ -265,29 +266,6 @@ def _word_row(full: np.ndarray, n_possible: int) -> np.ndarray:
     return np.bincount(full, minlength=n_possible)
 
 
-def _conditional_part(joint: np.ndarray, marginal: np.ndarray, total: int, q: float):
-    """S_q(X'|W) of each row of the 2-D count tables `joint`, of the (x', w) cells,
-    and `marginal`, of the (w) cells, one row per word table and every row of total
-    N, at the order `q` (already checked by `_order`): the escort-averaged value at
-    q != 1, and at q = 1 the exact pieces whose `math.fsum` over N is H(X'|W), the
-    c log2 c terms of the (w) table and those of the (x', w) table negated.  At
-    q = 1 the cells must be integer counts: the term is c log2 max(c, 1), so a
-    table of probabilities, every cell below 1, gives pieces of 0.
-
-    Each term is computed over the whole table at once.  An empty cell adds an
-    exact 0.0, and `math.fsum` is correctly rounded, so a row of a dense table
-    gives the bits of the same table less its empty cells.  The result is an
-    iterator over the rows; a row's power sums are checked as it is drawn, so a
-    caller that draws each row under its own name knows which table failed."""
-    if q == 1.0:
-        joint, marginal = (_count_terms(t, lambda c: c * np.log2(np.maximum(c, 1)))
-                           for t in (joint, marginal))
-        return ([*m, *(-v for v in j)] for j, m in zip(joint, marginal))
-    joint, marginal = (_count_terms(t, lambda c: np.power(c / total, q)) for t in (joint, marginal))
-    return (_conditional_renyi(_finite_power_sum(j, q), _finite_power_sum(m, q), q)
-            for j, m in zip(joint, marginal))
-
-
 def _groups(w: WordDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive integer counts of the (xw, yw), (xw, x') and (xw) tables of `w`, each
     of total n_windows.  The (xw, yw) and (xw) cells are runs of the sorted codes, as
@@ -317,10 +295,10 @@ def _word_values(w: WordDistribution, orders) -> tuple[list, tuple]:
 
 def _pair_values(joint: np.ndarray, marginal: np.ndarray, total: int, sides, orders):
     """T_q of each row of the words table `joint` and its (xw, yw) table `marginal`,
-    laid out as `_conditional_part` takes them, from their target's side at each of
-    `orders`: its side less S_q(X'|XW,YW) of the row, as an iterator over the rows,
-    each a tuple of one value per order.  At q = 1 the pieces of both sides go into
-    one `math.fsum`, so the sum is rounded once."""
+    laid out as `infocore._conditional_part` takes them, from their target's side at
+    each of `orders`: its side less S_q(X'|XW,YW) of the row, as an iterator over the
+    rows, each a tuple of one value per order.  At q = 1 the pieces of both sides go
+    into one `math.fsum`, so the sum is rounded once."""
     rows = zip(*(_conditional_part(joint, marginal, total, q) for q in orders))
     return (tuple(math.fsum([*side, *(-v for v in pair)]) / total if q == 1.0 else side - pair
                   for q, side, pair in zip(orders, sides, row)) for row in rows)

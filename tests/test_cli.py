@@ -535,6 +535,30 @@ class TestMatrixAndNetflow:
         assert err.startswith("error:") and "column 'C' has no parseable rows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells, argv, message", [
+        ("{a},{b},5.0", ["matrix"],
+         "column 'C': equal-width bins are degenerate on a constant series"),
+        ("{a},{b},5.0", ["matrix", "--bins", "quantile"],
+         "column 'C': quantile bins need at least 3 distinct values"),
+        ("{a},{b_or_0},{c}", ["matrix", "--log-returns"],
+         "column 'B': log returns require strictly positive values"),
+        ("{odd},{odd_or_2},{odd}", ["te", *PAIR, "--pre-symbolized", "--alphabet", "2"],
+         "column 'B': symbols must lie in [0, 2), got range [0.0, 2.0]"),
+    ], ids=["width", "quantile", "log-returns", "pre-symbolized"])
+    def test_symbolization_refusal_names_the_column(self, tmp_path, capsys, cells, argv,
+                                                    message):
+        path = tmp_path / "prices.csv"
+        rows = "".join(
+            f"{t}," + cells.format(a=100 + t % 7, b=50 - t % 5, c=70 + t % 3,
+                                   b_or_0=0 if t == 9 else 50 - t % 5,
+                                   odd=t % 2, odd_or_2=2 if t == 9 else t % 2) + "\n"
+            for t in range(60))
+        path.write_text("timestamp,A,B,C\n" + rows, encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([*argv, "--data", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("header, argv, name, positions", [
         ("timestamp,A,timestamp,B", ["matrix"], "timestamp", (1, 3)),
         ("timestamp,A,timestamp,B", ["symbolize", "--labels", "timestamp,A"], "timestamp", (1, 3)),

@@ -49,6 +49,7 @@ COMMANDS = {
     },
     "te.json": ["te", *PAIR, "--m", "2", "--q", "1.5", *PRICES, *SURROGATES],
     "oracle.json": ["oracle", *PRESET, "--q", "2"],
+    "oracle_shannon.json": ["oracle", *PRESET, "--q", "1"],
     "gen_synth.csv": ["gen-synth", *PRESET, "--length", "200", "--seed", "5"],
 }
 MANIFEST = "matrix.manifest.json"  # written next to matrix.csv
@@ -96,7 +97,7 @@ def test_cli_output_matches_golden_bytes(name, tmp_path):
     assert run_command(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["te.json", "oracle.json"])
+@pytest.mark.parametrize("name", ["te.json", "oracle.json", "oracle_shannon.json"])
 def test_stdout_output_matches_golden_bytes(name, tmp_path, capsys):
     assert main(command_argv(name, tmp_path)) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -8,15 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renflow import (
+    CoupledMarkovSpec,
     DiscreteDistribution,
     JointDistribution,
     ValidationError,
     conditional_entropy,
-    conditional_mutual_information,
     entropy,
     entropy_gain,
     escort,
-    mutual_information,
+    exact_transfer_entropy,
+    stationary_joint,
 )
 
 Q_GRID = (0.5, 0.8, 1.0, 1.5, 3.0)
@@ -223,70 +224,30 @@ class TestConditionalEntropy:
             assert -1e-12 <= value <= math.log2(4) + 1e-12
 
 
-class TestMutualInformation:
-    @pytest.mark.parametrize("q", Q_GRID)
-    def test_self_information_consistency(self, q):
-        joint = np.diag([1 / 3] * 3)
-        assert mutual_information(joint, q) == pytest.approx(math.log2(3), abs=1e-12)
-
-    @pytest.mark.parametrize("q", Q_GRID)
-    def test_independence_gives_zero(self, q):
-        joint = np.outer([0.3, 0.7], [0.25, 0.25, 0.5])
-        assert mutual_information(joint, q) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            joint = random_joint(rng, (4, 4))
-            forward = mutual_information(joint, 0.8)
-            backward = mutual_information(joint.T, 0.8)
-            assert forward == pytest.approx(backward, abs=1e-12)
-
-    def test_shannon_non_negative(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            joint = random_joint(rng, (3, 4))
-            assert mutual_information(joint, 1.0) >= -1e-12
-
-
 class TestConditionalMutualInformation:
-    @pytest.mark.parametrize("q", (0.5, 1.0, 1.5))
-    def test_target_independent_of_rest(self, q):
-        rng = np.random.default_rng(9)
-        px = np.array([0.2, 0.8])
-        pyz = random_joint(rng, (3, 2))
-        joint = np.einsum("x,yz->xyz", px, pyz)
-        assert conditional_mutual_information(joint, q) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_condition_reduces_to_mutual_information(self):
-        rng = np.random.default_rng(13)
-        slice_xy = random_joint(rng, (3, 3))
-        joint = slice_xy[:, :, None]
-        cmi = conditional_mutual_information(joint, 1.5)
-        assert cmi == pytest.approx(mutual_information(slice_xy, 1.5), abs=1e-12)
-
     def test_shannon_matches_brute_force(self):
+        # the oracle's Shannon value is the conditional mutual information
+        # I(X'; Y | X) = H(X'|X) - H(X'|X,Y) of the stationary joint, here summed
+        # directly from -p log2 p of each term's definition
         rng = np.random.default_rng(17)
         for _ in range(25):
-            joint = random_joint(rng, (2, 2, 2))
-            # independent oracle: direct -sum p log p evaluation of
-            # H(X|Z) - H(X|Y,Z) from the definition of each term
-            p_xz = joint.sum(axis=1)
-            p_z = joint.sum(axis=(0, 1))
-            h_x_given_z = -sum(
-                p_xz[x, z] * math.log2(p_xz[x, z] / p_z[z])
-                for x in range(2) for z in range(2) if p_xz[x, z] > 0
+            n = int(rng.integers(2, 5))
+            a, b = random_joint(rng, (n, n)), random_joint(rng, (n, n, n))
+            spec = CoupledMarkovSpec(n, a / a.sum(axis=1, keepdims=True),
+                                     b / b.sum(axis=2, keepdims=True))
+            pi, law = stationary_joint(spec), spec.target_transition
+            p_xu = np.einsum("xy,xyu->xu", pi, law)
+            p_x = pi.sum(axis=1)
+            h_u_given_x = -sum(
+                p_xu[x, u] * math.log2(p_xu[x, u] / p_x[x])
+                for x in range(n) for u in range(n)
             )
-            p_yz = joint.sum(axis=0)
-            h_x_given_yz = -sum(
-                joint[x, y, z] * math.log2(joint[x, y, z] / p_yz[y, z])
-                for x in range(2) for y in range(2) for z in range(2)
-                if joint[x, y, z] > 0
+            h_u_given_xy = -sum(
+                pi[x, y] * law[x, y, u] * math.log2(law[x, y, u])
+                for x in range(n) for y in range(n) for u in range(n)
             )
-            expected = h_x_given_z - h_x_given_yz
-            assert conditional_mutual_information(joint, 1.0) == pytest.approx(
-                expected, abs=1e-12
-            )
+            expected = h_u_given_x - h_u_given_xy
+            assert exact_transfer_entropy(spec, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEntropyGain:

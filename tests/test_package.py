@@ -228,6 +228,26 @@ def test_only_transfer_sets_the_windows_and_word_codes():
     assert lengths == set()
 
 
+def test_only_infocore_forms_entropy_terms():
+    """`infocore` owns the entropy algebra, the count-table evaluator included: no
+    other module calls a function named `log2` or `power`, or imports the helpers
+    that sum, split or combine its terms."""
+    helpers = {"_count_terms", "_finite_power_sum", "_conditional_renyi"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "infocore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if name in ("log2", "power"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in helpers]
+    assert found == []
+
+
 def test_only_the_cli_reads_the_clock():
     """`matrix --timings` times its stages in `cli._cmd_matrix`, so no other module
     imports `time`, and neither the run planner nor `pairwise_matrix` takes a timing

@@ -209,13 +209,22 @@ class TestExactTransferEntropy:
             0.0, abs=1e-12
         )
 
-    def test_binary_three_quarter_coupling(self):
-        # X_{t+1} copies Y_t with probability 3/4: the target's next symbol
-        # is uniform unconditionally, so TE = 1 - H_b(3/4)
-        expected = 1.0 + 0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)
-        value = exact_transfer_entropy(noisy_copy_spec(2, 0.75), 1.0)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert value == pytest.approx(0.188722, abs=1e-6)
+    @pytest.mark.parametrize("q", (0.5, 0.8, 1.0, 1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("fidelity", (0.3, 0.75))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_binary_three_quarter_coupling(self, n, fidelity, q):
+        # X_{t+1} copies Y_t with probability f, else errs uniformly: the target's
+        # next symbol is uniform given X_t alone, and given (X_t, Y_t) it takes one
+        # row, f on y_t and (1 - f) / (n - 1) elsewhere, so T_q = log2 n - S_q(row)
+        f = fidelity
+        if q == 1.0:
+            row_entropy = -f * math.log2(f) - (1 - f) * math.log2((1 - f) / (n - 1))
+        else:
+            row_entropy = math.log2(f**q + (n - 1) ** (1 - q) * (1 - f) ** q) / (1 - q)
+        value = exact_transfer_entropy(noisy_copy_spec(n, f), q)
+        assert value == pytest.approx(math.log2(n) - row_entropy, rel=0, abs=1e-12)
+        if (n, f, q) == (2, 0.75, 1.0):  # TE = 1 - H_b(3/4)
+            assert value == pytest.approx(0.188722, abs=1e-6)
 
     @pytest.mark.parametrize("q", (0.8, 1.0, 1.5))
     def test_invariant_under_relabeling(self, q):
